@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .intpoly import IntPoly
-from .linalg import Subspace, dot, in_rowspace, primitive, primitive_signed, rref_int
+from .linalg import Subspace, dot, in_rowspace, primitive_signed, rref_int
 
 
 @dataclass(frozen=True)
@@ -181,30 +181,12 @@ def build_flats(a: Arrangement) -> FlatLattice:
 
 def restriction(a: Arrangement, x: Flat) -> Arrangement:
     """The arrangement induced inside the flat x, in chart coordinates."""
-    arr, _ = restriction_with_map(a, x)
-    return arr
-
-
-def restriction_with_map(a: Arrangement, x: Flat):
-    """Restriction plus, per original hyperplane index not containing x,
-    the pair (restricted index, sign flip) aligning the two orientations."""
     _require_flat(a, x)
     chart = x.subspace.basis()
-    k = len(chart)
-    seen: dict[tuple[int, ...], int] = {}
-    normals: list[tuple[int, ...]] = []
-    mapping: dict[int, tuple[int, int]] = {}
-    for i, h in enumerate(a.hyperplanes):
-        if i in x.containing:
-            continue
-        direct = primitive(tuple(dot(h.normal, b) for b in chart))
-        canon = primitive_signed(direct)
-        flip = 1 if direct == canon else -1
-        if canon not in seen:
-            seen[canon] = len(normals)
-            normals.append(canon)
-        mapping[i] = (seen[canon], flip)
-    return Arrangement.from_normals(normals, k), mapping
+    normals = dict.fromkeys(
+        primitive_signed(tuple(dot(h.normal, b) for b in chart))
+        for i, h in enumerate(a.hyperplanes) if i not in x.containing)
+    return Arrangement.from_normals(normals, len(chart))
 
 
 def localization(a: Arrangement, x: Flat) -> Arrangement:
@@ -263,6 +245,13 @@ def very_generic_failure(a: Arrangement, v):
     for h in a.hyperplanes:
         if dot(h.normal, v) == 0:
             return f"v lies on the hyperplane with normal {h.normal}"
+    return halfspace_failure(a, v)
+
+
+def halfspace_failure(a: Arrangement, v):
+    """None if the halfspace {<v,x> <= 0} is generic (its boundary contains
+    the minimum flat and no other flat), else a human-readable reason; v
+    lying on hyperplanes of the arrangement is not checked."""
     # Orthogonality to ⊥ is membership in the span of the normals.
     span = rref_int(a.normals, a.dim)
     if not in_rowspace(v, span, a.dim):

@@ -14,7 +14,8 @@ import time
 from pathlib import Path
 
 from .arrangement import (Arrangement, build_flats, characteristic_polynomial,
-                          count_regions_zaslavsky, very_generic_failure)
+                          count_regions_zaslavsky, halfspace_failure,
+                          very_generic_failure)
 from .coxstats import (all_signed, binomial_identity_checks, bw_a, cuspidal_sn,
                        des_a, des_b, generating_function_check, half_eulerian,
                        peul_a, peul_a_des, peul_a_exc, peul_b_des,
@@ -113,21 +114,6 @@ def cmd_poly(args) -> int:
     return 0
 
 
-def very_generic_failure_excluding_walls(a: Arrangement, v):
-    """Genericity of the halfspace alone: its boundary must contain the
-    minimum flat and no other flat; v lying on arrangement walls is ignored."""
-    from .linalg import dot, in_rowspace, rref_int
-
-    span = rref_int(a.normals, a.dim)
-    if not in_rowspace(v, span, a.dim):
-        return "v is not orthogonal to the minimum flat"
-    lattice = build_flats(a)
-    for d in lattice.grade_one_directions():
-        if dot(d, v) == 0:
-            return f"bounding hyperplane contains the rank-1 flat spanned by {d}"
-    return None
-
-
 def cmd_inspect(args) -> int:
     a, source = _load_arrangement(args)
     lattice = build_flats(a)
@@ -148,10 +134,9 @@ def cmd_inspect(args) -> int:
     v = _parse_v(args, a)
     if v is not None:
         failure = very_generic_failure(a, v)
-        halfspace_failure = very_generic_failure_excluding_walls(a, v)
         lines.append(("v", ",".join(str(c) for c in v)))
         lines.append(("v_generic", str(failure is None).lower()))
-        lines.append(("halfspace_generic", str(halfspace_failure is None).lower()))
+        lines.append(("halfspace_generic", str(halfspace_failure(a, v) is None).lower()))
         if failure is not None:
             lines.append(("very_generic_failure", failure))
     if args.json:

@@ -104,12 +104,8 @@ def des_d(w) -> int:
 
 
 def exc(w) -> int:
-    """Excedances of an ordinary permutation: positions with w(i) > i."""
-    return sum(1 for i in range(1, len(w)) if w[i - 1] > i)
-
-
-def exc_a(w) -> int:
-    """Excedances of the window as a signed word."""
+    """Excedances of a permutation, or of a signed window read as a word:
+    positions with w(i) > i."""
     return sum(1 for i in range(1, len(w)) if w[i - 1] > i)
 
 
@@ -118,7 +114,7 @@ def fneg(w) -> int:
 
 
 def fexc(w) -> int:
-    return 2 * exc_a(w) + fneg(w)
+    return 2 * exc(w) + fneg(w)
 
 
 def exc_b(w) -> int:
@@ -163,16 +159,7 @@ def bw_d(n: int):
 
 
 def _distribution(stat, elements) -> IntPoly:
-    counts: dict[int, int] = {}
-    for w in elements:
-        k = stat(w)
-        counts[k] = counts.get(k, 0) + 1
-    if not counts:
-        return ZERO
-    out = [0] * (max(counts) + 1)
-    for k, c in counts.items():
-        out[k] = c
-    return IntPoly(tuple(out))
+    return IntPoly.from_counts(map(stat, elements))
 
 
 def peul_a_exc(n: int) -> IntPoly:

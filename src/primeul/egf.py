@@ -189,11 +189,3 @@ def egf_div(f: TruncatedEgf, g: TruncatedEgf) -> TruncatedEgf:
             acc = _padd(acc, _pscale(_pmul(out[k], g.coeffs[n - k]), -comb(n, k)))
         out.append(_pscale(acc, inv))
     return TruncatedEgf(f.order, tuple(out))
-
-
-def egf_scale_x(f: TruncatedEgf, c) -> TruncatedEgf:
-    return f.scale_x(c)
-
-
-def egf_coeff(f: TruncatedEgf, n: int) -> QPoly:
-    return f.coeff(n)

@@ -165,10 +165,7 @@ def cochar_via_halfspace(a: Arrangement, v) -> IntPoly:
     if failure is not None:
         raise ValueError(f"v not very generic: {failure}")
     fan = enumerate_faces(a)
-    coeffs = [0] * (fan.rank + 1)
-    for f in faces_in_halfspace(fan, v):
-        coeffs[fan.grade(f)] += 1
-    return IntPoly(tuple(coeffs))
+    return IntPoly.from_counts(fan.grade(f) for f in faces_in_halfspace(fan, v))
 
 
 class UpperSetError(ValueError):
@@ -202,14 +199,7 @@ def primitive_eulerian_descents(a: Arrangement, v=None, seed: int = 0) -> IntPol
     witness = order.upper_set_failure(contained)
     if witness is not None:
         raise UpperSetError(witness)
-    coeffs: dict[int, int] = {}
-    for c in contained:
-        d = order.descents(c)
-        coeffs[d] = coeffs.get(d, 0) + 1
-    out = [0] * (max(coeffs) + 1 if coeffs else 1)
-    for d, c in coeffs.items():
-        out[d] = c
-    return IntPoly(tuple(out))
+    return IntPoly.from_counts(order.descents(c) for c in contained)
 
 
 def h_poly_relation_check(a: Arrangement, v=None, seed: int = 0) -> bool:
@@ -240,11 +230,4 @@ def eulerian_poly(a: Arrangement, base=None) -> IntPoly:
     if base is None:
         base = regions[0]
     order = WeakOrder(a, base)
-    coeffs: dict[int, int] = {}
-    for c in regions:
-        d = order.descents(c)
-        coeffs[d] = coeffs.get(d, 0) + 1
-    out = [0] * (max(coeffs) + 1)
-    for d, c in coeffs.items():
-        out[d] = c
-    return IntPoly(tuple(out))
+    return IntPoly.from_counts(order.descents(c) for c in regions)

@@ -2,19 +2,21 @@
 product, separation sets, rays, simpliciality and sharpness tests.
 
 A sign vector assigns -1, 0 or +1 to every hyperplane in arrangement order.
-Regions have no zeros; every stored face was certified nonempty, either by
-the feasibility oracle directly (regions, via interior witness points) or by
-lifting a certified region of a restriction.  The deterministic order used
-everywhere sorts sign vectors by entry with 0 < + < -.
+The faces are the covectors of the arrangement's oriented matroid: all
+compositions of its cocircuits, which are the sign vectors of the two rays
+along each rank-1 flat.  Every face stores the directions of the rays in its
+closure, and every geometric test here reads those directions, so no linear
+program is solved.  Regions are the faces without zeros.  The deterministic
+order used everywhere sorts sign vectors by entry with 0 < + < -.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import itemgetter
 
-from .arrangement import Arrangement, build_flats, restriction_with_map
-from .feasibility import strict_feasible, strict_feasible_point
-from .linalg import Subspace, dot, nullspace, primitive, solve_inverse
+from .arrangement import Arrangement, build_flats, is_very_generic_vector
+from .linalg import dot, nullspace, primitive, solve_inverse
 
 SignVector = tuple  # entries in {-1, 0, +1}, one per hyperplane
 
@@ -29,53 +31,80 @@ def _sign(x) -> int:
     return (x > 0) - (x < 0)
 
 
-@lru_cache(maxsize=None)
-def enumerate_regions(a: Arrangement) -> tuple[SignVector, ...]:
-    """All full-dimensional sign vectors, sorted.
+def _zero_set(f: SignVector) -> tuple[int, ...]:
+    return tuple(i for i, s in enumerate(f) if s == 0)
 
-    Hyperplanes are inserted one at a time; every region either keeps a
-    forced sign or splits in two.  An interior witness point per region
-    settles one side for free, so the oracle only decides the other side.
+
+def _compositions(cocircuits, m: int) -> set[SignVector]:
+    """Closure of the zero vector under composition with the cocircuits.
+
+    Composing f with c ("x or y" entrywise) only rewrites f on its zero set,
+    so the distinct restrictions of the cocircuits are taken once per zero
+    set.
     """
-    normals = a.normals
-    zero = tuple(0 for _ in range(a.dim))
-    current: list[tuple[SignVector, tuple]] = [((), zero)]
-    for h, n in enumerate(normals):
-        nxt = []
-        for signs, w in current:
-            s = _sign(dot(n, w))
-            sides = (1, -1) if s == 0 else (-s,)
-            if s != 0:
-                nxt.append((signs + (s,), w))
-            for side in sides:
-                cons = [tuple(c * v for v in normals[i])
-                        for i, c in enumerate(signs) if c]
-                cons.append(tuple(side * v for v in n))
-                point = strict_feasible_point(cons, (), a.dim)
-                if point is not None:
-                    nxt.append((signs + (side,), point))
-        current = nxt
-    return tuple(sorted((signs for signs, _ in current), key=sign_key))
+    zero = (0,) * m
+    found = {zero}
+    stack = [zero]
+    restrictions: dict[tuple[int, ...], set] = {}
+    while stack:
+        f = stack.pop()
+        zeros = _zero_set(f)
+        parts = restrictions.get(zeros)
+        if parts is None:
+            parts = {tuple([c[i] for i in zeros]) for c in cocircuits}
+            restrictions[zeros] = parts
+        for part in parts:
+            g = list(f)
+            for i, s in zip(zeros, part):
+                g[i] = s
+            g = tuple(g)
+            if g not in found:
+                found.add(g)
+                stack.append(g)
+    return found
 
 
 class FanIndex:
-    """Complete list of faces of an arrangement, indexed by sign vector."""
+    """Complete list of faces of an arrangement, indexed by sign vector,
+    with the rays in the closure of each face."""
 
     def __init__(self, arrangement: Arrangement):
         self.arrangement = arrangement
         lattice = build_flats(arrangement)
-        m = len(arrangement.hyperplanes)
-        faces: dict[SignVector, int] = {}
+        normals = arrangement.normals
+        # Basis of ⊥; a vector is orthogonal to ⊥ iff it lies in the span of
+        # the normals, where the ray directions are taken.
+        self.bottom_basis = nullspace(normals, arrangement.dim)
+        directions: dict[SignVector, tuple[int, ...]] = {}
         for flat in lattice.flats:
-            sub, mapping = restriction_with_map(arrangement, flat)
-            for region in enumerate_regions(sub):
-                signs = [0] * m
-                for i, (ri, flip) in mapping.items():
-                    signs[i] = flip * region[ri]
-                faces[tuple(signs)] = flat.dim
-        ordered = sorted(faces, key=sign_key)
+            if flat.dim - lattice.bottom_dim != 1:
+                continue
+            line = nullspace(flat.subspace.normals + self.bottom_basis,
+                             arrangement.dim)
+            d = primitive(line[0])
+            for r in (d, tuple(-x for x in d)):
+                directions[tuple(_sign(dot(n, r)) for n in normals)] = r
+        cocircuits = sorted(directions, key=sign_key)
+        # A ray lies in the closure of f iff it lies in f's flat (vanishes on
+        # f's zero set) and f agrees with it on its support.
+        checks = []
+        for c in cocircuits:
+            pick = itemgetter(*[i for i, s in enumerate(c) if s])
+            checks.append((frozenset(_zero_set(c)), pick, pick(c), directions[c]))
+        dim_of = {flat.containing: flat.dim for flat in lattice.flats}
+        in_flat: dict[frozenset, list] = {}
+        ordered = sorted(_compositions(cocircuits, len(normals)), key=sign_key)
+        dims, rays = [], []
+        for f in ordered:
+            zeros = frozenset(_zero_set(f))
+            if zeros not in in_flat:
+                in_flat[zeros] = [t for t in checks if t[0] >= zeros]
+            dims.append(dim_of[zeros])
+            rays.append(tuple(d for _, pick, signs, d in in_flat[zeros]
+                              if pick(f) == signs))
         self.faces: tuple[SignVector, ...] = tuple(ordered)
-        self.dims: tuple[int, ...] = tuple(faces[f] for f in ordered)
+        self.dims: tuple[int, ...] = tuple(dims)
+        self.rays: tuple[tuple[tuple[int, ...], ...], ...] = tuple(rays)
         self.index: dict[SignVector, int] = {f: i for i, f in enumerate(ordered)}
         self.bottom_dim = lattice.bottom_dim
         self.rank = lattice.rank
@@ -96,6 +125,19 @@ class FanIndex:
     def regions(self) -> tuple[SignVector, ...]:
         return tuple(f for f in self.faces if 0 not in f)
 
+    def rays_of(self, f: SignVector) -> tuple[tuple[int, ...], ...]:
+        """Directions of the rays in the closure of f, in fan order."""
+        return self.rays[self.index[f]]
+
+    def closure_in_halfspace(self, f: SignVector, v) -> bool:
+        """True iff the closed face f lies in {x : <v, x> <= 0}.
+
+        The closed face is ⊥ plus the cone over its rays, so it lies in the
+        halfspace iff v is orthogonal to ⊥ and no ray points to <v, x> > 0.
+        """
+        return (all(dot(v, b) == 0 for b in self.bottom_basis)
+                and all(dot(v, d) <= 0 for d in self.rays_of(f)))
+
     @property
     def center(self) -> SignVector:
         return (0,) * len(self.arrangement.hyperplanes)
@@ -104,6 +146,12 @@ class FanIndex:
 @lru_cache(maxsize=None)
 def enumerate_faces(a: Arrangement) -> FanIndex:
     return FanIndex(a)
+
+
+@lru_cache(maxsize=None)
+def enumerate_regions(a: Arrangement) -> tuple[SignVector, ...]:
+    """All full-dimensional sign vectors, sorted."""
+    return enumerate_faces(a).regions()
 
 
 def tits_product(fan: FanIndex, f: SignVector, g: SignVector) -> SignVector:
@@ -129,60 +177,18 @@ def face_leq(f: SignVector, g: SignVector) -> bool:
     return all(x == 0 or x == y for x, y in zip(f, g))
 
 
-def face_flat(a: Arrangement, f: SignVector) -> Subspace:
-    """The flat spanned by a face: intersection of its zero-set hyperplanes."""
-    normals = [a.hyperplanes[i].normal for i, s in enumerate(f) if s == 0]
-    return Subspace.from_normals(normals, a.dim)
-
-
-def _ray_direction(a: Arrangement, f: SignVector) -> tuple[int, ...]:
-    """Primitive direction of a grade-1 face inside the span of the normals."""
-    span_normals = nullspace(a.normals, a.dim)  # basis of ⊥, as normals of the span
-    zeros = [a.hyperplanes[i].normal for i, s in enumerate(f) if s == 0]
-    line = nullspace(tuple(zeros) + span_normals, a.dim)
-    if len(line) != 1:
-        raise AssertionError("grade-1 face does not span a line modulo ⊥")
-    d = primitive(line[0])
-    for i, s in enumerate(f):
-        if s:
-            return d if _sign(dot(a.hyperplanes[i].normal, d)) == s else tuple(-x for x in d)
-    raise AssertionError("grade-1 face with all-zero signs")
-
-
 def rays_of_region(fan: FanIndex, c: SignVector) -> tuple[tuple[int, ...], ...]:
     """Primitive integer spanning vectors of the rays of a region."""
     a = fan.arrangement
     if a.rank() != a.dim:
         raise ValueError("rays are only defined for essential arrangements")
-    rays = []
-    for f in fan.faces:
-        if fan.grade(f) == 1 and face_leq(f, c):
-            rays.append(_ray_direction(a, f))
-    return tuple(rays)
-
-
-def _region_ray_dirs(a: Arrangement, fan: FanIndex, c: SignVector):
-    return [
-        _ray_direction(a, f)
-        for f in fan.faces
-        if fan.grade(f) == 1 and face_leq(f, c)
-    ]
+    return fan.rays_of(c)
 
 
 def is_simplicial(a: Arrangement) -> bool:
     """True iff every region has exactly rank(a) rays."""
     fan = enumerate_faces(a)
-    r = fan.rank
-    if r == 0:
-        return True
-    counts: dict[SignVector, int] = {c: 0 for c in fan.regions()}
-    for f in fan.faces:
-        if fan.grade(f) != 1:
-            continue
-        for c in counts:
-            if face_leq(f, c):
-                counts[c] += 1
-    return all(v == r for v in counts.values())
+    return all(len(fan.rays_of(c)) == fan.rank for c in fan.regions())
 
 
 def is_sharp(a: Arrangement) -> bool:
@@ -201,7 +207,7 @@ def is_sharp(a: Arrangement) -> bool:
     if not is_simplicial(a):
         return False
     for c in fan.regions():
-        rays = _region_ray_dirs(a, fan, c)
+        rays = fan.rays_of(c)
         gram = [[dot(u, v) for v in rays] for u in rays]
         inv = solve_inverse(gram)
         for i in range(d):
@@ -212,15 +218,8 @@ def is_sharp(a: Arrangement) -> bool:
 
 
 def region_in_halfspace(a: Arrangement, c: SignVector, v) -> bool:
-    """True iff the closed region lies in {x : <v, x> <= 0}.
-
-    Decided by the oracle: the closure escapes the halfspace iff the open
-    region meets {<v, x> > 0}.
-    """
-    cons = [tuple(s * x for x in a.hyperplanes[i].normal)
-            for i, s in enumerate(c) if s]
-    cons.append(tuple(v))
-    return not strict_feasible(cons, (), a.dim)
+    """True iff the closed region lies in {x : <v, x> <= 0}."""
+    return enumerate_faces(a).closure_in_halfspace(c, v)
 
 
 def faces_in_halfspace(fan: FanIndex, v) -> tuple[SignVector, ...]:
@@ -229,17 +228,6 @@ def faces_in_halfspace(fan: FanIndex, v) -> tuple[SignVector, ...]:
     Requires a very generic v; the central face is always included since the
     bounding hyperplane contains the minimum flat.
     """
-    from .arrangement import is_very_generic_vector
-
-    a = fan.arrangement
-    if not is_very_generic_vector(a, v):
+    if not is_very_generic_vector(fan.arrangement, v):
         raise ValueError("vector is not very generic")
-    out = []
-    for f in fan.faces:
-        strut = [tuple(s * x for x in a.hyperplanes[i].normal)
-                 for i, s in enumerate(f) if s]
-        eqs = [a.hyperplanes[i].normal for i, s in enumerate(f) if s == 0]
-        strut.append(tuple(v))
-        if not strict_feasible(strut, eqs, a.dim):
-            out.append(f)
-    return tuple(out)
+    return tuple(f for f in fan.faces if fan.closure_in_halfspace(f, v))

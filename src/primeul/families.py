@@ -30,32 +30,14 @@ def type_b(n: int) -> Arrangement:
     """Hyperplanes x_i = x_j, x_i = -x_j (i < j) and x_i = 0, in R^n."""
     if n < 1:
         raise ValueError("type_b needs n >= 1")
-    normals = [_unit(n, i) for i in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            v = [0] * n
-            v[i], v[j] = 1, -1
-            normals.append(tuple(v))
-            w = [0] * n
-            w[i], w[j] = 1, 1
-            normals.append(tuple(w))
-    return Arrangement.from_normals(normals, n)
+    return type_dnk(n, n)
 
 
 def type_d(n: int) -> Arrangement:
     """Hyperplanes x_i = x_j and x_i = -x_j for i < j, in R^n."""
     if n < 2:
         raise ValueError("type_d needs n >= 2")
-    normals = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            v = [0] * n
-            v[i], v[j] = 1, -1
-            normals.append(tuple(v))
-            w = [0] * n
-            w[i], w[j] = 1, 1
-            normals.append(tuple(w))
-    return Arrangement.from_normals(normals, n)
+    return type_dnk(n, 0)
 
 
 def type_dnk(n: int, k: int) -> Arrangement:
@@ -178,7 +160,9 @@ def root_system(name: str) -> Arrangement:
                     new.add(key)
         frontier = new
     normals = sorted(roots)
-    assert len(normals) == ROOT_COUNTS[name]
+    if len(normals) != ROOT_COUNTS[name]:
+        raise RuntimeError(f"{name} closure gave {len(normals)} roots, "
+                           f"expected {ROOT_COUNTS[name]}")
     return Arrangement.from_normals(normals, dim)
 
 

@@ -7,6 +7,7 @@ the polynomial is zero, so equal polynomials compare equal as dataclasses.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -29,8 +30,13 @@ class IntPoly:
         object.__setattr__(self, "coeffs", _trim(self.coeffs))
 
     @classmethod
-    def const(cls, c: int) -> IntPoly:
-        return cls((c,))
+    def from_counts(cls, exponents) -> IntPoly:
+        """The sum of z**k over the given exponents: a statistic's
+        distribution; the zero polynomial when there are none."""
+        counts = Counter(exponents)
+        if not counts:
+            return cls()
+        return cls(tuple(counts[k] for k in range(max(counts) + 1)))
 
     @classmethod
     def from_fractions(cls, coeffs) -> IntPoly:

@@ -167,10 +167,6 @@ class Subspace:
         return cls(ambient, rref_int(vectors, ambient))
 
     @classmethod
-    def from_spanning(cls, vectors, ambient: int) -> Subspace:
-        return cls(ambient, nullspace(vectors, ambient))
-
-    @classmethod
     def full(cls, ambient: int) -> Subspace:
         return cls(ambient, ())
 

@@ -100,6 +100,20 @@ def _sturm_chain(c) -> list[Coeffs]:
     return chain
 
 
+def _gcd_chains(c):
+    """Sturm chains of p, of gcd(p, p'), of that gcd's gcd with its own
+    derivative, and so on down to a constant.
+
+    An m-fold root of p is an (m-1)-fold root of gcd(p, p'), so summing
+    distinct-root counts over the chains counts roots with multiplicity.
+    """
+    c = _prim(c)
+    while len(c) > 1:
+        chain = _sturm_chain(c)
+        yield chain
+        c = chain[-1] if chain[-1][-1] > 0 else _neg(chain[-1])
+
+
 def _gcd_with_deriv(c) -> Coeffs:
     """Primitive gcd(p, p') with positive leading coefficient."""
     chain = _sturm_chain(c)
@@ -163,25 +177,11 @@ def distinct_real_roots(p: IntPoly) -> int:
 
 
 def real_root_count(p: IntPoly) -> int:
-    """Number of real roots counted with multiplicity.
-
-    An m-fold root of p is an (m-1)-fold root of gcd(p, p'), so summing the
-    distinct-root counts of the iterated gcds recovers multiplicities.
-    """
+    """Number of real roots counted with multiplicity."""
     if p.is_zero():
         raise ValueError("zero polynomial")
-    c = _prim(p.coeffs)
-    total = 0
-    while len(c) > 1:
-        chain = _sturm_chain(c)
-        total += _var_at_minus_inf(chain) - _var_at_plus_inf(chain)
-        g = chain[-1] if len(chain) > 1 else (1,)
-        if g[-1] < 0:
-            g = _neg(g)
-        if len(g) == 1:
-            break
-        c = g
-    return total
+    return sum(_var_at_minus_inf(chain) - _var_at_plus_inf(chain)
+               for chain in _gcd_chains(p.coeffs))
 
 
 def is_real_rooted(p: IntPoly) -> bool:
@@ -229,18 +229,8 @@ def isolate_real_roots(p: IntPoly) -> list[tuple[Fraction, Fraction]]:
 def _root_count_leq(p: IntPoly, x: Fraction) -> int:
     """Real roots of p in (-inf, x], with multiplicity; x must not be a root
     of p (the iterated gcds then cannot vanish at x either)."""
-    c = _prim(p.coeffs)
-    total = 0
-    while len(c) > 1:
-        chain = _sturm_chain(c)
-        total += _var_at_minus_inf(chain) - _var_at(chain, x)
-        g = chain[-1] if len(chain) > 1 else (1,)
-        if g[-1] < 0:
-            g = _neg(g)
-        if len(g) == 1:
-            break
-        c = g
-    return total
+    return sum(_var_at_minus_inf(chain) - _var_at(chain, x)
+               for chain in _gcd_chains(p.coeffs))
 
 
 def interlaces(g: IntPoly, f: IntPoly) -> bool:

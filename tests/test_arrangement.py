@@ -5,6 +5,7 @@ import pytest
 from primeul.arrangement import (Arrangement, Hyperplane, build_flats,
                                  characteristic_polynomial,
                                  count_regions_zaslavsky, essentialize,
+                                 halfspace_failure,
                                  is_very_generic_vector, localization,
                                  product, restriction)
 from primeul.families import braid, graphic, rank2, type_b, type_d
@@ -164,9 +165,7 @@ def test_very_generic_vector():
     a4 = braid(4)
     v = (-1, -1, -1, 3)
     assert not is_very_generic_vector(a4, v)  # v itself on a wall
-    from primeul.cli import very_generic_failure_excluding_walls
-
-    assert very_generic_failure_excluding_walls(a4, v) is None  # halfspace fine
+    assert halfspace_failure(a4, v) is None  # halfspace fine
     # not orthogonal to the minimum flat
     assert not is_very_generic_vector(a4, (1, 2, 4, 8))
 

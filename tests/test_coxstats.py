@@ -5,7 +5,7 @@ import pytest
 from primeul.coxstats import (all_even_signed, all_signed, asc_2,
                               binomial_identity_checks, bw_a, bw_b, bw_d,
                               cuspidal_bn, cuspidal_sn, des_a, des_b, des_d,
-                              eulerian_a, eulerian_b, exc, exc_a, exc_b,
+                              eulerian_a, eulerian_b, exc, exc_b,
                               fexc, fneg, generating_function_check,
                               half_eulerian, inversion_sequences_2, peul_a,
                               peul_a_des, peul_a_exc, peul_b_des,
@@ -21,7 +21,7 @@ def test_statistics_on_examples():
     assert exc((2, 4, 1, 3, 5)) == 2
     # balanced 3-cycle [1 2 3] has window 2 3 -1
     w = (2, 3, -1)
-    assert exc_a(w) == 2 and fneg(w) == 1 and fexc(w) == 5 and exc_b(w) == 3
+    assert exc(w) == 2 and fneg(w) == 1 and fexc(w) == 5 and exc_b(w) == 3
     assert des_b((-1, -2, -3)) == 3
     assert des_b((2, 1, -3)) == 2
     # the unique top-descent element of the type D set on three letters

@@ -1,11 +1,15 @@
+import random
+
 import pytest
 
-from primeul.arrangement import Arrangement, build_flats, count_regions_zaslavsky, essentialize
+from primeul.arrangement import (Arrangement, build_flats, count_regions_zaslavsky,
+                                 essentialize, is_very_generic_vector)
 from primeul.faces import (enumerate_faces, enumerate_regions, face_leq,
                            faces_in_halfspace, is_sharp, is_simplicial,
                            opposite, rays_of_region, region_in_halfspace,
                            separation_set, sign_key, tits_product)
 from primeul.families import braid, generic_gn, graphic, rank2, type_b, type_d, type_dnk
+from primeul.linalg import rref_int
 
 FOUR_CYCLE = graphic(4, [(1, 2), (2, 3), (3, 4), (4, 1)])
 COORD2 = Arrangement.from_normals([(1, 0), (0, 1)], 2)
@@ -196,23 +200,72 @@ def test_faces_in_halfspace_requires_very_generic():
         faces_in_halfspace(fan, (1, 1))
 
 
+def _signed(a, signs):
+    return [tuple(s * x for x in h.normal)
+            for s, h in zip(signs, a.hyperplanes) if s]
+
+
+def _zero_normals(a, signs):
+    return [h.normal for s, h in zip(signs, a.hyperplanes) if s == 0]
+
+
+def _random_very_generic(a, rng):
+    span = rref_int(a.normals, a.dim)
+    while True:
+        coeffs = [rng.randint(-9, 9) for _ in span]
+        v = tuple(sum(c * row[j] for c, row in zip(coeffs, span))
+                  for j in range(a.dim))
+        if is_very_generic_vector(a, v):
+            return v
+
+
 def test_regions_against_brute_force():
-    # exhaustive feasibility over all +/- sign vectors, independent of the
-    # incremental insertion bookkeeping
+    # The strict-feasibility oracle is the independent certificate: faces,
+    # dims, regions and halfspace containment are decided here by one linear
+    # program per sign vector and compared with the cocircuit fan.
     from itertools import product as iproduct
 
+    from primeul.cli import _PATH_BUILTINS
+    from primeul.eulerpoly import find_very_generic
+    from primeul.families import parse_family
     from primeul.feasibility import strict_feasible
 
     for a in (rank2(4), braid(3), type_b(2), type_d(3),
-              Arrangement.from_normals([(1, 2, 0), (0, 1, 1), (1, 0, -1)], 3)):
+              Arrangement.from_normals([(1, 2, 0), (0, 1, 1), (1, 0, -1)], 3),
+              SKEW2,
+              Arrangement.from_normals([(1, 0, 0), (0, 1, 0), (1, 1, 0)], 3),
+              Arrangement(2, ())):
         m = len(a.hyperplanes)
         brute = []
-        for signs in iproduct((1, -1), repeat=m):
-            cons = [tuple(s * x for x in h.normal)
-                    for s, h in zip(signs, a.hyperplanes)]
-            if strict_feasible(cons, (), a.dim):
+        for signs in iproduct((1, 0, -1), repeat=m):
+            if strict_feasible(_signed(a, signs), _zero_normals(a, signs), a.dim):
                 brute.append(signs)
-        assert sorted(brute, key=sign_key) == list(enumerate_regions(a))
+        brute.sort(key=sign_key)
+        fan = enumerate_faces(a)
+        assert fan.faces == tuple(brute)
+        assert fan.dims == tuple(
+            a.dim - len(rref_int(_zero_normals(a, f), a.dim)) for f in brute)
+        assert enumerate_regions(a) == tuple(f for f in brute if 0 not in f)
+
+    # the vector the routes pick by default, and two random ones
+    rng = random.Random(3)
+    for family in _PATH_BUILTINS:
+        a = parse_family(family)
+        assert a.rank() <= 4
+        fan = enumerate_faces(a)
+        for v in (find_very_generic(a), _random_very_generic(a, rng),
+                  _random_very_generic(a, rng)):
+            certified = tuple(
+                f for f in fan.faces
+                if not strict_feasible(_signed(a, f) + [v], _zero_normals(a, f), a.dim))
+            assert faces_in_halfspace(fan, v) == certified, (family, v)
+
+    # v not orthogonal to the minimum flat: no closed region fits in the
+    # halfspace, since each contains the whole minimum flat
+    a = braid(3)
+    for c in enumerate_regions(a):
+        assert strict_feasible(_signed(a, c) + [(1, 1, 1)], (), a.dim)
+        assert not region_in_halfspace(a, c, (1, 1, 1))
 
 
 def test_empty_arrangement_fan():

@@ -60,6 +60,12 @@ def test_from_fractions():
         IntPoly.from_fractions([Fraction(1, 2)])
 
 
+def test_from_counts():
+    assert IntPoly.from_counts([2, 0, 2, 3]) == IntPoly((1, 0, 2, 1))
+    assert IntPoly.from_counts(iter([1, 1])) == IntPoly((0, 2))
+    assert IntPoly.from_counts([]).is_zero()
+
+
 def test_non_integer_rejected():
     with pytest.raises(TypeError):
         IntPoly((1.5, 2))
