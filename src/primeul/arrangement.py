@@ -2,10 +2,11 @@
 
 A hyperplane is stored as a primitive integer normal with its first nonzero
 entry positive, which fixes the orientation of the two halfspaces and makes
-duplicates detectable.  Flats are keyed by the canonical form of their
-normal space, and each flat carries the full set of hyperplanes containing
-it; since a flat equals the intersection of exactly that set, containment of
-flats is containment of those index sets in reverse.
+duplicates detectable.  Flats are keyed by the int bitmask of the
+hyperplanes containing them; since a flat equals the intersection of exactly
+that set, containment of flats is containment of masks in reverse, and Mobius
+values come from bitmask subset tests.  The flats just below a flat X are
+the classes of the hyperplanes off X, grouped by their restriction to X.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .intpoly import IntPoly
-from .linalg import Subspace, dot, in_rowspace, primitive_signed, rref_int
+from .linalg import Subspace, dot, in_rowspace, primitive, primitive_signed, rref_int
 
 
 @dataclass(frozen=True)
@@ -91,45 +92,43 @@ class FlatLattice:
         n = arrangement.dim
         normals = arrangement.normals
 
-        by_key: dict = {}
-        top_key = ()
-        by_key[top_key] = frozenset(
-            i for i, v in enumerate(normals) if not any(v))  # always empty
-        queue = [top_key]
-        while queue:
-            key = queue.pop()
-            containing = by_key[key]
-            for i, v in enumerate(normals):
-                if i in containing:
-                    continue
-                new_key = rref_int(key + (v,), n)
-                if new_key not in by_key:
-                    by_key[new_key] = frozenset(
-                        j for j, w in enumerate(normals)
-                        if in_rowspace(w, new_key, n))
-                    queue.append(new_key)
+        # Grade by grade down from the ambient space, each flat of a level
+        # with an integer basis.  ``gens`` maps every mask found to hyperplanes
+        # whose normals span the flat's normal space, reduced once at the end.
+        gens = {0: ()}
+        level = {0: tuple(tuple(int(i == j) for j in range(n)) for i in range(n))}
+        while level:
+            below = {}
+            for mask, basis in level.items():
+                groups: dict[tuple[int, ...], list[int]] = {}
+                for j, v in enumerate(normals):
+                    if not mask >> j & 1:
+                        d = primitive_signed(tuple(dot(v, b) for b in basis))
+                        groups.setdefault(d, []).append(j)
+                for d, group in groups.items():
+                    cover = mask + sum(1 << j for j in group)
+                    if cover not in below:
+                        gens[cover] = gens[mask] + (group[0],)
+                        below[cover] = _cut(basis, d)
+            level = below
 
-        bottom_dim = n - max(len(k) for k in by_key)
-        flats = [Flat(Subspace(n, key), cont) for key, cont in by_key.items()]
-        flats.sort(key=lambda f: (f.dim - bottom_dim, f.subspace.normals))
-        self.flats: tuple[Flat, ...] = tuple(flats)
+        bottom_dim = n - max(len(g) for g in gens.values())
+        flats = []
+        for mask, g in gens.items():
+            key = rref_int([normals[j] for j in g], n)
+            flats.append((n - len(key), key, mask))
+        flats.sort()
+        self.flats: tuple[Flat, ...] = tuple(
+            Flat(Subspace(n, key), frozenset(j for j in range(len(normals))
+                                             if mask >> j & 1))
+            for _, key, mask in flats)
+        # Bit j of a flat's mask is set iff hyperplane j contains the flat;
+        # Y <= X in the lattice iff mask(Y) is a superset of mask(X).
+        self._masks = tuple(mask for _, _, mask in flats)
         self.bottom_dim = bottom_dim
         self.rank = n - bottom_dim
-        self._pos = {f.subspace.normals: i for i, f in enumerate(flats)}
-
-        # mu(bottom, X) by the defining recursion over the interval [bottom, X];
-        # Y <= X in the lattice iff containing(Y) is a superset of containing(X).
-        mobius: list[int] = []
-        for i, f in enumerate(self.flats):
-            if i == 0:
-                mobius.append(1)
-                continue
-            acc = 0
-            for j in range(i):
-                if self.flats[j].containing >= f.containing:
-                    acc += mobius[j]
-            mobius.append(-acc)
-        self.mobius_bottom: tuple[int, ...] = tuple(mobius)
+        self._pos = {f.subspace.normals: i for i, f in enumerate(self.flats)}
+        self.mobius_bottom: tuple[int, ...] = _mobius_from_first(self._masks)
 
     def __len__(self) -> int:
         return len(self.flats)
@@ -139,7 +138,7 @@ class FlatLattice:
 
     def leq(self, i: int, j: int) -> bool:
         """True iff flat i is contained in flat j."""
-        return self.flats[i].containing >= self.flats[j].containing
+        return self._masks[i] & self._masks[j] == self._masks[j]
 
     def position(self, subspace: Subspace) -> int:
         return self._pos[subspace.normals]
@@ -172,6 +171,24 @@ class FlatLattice:
             d = next(r for r in basis if not bottom.contains_vector(r))
             dirs.append(d)
         return dirs
+
+
+def _cut(basis, d):
+    """Integer basis of the vectors sum c_i basis[i] with <d, c> = 0: the
+    pivot row is eliminated from the others in one integer step."""
+    i0 = next(i for i, c in enumerate(d) if c)
+    a0, pivot = d[i0], basis[i0]
+    return tuple(b if not c else primitive(tuple(a0 * x - c * y for x, y in zip(b, pivot)))
+                 for i, (b, c) in enumerate(zip(basis, d)) if i != i0)
+
+
+def _mobius_from_first(masks) -> tuple[int, ...]:
+    """mu(first, X) for masks listed along a linear extension of the order
+    Y <= X iff mask(Y) is a superset of mask(X)."""
+    mu: list[int] = []
+    for m in masks:
+        mu.append(-sum(v for mj, v in zip(masks, mu) if mj & m == m) if mu else 1)
+    return tuple(mu)
 
 
 @lru_cache(maxsize=None)
@@ -267,20 +284,12 @@ def characteristic_polynomial(a: Arrangement) -> IntPoly:
     """chi(t) = sum over flats of mu(top, X) t^dim(X), Mobius taken in the
     order by reverse inclusion (minimum = ambient space)."""
     lattice = build_flats(a)
-    flats = lattice.flats
-    order = sorted(range(len(flats)), key=lambda i: -lattice.grade(i))
-    mu: dict[int, int] = {}
-    for i in order:
-        acc = 0
-        for j in order:
-            if j == i:
-                break
-            if flats[j].containing < flats[i].containing:  # X_i strictly inside X_j
-                acc += mu[j]
-        mu[i] = 1 if i == lattice.top_index else -acc
+    # Complemented masks, top first, list the reverse-inclusion order.
+    full = (1 << len(a.hyperplanes)) - 1
+    mu = _mobius_from_first([full ^ m for m in reversed(lattice._masks)])[::-1]
     coeffs = [0] * (a.dim + 1)
-    for i in range(len(flats)):
-        coeffs[flats[i].dim] += mu[i]
+    for flat, m in zip(lattice.flats, mu):
+        coeffs[flat.dim] += m
     return IntPoly(tuple(coeffs))
 
 

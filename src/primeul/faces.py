@@ -16,7 +16,7 @@ from functools import lru_cache
 from operator import itemgetter
 
 from .arrangement import Arrangement, build_flats, is_very_generic_vector
-from .linalg import dot, nullspace, primitive, solve_inverse
+from .linalg import dot, nullspace, primitive
 
 SignVector = tuple  # entries in {-1, 0, +1}, one per hyperplane
 
@@ -194,25 +194,23 @@ def is_simplicial(a: Arrangement) -> bool:
 def is_sharp(a: Arrangement) -> bool:
     """Simplicial, with every region's facet angles at most pi/2.
 
-    With rays r_1..r_d of a region and the dual vectors n_i inside their span
+    With rays r_1..r_d of a region c and the dual vectors n_i in their span
     (<n_i, r_j> = delta_ij), the angle condition is <n_i, n_j> <= 0 off the
-    diagonal; the Gram matrix of the duals is the inverse of the Gram matrix
-    of the rays.  Directions are taken inside the span of the normals, so the
-    test is metrically faithful without essentializing.
+    diagonal.  n_i is a positive multiple of the inward normal c[h] v_h of
+    the wall h opposite r_i, where h is a wall iff c with 0 at h is a face;
+    normals lie in the span of the rays, so no essentializing is needed.
     """
     fan = enumerate_faces(a)
-    d = fan.rank
-    if d <= 1:
+    if fan.rank <= 1:
         return True
     if not is_simplicial(a):
         return False
+    normals = a.normals
     for c in fan.regions():
-        rays = fan.rays_of(c)
-        gram = [[dot(u, v) for v in rays] for u in rays]
-        inv = solve_inverse(gram)
-        for i in range(d):
-            for j in range(i + 1, d):
-                if inv[i][j] > 0:
+        walls = [h for h in range(len(c)) if c[:h] + (0,) + c[h + 1:] in fan.index]
+        for x, h in enumerate(walls):
+            for k in walls[x + 1:]:
+                if c[h] * c[k] * dot(normals[h], normals[k]) > 0:
                     return False
     return True
 

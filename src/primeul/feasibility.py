@@ -59,7 +59,8 @@ def strict_feasible_point(strict, equalities=(), dim: int | None = None):
     if y is None:
         return None
     x = tuple(sum(Fraction(c) * b[j] for c, b in zip(y, chart)) for j in range(dim))
-    assert all(dot(a, x) > 0 for a in strict)
+    if not all(dot(a, x) > 0 for a in strict):
+        raise RuntimeError("simplex point violates a strict constraint")
     return x
 
 

@@ -14,16 +14,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
+from operator import mul
 
 Vector = tuple
 
 
 def dot(u, v):
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 def scale_to_int(vec) -> tuple[int, ...]:
     """Clear denominators: integer vector pointing the same way."""
+    if all(type(c) is int for c in vec):
+        return tuple(vec)
     m = 1
     for c in vec:
         if isinstance(c, Fraction):
@@ -35,9 +38,7 @@ def scale_to_int(vec) -> tuple[int, ...]:
 def primitive(vec) -> tuple[int, ...]:
     """Integer vector with content 1, same direction (zero stays zero)."""
     iv = scale_to_int(vec)
-    g = 0
-    for c in iv:
-        g = gcd(g, c)
+    g = gcd(*iv)
     if g <= 1:
         return iv
     return tuple(c // g for c in iv)
@@ -75,9 +76,7 @@ def rref_int(rows, ncols: int) -> tuple[tuple[int, ...], ...]:
             if i != r and mat[i][c]:
                 v = mat[i][c]
                 row = [pval * a - v * b for a, b in zip(mat[i], prow)]
-                g = 0
-                for x in row:
-                    g = gcd(g, x)
+                g = gcd(*row)
                 mat[i] = [x // g for x in row] if g > 1 else row
         r += 1
         if r == nrows:
@@ -134,25 +133,6 @@ def in_rowspace(vec, red_rows, ncols: int) -> bool:
     if not red_rows:
         return False
     return len(rref_int(tuple(red_rows) + (tuple(vec),), ncols)) == len(red_rows)
-
-
-def solve_inverse(mat) -> tuple[tuple[Fraction, ...], ...]:
-    """Inverse of a square matrix over the rationals; raises on singular input."""
-    n = len(mat)
-    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-           for i, row in enumerate(mat)]
-    for c in range(n):
-        pr = next((i for i in range(c, n) if aug[i][c]), None)
-        if pr is None:
-            raise ValueError("singular matrix")
-        aug[c], aug[pr] = aug[pr], aug[c]
-        pv = aug[c][c]
-        aug[c] = [x / pv for x in aug[c]]
-        for i in range(n):
-            if i != c and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[c])]
-    return tuple(tuple(row[n:]) for row in aug)
 
 
 @dataclass(frozen=True)

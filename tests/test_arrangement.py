@@ -8,9 +8,11 @@ from primeul.arrangement import (Arrangement, Hyperplane, build_flats,
                                  halfspace_failure,
                                  is_very_generic_vector, localization,
                                  product, restriction)
-from primeul.families import braid, graphic, rank2, type_b, type_d
+from primeul.cli import _PATH_BUILTINS
+from primeul.families import (braid, graphic, parse_family, rank2, root_system,
+                              type_b, type_d)
 from primeul.intpoly import IntPoly
-from primeul.linalg import Subspace
+from primeul.linalg import Subspace, in_rowspace, rref_int
 
 FOUR_CYCLE = graphic(4, [(1, 2), (2, 3), (3, 4), (4, 1)])
 
@@ -38,6 +40,49 @@ def test_single_hyperplane_lattice():
     assert len(lattice.flats) == 2
     assert lattice.rank == 1
     assert lattice.mobius_bottom[lattice.bottom_index] == 1
+
+
+def _oracle_lattice(a):
+    """Brute-force lattice: closure of the ambient space under intersection
+    with every hyperplane, keyed by canonical RREF, containing sets by one
+    row-space test per hyperplane, Mobius values by the defining recursion."""
+    n, normals = a.dim, a.normals
+    found = {(): frozenset()}
+    queue = [()]
+    while queue:
+        key = queue.pop()
+        for v in normals:
+            new = rref_int(key + (v,), n)
+            if new not in found:
+                found[new] = frozenset(j for j, w in enumerate(normals)
+                                       if in_rowspace(w, new, n))
+                queue.append(new)
+    keys = sorted(found, key=lambda k: (n - len(k), k))
+    mobius = []
+    for i, k in enumerate(keys):
+        mobius.append(-sum(mobius[j] for j in range(i) if found[keys[j]] > found[k])
+                      if i else 1)
+    return keys, [found[k] for k in keys], mobius, n - max(map(len, found))
+
+
+def test_lattice_against_brute_force_closure():
+    cases = [parse_family(f) for f in _PATH_BUILTINS]
+    cases += [root_system("F4"), product(rank2(3), braid(3)),
+              Arrangement.from_normals([(1, 0, 0), (0, 1, 0), (1, 1, 0)], 3),
+              Arrangement(3, ())]
+    for a in cases:
+        lattice = build_flats(a)
+        keys, containing, mobius, bottom_dim = _oracle_lattice(a)
+        assert [f.subspace.normals for f in lattice.flats] == keys, a
+        assert [f.containing for f in lattice.flats] == containing, a
+        assert list(lattice.mobius_bottom) == mobius, a
+        assert lattice.bottom_dim == bottom_dim, a
+        assert [lattice.grade(i) for i in range(len(keys))] == \
+               [a.dim - len(k) - bottom_dim for k in keys], a
+
+
+def test_e6_flat_count():
+    assert len(build_flats(root_system("E6"))) == 4598
 
 
 def test_rank2_mobius():

@@ -142,6 +142,16 @@ def test_table_exceptional(capsys):
     assert "z^4 + 1316z^3 + 3844z^2 + 900z" in out
 
 
+def test_table_exceptional_golden_mismatch_exit_1(capsys, monkeypatch):
+    from primeul import tables
+    monkeypatch.setitem(tables.EXCEPTIONAL, "F4", IntPoly((0, 1)))
+    code, out, err = run(capsys, "table", "exceptional")
+    assert code == 1
+    assert "F4 row disagrees with golden data" in err
+    assert "Traceback" not in err
+    assert "E6" not in out
+
+
 def test_verify_success_exit_0(capsys):
     code, out, _ = run(capsys, "verify", "recursions", "--nmax", "4")
     assert code == 0

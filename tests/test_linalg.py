@@ -4,7 +4,7 @@ import pytest
 
 from primeul.linalg import (Subspace, dot, in_rowspace, nullspace, primitive,
                             primitive_signed, rank, rref, rref_int,
-                            solve_inverse, subspace_intersect)
+                            subspace_intersect)
 
 
 def test_rref_identity_fixed_point():
@@ -85,10 +85,3 @@ def test_subspace_contains():
 def test_subspace_mismatch():
     with pytest.raises(ValueError):
         Subspace.full(2).intersect(Subspace.full(3))
-
-
-def test_solve_inverse():
-    inv = solve_inverse([[1, 2], [3, 4]])
-    assert inv == ((Fraction(-2), Fraction(1)), (Fraction(3, 2), Fraction(-1, 2)))
-    with pytest.raises(ValueError):
-        solve_inverse([[1, 2], [2, 4]])
