@@ -64,10 +64,6 @@ class Arrangement:
     def rank(self) -> int:
         return len(rref_int(self.normals, self.dim))
 
-    def bottom(self) -> Subspace:
-        """The minimum flat: intersection of all hyperplanes."""
-        return Subspace.from_normals(self.normals, self.dim)
-
 
 @dataclass(frozen=True)
 class Flat:
@@ -95,7 +91,9 @@ class FlatLattice:
         # Grade by grade down from the ambient space, each flat of a level
         # with an integer basis.  ``gens`` maps every mask found to hyperplanes
         # whose normals span the flat's normal space, reduced once at the end.
+        # Every group is one cover of its flat; ``down`` keeps them all.
         gens = {0: ()}
+        down: dict[int, list[int]] = {}
         level = {0: tuple(tuple(int(i == j) for j in range(n)) for i in range(n))}
         while level:
             below = {}
@@ -107,6 +105,7 @@ class FlatLattice:
                         groups.setdefault(d, []).append(j)
                 for d, group in groups.items():
                     cover = mask + sum(1 << j for j in group)
+                    down.setdefault(mask, []).append(cover)
                     if cover not in below:
                         gens[cover] = gens[mask] + (group[0],)
                         below[cover] = _cut(basis, d)
@@ -128,6 +127,15 @@ class FlatLattice:
         self.bottom_dim = bottom_dim
         self.rank = n - bottom_dim
         self._pos = {f.subspace.normals: i for i, f in enumerate(self.flats)}
+        # Positions of the flats that flat i covers / that cover flat i.
+        at = {m: i for i, m in enumerate(self._masks)}
+        self.covers_below = tuple(tuple(sorted(at[c] for c in down.get(m, ())))
+                                  for m in self._masks)
+        above: list[list[int]] = [[] for _ in flats]
+        for i, below_i in enumerate(self.covers_below):
+            for j in below_i:
+                above[j].append(i)
+        self.covers_above = tuple(map(tuple, above))
         self.mobius_bottom: tuple[int, ...] = _mobius_from_first(self._masks)
 
     def __len__(self) -> int:
@@ -164,9 +172,7 @@ class FlatLattice:
         """For each grade-1 flat, an integer vector spanning it modulo ⊥."""
         bottom = self.flats[0].subspace
         dirs = []
-        for i in range(len(self.flats)):
-            if self.grade(i) != 1:
-                continue
+        for i in self.covers_above[self.bottom_index]:
             basis = self.flats[i].subspace.basis()
             d = next(r for r in basis if not bottom.contains_vector(r))
             dirs.append(d)
@@ -214,7 +220,8 @@ def localization(a: Arrangement, x: Flat) -> Arrangement:
 
 def _require_flat(a: Arrangement, x: Flat):
     lattice = build_flats(a)
-    if lattice.find(x.subspace) is None:
+    i = lattice.find(x.subspace)
+    if i is None or lattice.flats[i] != x:
         raise ValueError("not a flat of the arrangement")
 
 

@@ -1,7 +1,8 @@
 """The primitive Eulerian polynomial of an arrangement by four routes:
 
 1. mobius:    sum of |mu(bot, X)| (z-1)^corank over the lattice of flats;
-2. recursive: deletion-style recursion over a pivot hyperplane;
+2. recursive: deletion-style recursion over a pivot hyperplane, run on
+              intervals of the one lattice of flats;
 3. halfspace: graded face count of a very generic halfspace, reparametrized;
 4. descents:  descent statistic over the regions inside such a halfspace.
 
@@ -14,15 +15,13 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from functools import lru_cache
 
-from .arrangement import (Arrangement, build_flats, essentialize,
-                          is_very_generic_vector, localization, restriction,
+from .arrangement import (Arrangement, build_flats, is_very_generic_vector,
                           very_generic_failure)
 from .faces import (enumerate_faces, enumerate_regions, faces_in_halfspace,
                     is_simplicial, region_in_halfspace)
-from .intpoly import IntPoly, ONE, Z, ZM1
-from .linalg import Subspace, dot, rref_int
+from .intpoly import IntPoly, Z, ZM1
+from .linalg import dot, rref_int
 from .weakorder import WeakOrder
 
 __all__ = [
@@ -64,32 +63,28 @@ def peul_from_cochar(psi: IntPoly, r: int) -> IntPoly:
 
 def primitive_eulerian_recursive(a: Arrangement) -> IntPoly:
     """Recursion P = (z-1) P_{restriction} + sum over rank-1 flats off the
-    pivot of P_{localization}; pivot is the first stored hyperplane."""
-    return _recursive(essentialize(a))
-
-
-@lru_cache(maxsize=None)
-def _recursive(a: Arrangement) -> IntPoly:
-    r = a.rank()
-    if r == 0:
-        return ONE
-    if r == 1:
-        return Z
-    if len(a.hyperplanes) == r:
-        # Independent normals: a product of rank-1 arrangements.
-        return Z ** r
+    pivot of P_{localization}, on intervals [lo, hi] of the lattice of flats:
+    the pivot is the first coatom C of [lo, hi], its restriction is [lo, C],
+    and the localization at an atom X not below C is [X, hi].  An interval
+    with as many coatoms as its rank is Boolean, with P = z^rank."""
     lattice = build_flats(a)
-    pivot_sub = Subspace.from_normals([a.hyperplanes[0].normal], a.dim)
-    pivot = lattice.flats[lattice.position(pivot_sub)]
-    out = ZM1 * _recursive(essentialize(restriction(a, pivot)))
-    for i in range(len(lattice.flats)):
-        if lattice.grade(i) != 1:
-            continue
-        flat = lattice.flats[i]
-        if 0 in flat.containing:
-            continue
-        out = out + _recursive(essentialize(localization(a, flat)))
-    return out
+    leq = lattice.leq
+    memo: dict[tuple[int, int], IntPoly] = {}
+
+    def peul(lo: int, hi: int) -> IntPoly:
+        if (lo, hi) not in memo:
+            coatoms = [c for c in lattice.covers_below[hi] if leq(lo, c)]
+            r = lattice.grade(hi) - lattice.grade(lo)
+            if len(coatoms) == r:
+                memo[lo, hi] = Z ** r
+            else:
+                pivot = coatoms[0]
+                memo[lo, hi] = sum((peul(x, hi) for x in lattice.covers_above[lo]
+                                    if leq(x, hi) and not leq(x, pivot)),
+                                   ZM1 * peul(lo, pivot))
+        return memo[lo, hi]
+
+    return peul(lattice.bottom_index, lattice.top_index)
 
 
 def _canonical_halfspace_candidates(a: Arrangement):

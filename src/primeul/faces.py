@@ -76,9 +76,8 @@ class FanIndex:
         # the normals, where the ray directions are taken.
         self.bottom_basis = nullspace(normals, arrangement.dim)
         directions: dict[SignVector, tuple[int, ...]] = {}
-        for flat in lattice.flats:
-            if flat.dim - lattice.bottom_dim != 1:
-                continue
+        for i in lattice.covers_above[lattice.bottom_index]:
+            flat = lattice.flats[i]
             line = nullspace(flat.subspace.normals + self.bottom_basis,
                              arrangement.dim)
             d = primitive(line[0])
@@ -179,8 +178,7 @@ def face_leq(f: SignVector, g: SignVector) -> bool:
 
 def rays_of_region(fan: FanIndex, c: SignVector) -> tuple[tuple[int, ...], ...]:
     """Primitive integer spanning vectors of the rays of a region."""
-    a = fan.arrangement
-    if a.rank() != a.dim:
+    if fan.bottom_dim != 0:
         raise ValueError("rays are only defined for essential arrangements")
     return fan.rays_of(c)
 

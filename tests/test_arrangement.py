@@ -79,6 +79,13 @@ def test_lattice_against_brute_force_closure():
         assert lattice.bottom_dim == bottom_dim, a
         assert [lattice.grade(i) for i in range(len(keys))] == \
                [a.dim - len(k) - bottom_dim for k in keys], a
+        below = [tuple(j for j, kj in enumerate(keys) if len(kj) == len(k) + 1
+                       and containing[j] > containing[i])
+                 for i, k in enumerate(keys)]
+        assert lattice.covers_below == tuple(below), a
+        assert lattice.covers_above == tuple(
+            tuple(i for i in range(len(keys)) if j in below[i])
+            for j in range(len(keys))), a
 
 
 def test_e6_flat_count():
@@ -160,6 +167,17 @@ def test_not_a_flat_rejected():
     fake = flat_of(type_b(3), [(1, 0, 0)])
     with pytest.raises(ValueError):
         restriction(a, fake)
+
+
+def test_flat_of_another_arrangement_rejected():
+    # Same subspace as a flat of ``a``, but another containing set.
+    a = Arrangement.from_normals([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0)], 3)
+    b = Arrangement.from_normals([(0, 1, 0), (1, 0, 0), (0, 0, 1)], 3)
+    x = next(f for f in build_flats(b).flats if f.containing == {0})
+    with pytest.raises(ValueError, match="not a flat"):
+        localization(a, x)
+    with pytest.raises(ValueError, match="not a flat"):
+        restriction(a, x)
 
 
 def test_essentialize():

@@ -75,6 +75,13 @@ def test_recursive_examples():
         assert primitive_eulerian_recursive(generic_gn(n)) == want
 
 
+def test_recursive_builds_one_lattice():
+    build_flats.cache_clear()
+    assert primitive_eulerian_recursive(type_b(5)) == \
+        IntPoly((0, 16, 296, 516, 116, 1))
+    assert build_flats.cache_info().misses == 1
+
+
 def test_four_path_agreement():
     for a in SIMPLICIAL_BUILTINS:
         p = primitive_eulerian_mobius(a)
