@@ -153,13 +153,13 @@ def _parse_range(text: str, default: tuple[int, int]) -> tuple[int, int]:
     try:
         if not text:
             return default
-        if ".." in text:
-            lo, hi = text.split("..", 1)
-            return int(lo), int(hi)
-        n = int(text)
-        return n, n
+        lo, sep, hi = text.partition("..")
+        lo, hi = int(lo), int(hi if sep else lo)
     except ValueError:
         raise ParseError(f"bad range {text!r}") from None
+    if lo > hi:
+        raise ParseError(f"bad range {text!r}: {lo} > {hi}")
+    return lo, hi
 
 
 def cmd_table(args) -> int:
@@ -377,6 +377,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # argparse in Python 3.11 hands an explicit "--v=--" over as [], not "--".
+    for key, val in list(vars(args).items()):
+        if val == []:
+            setattr(args, key, "--")
     try:
         return args.fn(args)
     except (ParseError, OSError) as exc:

@@ -203,7 +203,14 @@ def parse_family(text: str) -> Arrangement:
 
 
 def parse_rational(token: str) -> Fraction:
-    return Fraction(token)
+    """An integer, a/b or a decimal.  Exponent notation is refused: its cost
+    grows with the exponent's value, not with the token's length."""
+    if "e" in token.lower():
+        raise ValueError(f"exponent notation not accepted: {token!r}")
+    try:
+        return Fraction(token)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {token!r}") from None
 
 
 def parse_vector(text: str) -> tuple[Fraction, ...]:

@@ -1,12 +1,15 @@
 """Exact real-root counting and interlacing tests for integer polynomials.
 
-All computations run on primitive integer coefficient lists.  Sturm chains
-are built with sign-preserving pseudo-remainders (each step rescales by a
-positive integer and removes content), so sign-variation counts are exact.
-Root multiplicity is recovered by repeated gcd with the derivative; interval
-work (isolation, counting up to a point) always evaluates chains of
-square-free polynomials, where variation counts are well behaved even at
-rational roots.
+All computations run on primitive integer coefficient lists.  Signed
+remainder sequences are built with sign-preserving pseudo-remainders (each
+step rescales by a positive integer and removes content), so sign-variation
+counts are exact.  The sequence of (f, g) has Cauchy index
+V(-inf) - V(+inf) equal to Ind(g/f), read off the leading coefficients
+alone; with g = f' it counts the distinct real roots of f.  Root
+multiplicity is recovered by repeated gcd with the derivative.  Isolation
+evaluates the chain of the square-free part, where variation counts are well
+behaved even at rational roots; interlacing evaluates nothing but the
+index.
 """
 
 from __future__ import annotations
@@ -19,18 +22,11 @@ from .intpoly import IntPoly
 Coeffs = tuple  # integer coefficients, low degree first, trailing nonzero
 
 
-def _content(c) -> int:
-    g = 0
-    for x in c:
-        g = gcd(g, x)
-    return g
-
-
 def _prim(c) -> Coeffs:
     c = list(c)
     while c and c[-1] == 0:
         c.pop()
-    g = _content(c)
+    g = gcd(*c)
     if g > 1:
         c = [x // g for x in c]
     return tuple(c)
@@ -42,6 +38,11 @@ def _deriv(c) -> Coeffs:
 
 def _neg(c) -> Coeffs:
     return tuple(-x for x in c)
+
+
+def _positive(c) -> Coeffs:
+    """c or -c, whichever has a positive leading coefficient."""
+    return c if c[-1] > 0 else _neg(c)
 
 
 def _pseudo_rem(f, g) -> Coeffs:
@@ -87,17 +88,20 @@ def _exact_div(f, g) -> Coeffs:
     return tuple(q)
 
 
+def _sturm_sequence(f, g) -> list[Coeffs]:
+    """f, g and the negated pseudo-remainders down to +-gcd(f, g), all
+    primitive; just [f] when g is zero."""
+    seq = [_prim(f)]
+    g = _prim(g)
+    if g:
+        seq.append(g)
+        while r := _pseudo_rem(seq[-2], seq[-1]):
+            seq.append(_neg(r))
+    return seq
+
+
 def _sturm_chain(c) -> list[Coeffs]:
-    chain = [_prim(c)]
-    d = _prim(_deriv(c))
-    if d:
-        chain.append(d)
-        while True:
-            r = _pseudo_rem(chain[-2], chain[-1])
-            if not r:
-                break
-            chain.append(_neg(r))
-    return chain
+    return _sturm_sequence(c, _deriv(c))
 
 
 def _gcd_chains(c):
@@ -111,23 +115,13 @@ def _gcd_chains(c):
     while len(c) > 1:
         chain = _sturm_chain(c)
         yield chain
-        c = chain[-1] if chain[-1][-1] > 0 else _neg(chain[-1])
-
-
-def _gcd_with_deriv(c) -> Coeffs:
-    """Primitive gcd(p, p') with positive leading coefficient."""
-    chain = _sturm_chain(c)
-    if len(chain) < 2:
-        return (1,)
-    g = chain[-1]  # last nonzero remainder is gcd(p, p') up to sign
-    return g if g[-1] > 0 else _neg(g)
+        c = _positive(chain[-1])
 
 
 def _square_free_part(c) -> Coeffs:
-    g = _gcd_with_deriv(c)
-    if len(g) == 1:
-        return _prim(c)
-    return _prim(_exact_div(_prim(c), g))
+    """p / gcd(p, p'), primitive; the chain's last element is that gcd up to
+    sign (the constant +-1 when p is constant)."""
+    return _prim(_exact_div(_prim(c), _positive(_sturm_chain(c)[-1])))
 
 
 def _sign(x) -> int:
@@ -146,12 +140,11 @@ def _variations(signs) -> int:
     return count
 
 
-def _var_at_minus_inf(chain) -> int:
-    return _variations(_sign(c[-1]) * (-1) ** (len(c) - 1) for c in chain)
-
-
-def _var_at_plus_inf(chain) -> int:
-    return _variations(_sign(c[-1]) for c in chain)
+def _index(seq) -> int:
+    """V(-inf) - V(+inf): the Cauchy index of seq[1]/seq[0] on the real line
+    (0 for a one-element sequence)."""
+    return (_variations(_sign(c[-1]) * (-1) ** (len(c) - 1) for c in seq)
+            - _variations(_sign(c[-1]) for c in seq))
 
 
 def _eval(c, x: Fraction):
@@ -169,19 +162,14 @@ def distinct_real_roots(p: IntPoly) -> int:
     """Number of distinct real roots."""
     if p.is_zero():
         raise ValueError("zero polynomial")
-    c = _prim(p.coeffs)
-    if len(c) == 1:
-        return 0
-    chain = _sturm_chain(c)
-    return _var_at_minus_inf(chain) - _var_at_plus_inf(chain)
+    return _index(_sturm_chain(p.coeffs))
 
 
 def real_root_count(p: IntPoly) -> int:
     """Number of real roots counted with multiplicity."""
     if p.is_zero():
         raise ValueError("zero polynomial")
-    return sum(_var_at_minus_inf(chain) - _var_at_plus_inf(chain)
-               for chain in _gcd_chains(p.coeffs))
+    return sum(map(_index, _gcd_chains(p.coeffs)))
 
 
 def is_real_rooted(p: IntPoly) -> bool:
@@ -226,23 +214,19 @@ def isolate_real_roots(p: IntPoly) -> list[tuple[Fraction, Fraction]]:
     return out
 
 
-def _root_count_leq(p: IntPoly, x: Fraction) -> int:
-    """Real roots of p in (-inf, x], with multiplicity; x must not be a root
-    of p (the iterated gcds then cannot vanish at x either)."""
-    return sum(_var_at_minus_inf(chain) - _var_at(chain, x)
-               for chain in _gcd_chains(p.coeffs))
-
-
 def interlaces(g: IntPoly, f: IntPoly) -> bool:
     """True iff the roots of g weakly separate those of f.
 
     Requires f and g real-rooted with deg g = deg f - 1.  With roots
     a_1 <= ... <= a_d of f and b_1 <= ... <= b_{d-1} of g, the condition is
-    a_1 <= b_1 <= a_2 <= ... <= b_{d-1} <= a_d, which holds iff
-    N_f(t) - 1 <= N_g(t) <= N_f(t) for every real t, where N_p(t) counts the
-    roots of p in (-inf, t] with multiplicity.  Both count functions are
-    constant between consecutive distinct roots of f*g, so it suffices to
-    test one rational non-root point inside each such interval.
+    a_1 <= b_1 <= a_2 <= ... <= b_{d-1} <= a_d.  Let h = gcd(f, g), the last
+    element of the signed remainder sequence of (f, g).  The sequence's
+    Cauchy index Ind(g/f) = Ind((g/h)/(f/h)) sums +-1 or 0 over the distinct
+    real roots of f/h.  Its absolute value reaches deg(f/h) exactly when the
+    roots of f/h are real and simple and g/h changes sign between each
+    consecutive pair, i.e. when the roots of g/h strictly separate those of
+    f/h; putting back the common roots h gives weak interlacing of g and f.
+    The absolute value covers leading coefficients of opposite signs.
     """
     if f.is_zero() or g.is_zero():
         raise ValueError("zero polynomial")
@@ -250,40 +234,5 @@ def interlaces(g: IntPoly, f: IntPoly) -> bool:
         raise ValueError("degree of g must be one below degree of f")
     if not is_real_rooted(f) or not is_real_rooted(g):
         raise ValueError("both polynomials must be real-rooted")
-    if g.degree() == 0:
-        return True
-
-    product = f * g
-    intervals = isolate_real_roots(product)
-    sf = _square_free_part(product.coeffs)
-    chain = _sturm_chain(sf)
-
-    def halve(iv):
-        a, b = iv
-        mid = (a + b) / 2
-        if _var_at(chain, a) - _var_at(chain, mid) == 1:
-            return a, mid
-        return mid, b
-
-    # Shrink until consecutive intervals have a strict gap between them, so
-    # that midpoints of the gaps are guaranteed non-roots.
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(intervals) - 1):
-            if intervals[i][1] >= intervals[i + 1][0]:
-                intervals[i] = halve(intervals[i])
-                intervals[i + 1] = halve(intervals[i + 1])
-                changed = True
-
-    points = [intervals[0][0]]
-    for i in range(len(intervals) - 1):
-        points.append((intervals[i][1] + intervals[i + 1][0]) / 2)
-    points.append(intervals[-1][1] + 1)
-
-    for t in points:
-        nf = _root_count_leq(f, t)
-        ng = _root_count_leq(g, t)
-        if not (nf - 1 <= ng <= nf):
-            return False
-    return True
+    seq = _sturm_sequence(f.coeffs, g.coeffs)
+    return abs(_index(seq)) == f.degree() - (len(seq[-1]) - 1)

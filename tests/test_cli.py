@@ -59,10 +59,24 @@ def test_json_deterministic_apart_from_runtime(capsys):
     assert outs[0] == outs[1]
 
 
-def test_parse_failure_exit_2(capsys):
+def test_parse_failure_exit_2(capsys, tmp_path):
     code, _, err = run(capsys, "poly", "--family", "Q 3")
     assert code == 2
     assert "family" in err
+    for command in ("poly", "inspect"):
+        for v in ("1/0", "1e10000000", "--"):
+            code, _, err = run(capsys, command, "--family", "B 3", f"--v={v}")
+            assert code == 2
+            assert err.startswith("error: bad vector")
+    path = tmp_path / "zero.arr"
+    path.write_text("2\n1/0 1\n")
+    code, _, err = run(capsys, "poly", "--file", str(path))
+    assert code == 2
+    assert "zero denominator" in err
+    for option in ("--family=--", "--file=--"):
+        code, _, err = run(capsys, "poly", option)
+        assert code == 2
+        assert err.startswith("error: ")
 
 
 def test_missing_file_exit_2(capsys):
@@ -127,8 +141,10 @@ def test_table_d(capsys):
 
 
 def test_table_range_validation(capsys):
-    code, _, _ = run(capsys, "table", "B", "0..9")
-    assert code == 2
+    for family, text in (("B", "0..9"), ("B", "3..1"), ("D", "7..2")):
+        code, out, _ = run(capsys, "table", family, text)
+        assert code == 2
+        assert out == ""
 
 
 def test_table_exceptional(capsys):

@@ -81,6 +81,12 @@ def test_parse_vector():
     from fractions import Fraction
 
     assert parse_vector("1,-1/2, 3") == (1, Fraction(-1, 2), 3)
+    assert parse_vector("0.5") == (Fraction(1, 2),)
+    # zero denominators, exponent notation (its cost grows with the
+    # exponent) and empty entries are all ValueError
+    for text in ("1/0", "1,0/0", "1e10000000", "2E3", "1,", ""):
+        with pytest.raises(ValueError):
+            parse_vector(text)
 
 
 def test_parse_arrangement_file():
@@ -97,5 +103,9 @@ def test_parse_arrangement_file():
         parse_arrangement_file("# nothing here")
     with pytest.raises(ValueError):
         parse_arrangement_file("2\n1 0 0")
+    with pytest.raises(ValueError):
+        parse_arrangement_file("2\n1/0 1")
+    with pytest.raises(ValueError):
+        parse_arrangement_file("2\n1e10000000 1")
     text_frac = "2\n1/2 -1/2\n0 1"
     assert parse_arrangement_file(text_frac).normals == ((1, -1), (0, 1))

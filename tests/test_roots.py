@@ -7,15 +7,16 @@ from fractions import Fraction
 
 import pytest
 
+from primeul.coxstats import peul_b_rec, peul_d_rec
 from primeul.intpoly import IntPoly, ONE, Z, ZM1
 from primeul.roots import (distinct_real_roots, interlaces, is_real_rooted,
                            isolate_real_roots, real_root_count)
 
 
-def poly_from_roots(roots):
-    p = ONE
-    for r in roots:
-        p = p * IntPoly((-r, 1))
+def poly_from_roots(roots, lead=1):
+    p = IntPoly((lead,))
+    for r in map(Fraction, roots):
+        p = p * IntPoly((-r.numerator, r.denominator))
     return p
 
 
@@ -124,11 +125,42 @@ def test_interlaces_validation():
 
 
 def test_interlaces_random_sorted_roots():
+    # Rational roots with denominators 1-3, forced repeated and shared roots
+    # and leading coefficients of both signs; the expected answer is read
+    # off the sorted roots.
     rng = random.Random(17)
-    for _ in range(60):
-        d = rng.randint(2, 5)
-        froots = sorted(rng.randint(-6, 6) for _ in range(d))
-        groots = sorted(rng.randint(-6, 6) for _ in range(d - 1))
+
+    def root():
+        q = rng.randint(1, 3)
+        return Fraction(rng.randint(-4 * q, 4 * q), q)
+
+    seen = set()
+    for _ in range(400):
+        d = rng.randint(2, 6)
+        froots = sorted(root() for _ in range(d))
+        if rng.random() < 0.5:  # near-interlacing: g's roots in f's gaps
+            groots = [rng.choice((a, b, (a + b) / 2))
+                      for a, b in zip(froots, froots[1:])]
+        else:
+            groots = [root() for _ in range(d - 1)]
+        if rng.random() < 0.3:
+            froots[rng.randrange(d)] = rng.choice(froots)
+        if rng.random() < 0.3:
+            groots[rng.randrange(d - 1)] = rng.choice(froots)
+        froots.sort()
+        groots.sort()
         want = all(froots[i] <= groots[i] <= froots[i + 1] for i in range(d - 1))
-        got = interlaces(poly_from_roots(groots), poly_from_roots(froots))
-        assert got == want, (froots, groots)
+        f = poly_from_roots(froots, rng.choice((-2, -1, 1, 3)))
+        g = poly_from_roots(groots, rng.choice((-3, -1, 1, 2)))
+        assert interlaces(g, f) == want, (froots, groots)
+        seen.add((want, f.coeffs[-1] > 0, g.coeffs[-1] > 0))
+    assert len(seen) == 8  # both answers under every pair of leading signs
+
+
+def test_interlaces_type_b_and_d_families():
+    # D_2 = z^2 and D_3 do not interlace, nor do D_3 and D_4: the root -0.268
+    # of D_3 lies above the root -0.28 of D_4.
+    for n in range(2, 13):
+        assert interlaces(peul_b_rec(n - 1), peul_b_rec(n))
+    for n in range(3, 13):
+        assert interlaces(peul_d_rec(n - 1), peul_d_rec(n)) == (n >= 5)
