@@ -30,9 +30,8 @@ from .families import (braid, generic_gn, graphic, parse_arrangement_file,
                        type_d, type_dnk)
 from .feasibility import strict_feasible, strict_feasible_point
 from .intpoly import IntPoly
-from .linalg import Subspace, rref, subspace_intersect
-from .roots import (interlaces, is_real_rooted, isolate_real_roots,
-                    real_root_count)
-from .weakorder import WeakOrder, descent_set, top_star, weak_order
+from .linalg import Subspace
+from .roots import interlaces, is_real_rooted, real_root_count
+from .weakorder import WeakOrder, descent_set, top_star
 
 __version__ = "0.1.0"

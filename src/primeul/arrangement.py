@@ -123,20 +123,20 @@ class FlatLattice:
             for _, key, mask in flats)
         # Bit j of a flat's mask is set iff hyperplane j contains the flat;
         # Y <= X in the lattice iff mask(Y) is a superset of mask(X).
-        self._masks = tuple(mask for _, _, mask in flats)
+        self.masks = tuple(mask for _, _, mask in flats)
         self.bottom_dim = bottom_dim
         self.rank = n - bottom_dim
         self._pos = {f.subspace.normals: i for i, f in enumerate(self.flats)}
         # Positions of the flats that flat i covers / that cover flat i.
-        at = {m: i for i, m in enumerate(self._masks)}
+        at = {m: i for i, m in enumerate(self.masks)}
         self.covers_below = tuple(tuple(sorted(at[c] for c in down.get(m, ())))
-                                  for m in self._masks)
+                                  for m in self.masks)
         above: list[list[int]] = [[] for _ in flats]
         for i, below_i in enumerate(self.covers_below):
             for j in below_i:
                 above[j].append(i)
         self.covers_above = tuple(map(tuple, above))
-        self.mobius_bottom: tuple[int, ...] = _mobius_from_first(self._masks)
+        self.mobius_bottom: tuple[int, ...] = _mobius_from_first(self.masks)
 
     def __len__(self) -> int:
         return len(self.flats)
@@ -146,7 +146,7 @@ class FlatLattice:
 
     def leq(self, i: int, j: int) -> bool:
         """True iff flat i is contained in flat j."""
-        return self._masks[i] & self._masks[j] == self._masks[j]
+        return self.masks[i] & self.masks[j] == self.masks[j]
 
     def position(self, subspace: Subspace) -> int:
         return self._pos[subspace.normals]
@@ -293,7 +293,7 @@ def characteristic_polynomial(a: Arrangement) -> IntPoly:
     lattice = build_flats(a)
     # Complemented masks, top first, list the reverse-inclusion order.
     full = (1 << len(a.hyperplanes)) - 1
-    mu = _mobius_from_first([full ^ m for m in reversed(lattice._masks)])[::-1]
+    mu = _mobius_from_first([full ^ m for m in reversed(lattice.masks)])[::-1]
     coeffs = [0] * (a.dim + 1)
     for flat, m in zip(lattice.flats, mu):
         coeffs[flat.dim] += m

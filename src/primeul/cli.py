@@ -67,11 +67,22 @@ def _parse_v(args, arrangement):
     return v
 
 
+# The methods that apply to each polynomial; any other is refused with exit 3.
+_METHODS = {
+    "peul": ("auto", "mobius", "recursive", "halfspace", "descents"),
+    "cochar": ("auto", "mobius", "halfspace"),
+    "char": ("auto", "mobius"),
+    "eulerian": ("auto", "descents"),
+}
+
+
 def cmd_poly(args) -> int:
     a, source = _load_arrangement(args)
     v = _parse_v(args, a)
     t0 = time.perf_counter()
     which, method = args.which, args.method
+    if method not in _METHODS[which]:
+        raise PreconditionError(f"method {method!r} does not apply to {which}")
     try:
         if which == "char":
             poly = characteristic_polynomial(a)
@@ -80,11 +91,9 @@ def cmd_poly(args) -> int:
             if method in ("auto", "mobius"):
                 poly = cocharacteristic(a)
                 method = "mobius"
-            elif method == "halfspace":
+            else:
                 poly = cochar_via_halfspace(
                     a, v if v is not None else find_very_generic(a, args.seed))
-            else:
-                raise PreconditionError(f"method {method!r} does not apply to cochar")
         elif which == "eulerian":
             poly = eulerian_poly(a)
             method = "descents"
@@ -337,8 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_poly = sub.add_parser("poly", help="compute a polynomial")
     add_source(p_poly)
-    p_poly.add_argument("--which", choices=("peul", "cochar", "char", "eulerian"),
-                        default="peul")
+    p_poly.add_argument("--which", choices=tuple(_METHODS), default="peul")
     p_poly.add_argument("--method",
                         choices=("mobius", "recursive", "halfspace", "descents", "auto"),
                         default="auto")

@@ -19,7 +19,7 @@ from fractions import Fraction
 from .arrangement import (Arrangement, build_flats, is_very_generic_vector,
                           very_generic_failure)
 from .faces import (enumerate_faces, enumerate_regions, faces_in_halfspace,
-                    is_simplicial, region_in_halfspace)
+                    is_simplicial)
 from .intpoly import IntPoly, Z, ZM1
 from .linalg import dot, rref_int
 from .weakorder import WeakOrder
@@ -34,12 +34,7 @@ __all__ = [
 
 def primitive_eulerian_mobius(a: Arrangement) -> IntPoly:
     """sum_X |mu(bot, X)| (z-1)^{corank of X}; monic of degree rank(a)."""
-    lattice = build_flats(a)
-    out = IntPoly()
-    for i in range(len(lattice.flats)):
-        corank = lattice.rank - lattice.grade(i)
-        out = out + abs(lattice.mobius_bottom[i]) * ZM1 ** corank
-    return out
+    return peul_from_cochar(cocharacteristic(a), build_flats(a).rank)
 
 
 def cocharacteristic(a: Arrangement) -> IntPoly:
@@ -190,7 +185,7 @@ def primitive_eulerian_descents(a: Arrangement, v=None, seed: int = 0) -> IntPol
             raise ValueError(f"v not very generic: {failure}")
     base = base_region_of(a, v)
     order = WeakOrder(a, base)
-    contained = [c for c in order.regions if region_in_halfspace(a, c, v)]
+    contained = list(filter(enumerate_faces(a).halfspace_test(v), order.regions))
     witness = order.upper_set_failure(contained)
     if witness is not None:
         raise UpperSetError(witness)

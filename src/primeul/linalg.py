@@ -89,20 +89,6 @@ def rref_int(rows, ncols: int) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-def rref(rows, ncols: int | None = None) -> tuple[tuple[Fraction, ...], ...]:
-    """Textbook reduced row echelon form over the rationals (leading entries 1)."""
-    rows = tuple(rows)
-    if ncols is None:
-        if not rows:
-            return ()
-        ncols = len(rows[0])
-    out = []
-    for row in rref_int(rows, ncols):
-        lead = next(c for c in row if c)
-        out.append(tuple(Fraction(c, lead) for c in row))
-    return tuple(out)
-
-
 def rank(rows, ncols: int) -> int:
     return len(rref_int(rows, ncols))
 
@@ -178,6 +164,3 @@ class Subspace:
 def _cached_basis(ambient: int, normals) -> tuple[tuple[int, ...], ...]:
     return nullspace(normals, ambient)
 
-
-def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
-    return a.intersect(b)

@@ -6,15 +6,12 @@ step rescales by a positive integer and removes content), so sign-variation
 counts are exact.  The sequence of (f, g) has Cauchy index
 V(-inf) - V(+inf) equal to Ind(g/f), read off the leading coefficients
 alone; with g = f' it counts the distinct real roots of f.  Root
-multiplicity is recovered by repeated gcd with the derivative.  Isolation
-evaluates the chain of the square-free part, where variation counts are well
-behaved even at rational roots; interlacing evaluates nothing but the
-index.
+multiplicity is recovered by repeated gcd with the derivative.  Nothing is
+evaluated at a point: every answer is read off an index.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 
 from .intpoly import IntPoly
@@ -66,28 +63,6 @@ def _pseudo_rem(f, g) -> Coeffs:
     return _prim(f)
 
 
-def _exact_div(f, g) -> Coeffs:
-    """Quotient f / g for integer polynomials with g | f (raises otherwise)."""
-    f = list(f)
-    dg = len(g) - 1
-    lg = g[-1]
-    q = [0] * (len(f) - dg)
-    while len(f) - 1 >= dg and any(f):
-        lf = f[-1]
-        if lf % lg:
-            raise ArithmeticError("inexact polynomial division")
-        t = lf // lg
-        shift = len(f) - 1 - dg
-        q[shift] = t
-        for j, gx in enumerate(g):
-            f[shift + j] -= t * gx
-        while f and f[-1] == 0:
-            f.pop()
-    if any(f):
-        raise ArithmeticError("inexact polynomial division")
-    return tuple(q)
-
-
 def _sturm_sequence(f, g) -> list[Coeffs]:
     """f, g and the negated pseudo-remainders down to +-gcd(f, g), all
     primitive; just [f] when g is zero."""
@@ -118,12 +93,6 @@ def _gcd_chains(c):
         c = _positive(chain[-1])
 
 
-def _square_free_part(c) -> Coeffs:
-    """p / gcd(p, p'), primitive; the chain's last element is that gcd up to
-    sign (the constant +-1 when p is constant)."""
-    return _prim(_exact_div(_prim(c), _positive(_sturm_chain(c)[-1])))
-
-
 def _sign(x) -> int:
     return (x > 0) - (x < 0)
 
@@ -147,17 +116,6 @@ def _index(seq) -> int:
             - _variations(_sign(c[-1]) for c in seq))
 
 
-def _eval(c, x: Fraction):
-    acc = 0
-    for v in reversed(c):
-        acc = acc * x + v
-    return acc
-
-
-def _var_at(chain, x: Fraction) -> int:
-    return _variations(_sign(_eval(c, x)) for c in chain)
-
-
 def distinct_real_roots(p: IntPoly) -> int:
     """Number of distinct real roots."""
     if p.is_zero():
@@ -177,41 +135,6 @@ def is_real_rooted(p: IntPoly) -> bool:
     if p.is_zero():
         raise ValueError("zero polynomial")
     return real_root_count(p) == p.degree()
-
-
-def _cauchy_bound(c) -> Fraction:
-    lead = abs(c[-1])
-    return 1 + max(Fraction(abs(x), lead) for x in c)
-
-
-def isolate_real_roots(p: IntPoly) -> list[tuple[Fraction, Fraction]]:
-    """Disjoint rational intervals (a, b], one per distinct real root of p.
-
-    Bisection driven by Sturm counts on the square-free part of p.
-    """
-    if p.is_zero():
-        raise ValueError("zero polynomial")
-    sf = _square_free_part(p.coeffs)
-    if len(sf) == 1:
-        return []
-    chain = _sturm_chain(sf)
-    bound = _cauchy_bound(sf)
-    out = []
-    stack = [(-bound, bound, _var_at(chain, -bound), _var_at(chain, bound))]
-    while stack:
-        a, b, va, vb = stack.pop()
-        n = va - vb
-        if n == 0:
-            continue
-        if n == 1:
-            out.append((a, b))
-            continue
-        mid = (a + b) / 2
-        vm = _var_at(chain, mid)
-        stack.append((a, mid, va, vm))
-        stack.append((mid, b, vm, vb))
-    out.sort()
-    return out
 
 
 def interlaces(g: IntPoly, f: IntPoly) -> bool:

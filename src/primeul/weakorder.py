@@ -4,7 +4,7 @@ descent counts, upper sets, and top-stars of faces."""
 from __future__ import annotations
 
 from .arrangement import Arrangement
-from .faces import (FanIndex, SignVector, enumerate_regions, face_leq,
+from .faces import (FanIndex, SignVector, enumerate_faces, face_leq,
                     opposite, separation_set, tits_product)
 
 
@@ -13,11 +13,13 @@ class WeakOrder:
 
     The unique minimum is the base region B and the unique maximum is its
     opposite.  Covers are realized by wall crossings: D covers C exactly when
-    they share a facet and the crossed hyperplane separates D from B.
+    they share a facet and the crossed hyperplane separates D from B.  The
+    walls of each region are read from the fan.
     """
 
     def __init__(self, arrangement: Arrangement, base: SignVector):
-        regions = enumerate_regions(arrangement)
+        fan = enumerate_faces(arrangement)
+        regions = fan.regions()
         if base not in regions:
             raise ValueError("base is not a region of the arrangement")
         self.arrangement = arrangement
@@ -25,16 +27,7 @@ class WeakOrder:
         self.base = base
         self._pos = {c: i for i, c in enumerate(regions)}
         self.sep = tuple(separation_set(base, c) for c in regions)
-        m = len(arrangement.hyperplanes)
-        walls = []
-        for c in regions:
-            wl = []
-            for h in range(m):
-                flipped = c[:h] + (-c[h],) + c[h + 1:]
-                if flipped in self._pos:
-                    wl.append(h)
-            walls.append(tuple(wl))
-        self.walls = tuple(walls)
+        self.walls = fan.walls
 
     def position(self, c: SignVector) -> int:
         return self._pos[c]
@@ -82,10 +75,6 @@ class WeakOrder:
                 if d not in inside:
                     return (c, d)
         return None
-
-
-def weak_order(a: Arrangement, base: SignVector) -> WeakOrder:
-    return WeakOrder(a, base)
 
 
 def top_star(fan: FanIndex, f: SignVector, order: WeakOrder):

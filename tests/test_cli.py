@@ -98,6 +98,25 @@ def test_precondition_exit_3_bad_vector(capsys):
     assert "not very generic" in err
 
 
+def test_method_that_does_not_apply_exit_3(capsys):
+    refused = [("char", m) for m in ("recursive", "halfspace", "descents")]
+    refused += [("eulerian", m) for m in ("mobius", "recursive", "halfspace")]
+    refused += [("cochar", m) for m in ("recursive", "descents")]
+    for which, method in refused:
+        code, out, err = run(capsys, "poly", "--family", "B 2",
+                             "--which", which, "--method", method)
+        assert code == 3 and out == ""
+        assert err == f"error: method {method!r} does not apply to {which}\n"
+    accepted = [("char", "auto"), ("char", "mobius"), ("eulerian", "auto"),
+                ("eulerian", "descents"), ("cochar", "halfspace")]
+    for which, method in accepted:
+        code, out, _ = run(capsys, "poly", "--family", "B 2", "--which", which,
+                           "--method", method, "--json")
+        assert code == 0
+        assert json.loads(out)["method"] == method.replace(
+            "auto", "mobius" if which == "char" else "descents")
+
+
 def test_inspect(capsys):
     code, out, _ = run(capsys, "inspect", "--family", "B 3")
     assert code == 0

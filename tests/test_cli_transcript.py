@@ -1,6 +1,8 @@
-"""Golden CLI transcript: the fast README commands plus the recursive route
-on the lattice families, run through ``cli.main`` and compared byte for byte
-with ``data/cli_transcript.txt`` (``runtime_ms`` masked).
+"""Golden CLI transcript: the fast README commands, the recursive route on
+the lattice families, the halfspace and descents routes on A 5, B 4 and D 4,
+the Eulerian polynomial of B 4 and ``inspect`` on D 5 and F4, run through
+``cli.main`` and compared byte for byte with ``data/cli_transcript.txt``
+(``runtime_ms`` masked).
 
 Re-record after an intended output change with
 ``PYTHONPATH=src python tests/test_cli_transcript.py > tests/data/cli_transcript.txt``.
@@ -32,7 +34,13 @@ COMMANDS = (
     ("inspect", "--family", "B 3"),
     ("inspect", "--family", "A 4", "--v=-1,-1,-1,3"),
 ) + tuple(("poly", "--family", family, "--method", "recursive", "--json")
-          for family in ("A 6", "B 5", "D 5", "Dnk 5 3", "Gn 8"))
+          for family in ("A 6", "B 5", "D 5", "Dnk 5 3", "Gn 8")) + tuple(
+    ("poly", "--family", family, "--method", method, "--json")
+    for method in ("halfspace", "descents") for family in ("A 5", "B 4", "D 4")) + (
+    ("poly", "--which", "eulerian", "--family", "B 4"),
+    ("inspect", "--family", "D 5"),
+    ("inspect", "--family", "F4"),
+)
 
 
 def transcript() -> str:

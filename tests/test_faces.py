@@ -171,6 +171,9 @@ def test_region_in_halfspace():
     assert region_in_halfspace(b3, opposite(base), v)
     contained = [c for c in regions if region_in_halfspace(b3, c, v)]
     assert len(contained) == 15  # Greene-Zaslavsky: |mu(bot, top)|
+    # a ray on the bounding hyperplane keeps the closed quadrant inside
+    assert region_in_halfspace(COORD2, (1, 1), (0, -1))
+    assert not region_in_halfspace(COORD2, (1, 1), (1, -1))
 
 
 def test_faces_in_halfspace_rank1():

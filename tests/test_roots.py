@@ -10,7 +10,7 @@ import pytest
 from primeul.coxstats import peul_b_rec, peul_d_rec
 from primeul.intpoly import IntPoly, ONE, Z, ZM1
 from primeul.roots import (distinct_real_roots, interlaces, is_real_rooted,
-                           isolate_real_roots, real_root_count)
+                           real_root_count)
 
 
 def poly_from_roots(roots, lead=1):
@@ -84,15 +84,6 @@ def test_quadratic_discriminants():
         disc = b * b - 4 * a * c
         want = 2 if disc > 0 else (2 if disc == 0 else 0)
         assert real_root_count(p) == want
-
-
-def test_isolation():
-    p = poly_from_roots([-3, 0, 0, 2])
-    ivs = isolate_real_roots(p)
-    assert len(ivs) == 3
-    for (a, b), r in zip(ivs, (-3, 0, 2)):
-        assert a < Fraction(r) <= b
-    assert isolate_real_roots(ONE) == []
 
 
 def test_interlaces_basic():

@@ -4,7 +4,7 @@ from primeul.arrangement import Arrangement
 from primeul.faces import (enumerate_faces, enumerate_regions, face_leq,
                            opposite, region_in_halfspace, tits_product)
 from primeul.families import braid, type_b
-from primeul.weakorder import descent_set, top_star, weak_order
+from primeul.weakorder import WeakOrder, descent_set, top_star
 
 
 def hexagon():
@@ -14,7 +14,7 @@ def hexagon():
 def test_min_max():
     a = hexagon()
     base = enumerate_regions(a)[0]
-    w = weak_order(a, base)
+    w = WeakOrder(a, base)
     assert w.minimum() == base
     assert w.maximum() == opposite(base)
     assert all(w.leq(base, c) for c in w.regions)
@@ -24,7 +24,7 @@ def test_min_max():
 def test_hexagon_rank_profile():
     a = hexagon()
     base = enumerate_regions(a)[0]
-    w = weak_order(a, base)
+    w = WeakOrder(a, base)
     sizes = sorted(len(w.sep[w.position(c)]) for c in w.regions)
     assert sizes == [0, 1, 1, 2, 2, 3]
     assert len(w.sep[w.position(opposite(base))]) == 3
@@ -32,13 +32,13 @@ def test_hexagon_rank_profile():
 
 def test_base_must_be_region():
     with pytest.raises(ValueError):
-        weak_order(hexagon(), (0, 1, 1))
+        WeakOrder(hexagon(), (0, 1, 1))
 
 
 def test_descents():
     a = hexagon()
     base = enumerate_regions(a)[0]
-    w = weak_order(a, base)
+    w = WeakOrder(a, base)
     assert w.descents(base) == 0
     assert w.descents(opposite(base)) == 2  # hexagon top covers two regions
     # total distribution is the Eulerian polynomial of the symmetric group
@@ -50,14 +50,14 @@ def test_descents():
 
 def test_descents_empty_arrangement():
     a = Arrangement(2, ())
-    w = weak_order(a, ())
+    w = WeakOrder(a, ())
     assert w.descents(()) == 0
 
 
 def test_covers_grow_by_one_wall():
     a = type_b(2)
     base = enumerate_regions(a)[0]
-    w = weak_order(a, base)
+    w = WeakOrder(a, base)
     for c in w.regions:
         for d in w.covers_above(c):
             grown = w.sep[w.position(d)] - w.sep[w.position(c)]
@@ -67,7 +67,7 @@ def test_covers_grow_by_one_wall():
 def test_upper_sets():
     a = hexagon()
     base = enumerate_regions(a)[0]
-    w = weak_order(a, base)
+    w = WeakOrder(a, base)
     assert w.is_upper_set([opposite(base)])
     assert w.is_upper_set(list(w.regions))
     assert w.is_upper_set([])
@@ -82,7 +82,7 @@ def test_upper_set_halfspace_b3():
     v = (1, 2, 4)
     base = tuple(1 if sum(n * x for n, x in zip(h.normal, v)) > 0 else -1
                  for h in b3.hyperplanes)
-    w = weak_order(b3, base)
+    w = WeakOrder(b3, base)
     contained = [c for c in w.regions if region_in_halfspace(b3, c, v)]
     assert w.is_upper_set(contained)
 
@@ -91,7 +91,7 @@ def test_top_star():
     a = hexagon()
     fan = enumerate_faces(a)
     base = enumerate_regions(a)[0]
-    w = weak_order(a, base)
+    w = WeakOrder(a, base)
     regions, lo, hi = top_star(fan, fan.center, w)
     assert set(regions) == set(w.regions)
     assert lo == base and hi == opposite(base)
@@ -110,7 +110,7 @@ def test_boolean_interval_of_descents():
     for a in (braid(4), type_b(3)):
         fan = enumerate_faces(a)
         base = enumerate_regions(a)[0]
-        w = weak_order(a, base)
+        w = WeakOrder(a, base)
         opp = opposite(base)
         for c in w.regions:
             count = sum(1 for g in fan.faces
@@ -135,3 +135,22 @@ def test_descent_set_fixed_point_characterization():
     region = next(f for f in delta if fan.grade(f) == fan.rank)
     punctured = tuple(f for f in delta if f != region)
     assert set(descent_set(fan, punctured, base)) != set(punctured)
+
+
+def test_walls_against_flip_rule():
+    # The fan derives the walls of a region c as the h for which c with 0
+    # at h is a face; the reference is the flip rule: h is a wall iff c
+    # with h flipped is a region.
+    from primeul.cli import _PATH_BUILTINS
+    from primeul.families import parse_family
+
+    arrangements = [parse_family(f) for f in _PATH_BUILTINS + ("B 4", "F4")]
+    for a in arrangements + [braid(3), Arrangement(2, ())]:
+        fan = enumerate_faces(a)
+        regions = fan.regions()
+        inside = set(regions)
+        assert len(fan.walls) == len(regions)
+        for c, walls in zip(regions, fan.walls):
+            assert walls == tuple(h for h in range(len(c))
+                                  if c[:h] + (-c[h],) + c[h + 1:] in inside)
+        assert WeakOrder(a, regions[0]).walls == fan.walls
