@@ -4,30 +4,34 @@ A hyperplane is stored as a primitive integer normal with its first nonzero
 entry positive, which fixes the orientation of the two halfspaces and makes
 duplicates detectable.  Flats are keyed by the int bitmask of the
 hyperplanes containing them; since a flat equals the intersection of exactly
-that set, containment of flats is containment of masks in reverse, and Mobius
-values come from bitmask subset tests.  The flats just below a flat X are
-the classes of the hyperplanes off X, grouped by their restriction to X.
+that set, containment of flats is containment of masks in reverse.  The
+flats just below a flat X are the classes of the hyperplanes off X, grouped
+by their restriction to X: a line in coordinates on X, cut from the lines of
+a flat just above X.  Mobius values come from the covers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
+from math import gcd
+from operator import or_
 
 from .intpoly import IntPoly
-from .linalg import Subspace, dot, in_rowspace, primitive, primitive_signed, rref_int
+from .linalg import Subspace, dot, in_rowspace, primitive_signed, rref_int
 
 
 @dataclass(frozen=True)
 class Hyperplane:
     normal: tuple[int, ...]
 
+    def __post_init__(self):
+        if not any(self.normal) or self.normal != primitive_signed(self.normal):
+            raise ValueError(f"normal {self.normal} must be nonzero and primitive_signed")
+
     @classmethod
     def from_vector(cls, vec) -> Hyperplane:
-        n = primitive_signed(vec)
-        if not any(n):
-            raise ValueError("hyperplane normal must be nonzero")
-        return cls(n)
+        return cls(primitive_signed(vec))
 
     @property
     def dim(self) -> int:
@@ -88,35 +92,28 @@ class FlatLattice:
         n = arrangement.dim
         normals = arrangement.normals
 
-        # Grade by grade down from the ambient space, each flat of a level
-        # with an integer basis.  ``gens`` maps every mask found to hyperplanes
-        # whose normals span the flat's normal space, reduced once at the end.
-        # Every group is one cover of its flat; ``down`` keeps them all.
+        # Grade by grade down from the ambient space, whose restricted lines
+        # are the normals.  The hyperplanes on one line of a flat make one
+        # cover; ``down`` keeps them all.  ``gens`` maps every mask found to
+        # hyperplanes whose normals span the flat's normal space, reduced
+        # once at the end.
         gens = {0: ()}
         down: dict[int, list[int]] = {}
-        level = {0: tuple(tuple(int(i == j) for j in range(n)) for i in range(n))}
+        level = {0: {v: 1 << j for j, v in enumerate(normals)}}
         while level:
             below = {}
-            for mask, basis in level.items():
-                groups: dict[tuple[int, ...], list[int]] = {}
-                for j, v in enumerate(normals):
-                    if not mask >> j & 1:
-                        d = primitive_signed(tuple(dot(v, b) for b in basis))
-                        groups.setdefault(d, []).append(j)
-                for d, group in groups.items():
-                    cover = mask + sum(1 << j for j in group)
-                    down.setdefault(mask, []).append(cover)
+            for mask, lines in level.items():
+                covers = down[mask] = []
+                for d, group in lines.items():
+                    cover = mask | group
+                    covers.append(cover)
                     if cover not in below:
-                        gens[cover] = gens[mask] + (group[0],)
-                        below[cover] = _cut(basis, d)
+                        gens[cover] = gens[mask] + ((group & -group).bit_length() - 1,)
+                        below[cover] = _cut(lines, d)
             level = below
 
-        bottom_dim = n - max(len(g) for g in gens.values())
-        flats = []
-        for mask, g in gens.items():
-            key = rref_int([normals[j] for j in g], n)
-            flats.append((n - len(key), key, mask))
-        flats.sort()
+        flats = sorted((n - len(g), rref_int([normals[j] for j in g], n), mask)
+                       for mask, g in gens.items())
         self.flats: tuple[Flat, ...] = tuple(
             Flat(Subspace(n, key), frozenset(j for j in range(len(normals))
                                              if mask >> j & 1))
@@ -124,19 +121,20 @@ class FlatLattice:
         # Bit j of a flat's mask is set iff hyperplane j contains the flat;
         # Y <= X in the lattice iff mask(Y) is a superset of mask(X).
         self.masks = tuple(mask for _, _, mask in flats)
-        self.bottom_dim = bottom_dim
-        self.rank = n - bottom_dim
+        self.bottom_dim = flats[0][0]
+        self.rank = n - self.bottom_dim
         self._pos = {f.subspace.normals: i for i, f in enumerate(self.flats)}
         # Positions of the flats that flat i covers / that cover flat i.
         at = {m: i for i, m in enumerate(self.masks)}
-        self.covers_below = tuple(tuple(sorted(at[c] for c in down.get(m, ())))
+        self.covers_below = tuple(tuple(sorted(at[c] for c in down[m]))
                                   for m in self.masks)
         above: list[list[int]] = [[] for _ in flats]
         for i, below_i in enumerate(self.covers_below):
             for j in below_i:
                 above[j].append(i)
         self.covers_above = tuple(map(tuple, above))
-        self.mobius_bottom: tuple[int, ...] = _mobius_from_first(self.masks)
+        self.mobius_bottom: tuple[int, ...] = _mobius_bottom(
+            self.covers_below, [f.dim for f in self.flats])
 
     def __len__(self) -> int:
         return len(self.flats)
@@ -171,29 +169,44 @@ class FlatLattice:
     def grade_one_directions(self) -> list[tuple[int, ...]]:
         """For each grade-1 flat, an integer vector spanning it modulo ⊥."""
         bottom = self.flats[0].subspace
-        dirs = []
-        for i in self.covers_above[self.bottom_index]:
-            basis = self.flats[i].subspace.basis()
-            d = next(r for r in basis if not bottom.contains_vector(r))
-            dirs.append(d)
-        return dirs
+        return [next(r for r in self.flats[i].subspace.basis() if not bottom.contains_vector(r))
+                for i in self.covers_above[self.bottom_index]]
 
 
-def _cut(basis, d):
-    """Integer basis of the vectors sum c_i basis[i] with <d, c> = 0: the
-    pivot row is eliminated from the others in one integer step."""
+def _cut(lines, d):
+    """The restricted lines of the cover cut out by the line d.  The vectors
+    d[i0] e_i - d[i] e_i0 (i != i0) are a basis of the kernel of d, so a line
+    r maps to d[i0] r - r[i0] d with coordinate i0 dropped; lines landing on
+    one image join their masks."""
     i0 = next(i for i, c in enumerate(d) if c)
-    a0, pivot = d[i0], basis[i0]
-    return tuple(b if not c else primitive(tuple(a0 * x - c * y for x, y in zip(b, pivot)))
-                 for i, (b, c) in enumerate(zip(basis, d)) if i != i0)
+    a0, zero = d[i0], (0,) * (len(d) - 1)
+    out: dict[tuple[int, ...], int] = {}
+    for r, m in lines.items():
+        if r != d:
+            v = [a0 * x - r[i0] * y for x, y in zip(r, d)]
+            v = tuple(v[:i0] + v[i0 + 1:])
+            g = gcd(*v)
+            if v < zero:
+                g = -g
+            if g != 1:
+                v = tuple(x // g for x in v)
+            out[v] = out.get(v, 0) | m
+    return out
 
 
-def _mobius_from_first(masks) -> tuple[int, ...]:
-    """mu(first, X) for masks listed along a linear extension of the order
-    Y <= X iff mask(Y) is a superset of mask(X)."""
-    mu: list[int] = []
-    for m in masks:
-        mu.append(-sum(v for mj, v in zip(masks, mu) if mj & m == m) if mu else 1)
+def _mobius_bottom(covers_below, dims) -> tuple[int, ...]:
+    """mu(bottom, X) = -(sum of mu(bottom, Y) over Y below X).  The flats
+    below X form its down-set, a bitmask over positions joining those of its
+    covers, which lie one grade down: only that grade's down-sets are kept.
+    Positions of one Mobius value share a bitmask: a sum is a popcount each."""
+    mu, by_value, prev, cur = [], {}, {}, {}
+    for i, (below, dim) in enumerate(zip(covers_below, dims)):
+        if i and dim != dims[i - 1]:
+            prev, cur = cur, {}
+        ds = reduce(or_, [prev[c] for c in below], 0)
+        mu.append(-sum(v * (ds & s).bit_count() for v, s in by_value.items()) if i else 1)
+        cur[i] = ds | 1 << i
+        by_value[mu[i]] = by_value.get(mu[i], 0) | 1 << i
     return tuple(mu)
 
 
@@ -233,25 +246,15 @@ def essentialize(a: Arrangement) -> Arrangement:
     properties (sharpness) must be read off the original coordinates.
     """
     chart = rref_int(a.normals, a.dim)
-    normals = []
-    seen = set()
-    for h in a.hyperplanes:
-        v = primitive_signed(tuple(dot(h.normal, b) for b in chart))
-        if v in seen:
-            raise AssertionError("essentialization collapsed distinct hyperplanes")
-        seen.add(v)
-        normals.append(v)
-    return Arrangement.from_normals(normals, len(chart)) if normals else Arrangement(0, ())
+    return Arrangement.from_normals(
+        [tuple(dot(h.normal, b) for b in chart) for h in a.hyperplanes], len(chart))
 
 
 def product(a: Arrangement, b: Arrangement) -> Arrangement:
     """Block-diagonal juxtaposition of the two arrangements."""
-    za = (0,) * a.dim
-    zb = (0,) * b.dim
-    normals = [h.normal + zb for h in a.hyperplanes]
-    normals += [za + h.normal for h in b.hyperplanes]
-    return Arrangement(a.dim + b.dim,
-                       tuple(Hyperplane.from_vector(v) for v in normals))
+    za, zb = (0,) * a.dim, (0,) * b.dim
+    return Arrangement.from_normals([h.normal + zb for h in a.hyperplanes]
+                                    + [za + h.normal for h in b.hyperplanes], a.dim + b.dim)
 
 
 def is_very_generic_vector(a: Arrangement, v) -> bool:
@@ -288,15 +291,19 @@ def halfspace_failure(a: Arrangement, v):
 
 
 def characteristic_polynomial(a: Arrangement) -> IntPoly:
-    """chi(t) = sum over flats of mu(top, X) t^dim(X), Mobius taken in the
-    order by reverse inclusion (minimum = ambient space)."""
+    """chi(t) = sum over flats of mu(V, X) t^dim(X), Mobius taken in the
+    geometric lattice of reverse inclusion (minimum V = ambient space).  By
+    Weisner's theorem mu(V, X) is minus the sum of mu(V, Y) over the flats Y
+    covering X off H_j, the lowest hyperplane containing X."""
     lattice = build_flats(a)
-    # Complemented masks, top first, list the reverse-inclusion order.
-    full = (1 << len(a.hyperplanes)) - 1
-    mu = _mobius_from_first([full ^ m for m in reversed(lattice.masks)])[::-1]
+    masks = lattice.masks
+    mu = [0] * len(masks)
     coeffs = [0] * (a.dim + 1)
-    for flat, m in zip(lattice.flats, mu):
-        coeffs[flat.dim] += m
+    for i in reversed(range(len(masks))):
+        low = masks[i] & -masks[i]
+        mu[i] = -sum(mu[y] for y in lattice.covers_above[i]
+                     if not masks[y] & low) if low else 1
+        coeffs[lattice.flats[i].dim] += mu[i]
     return IntPoly(tuple(coeffs))
 
 

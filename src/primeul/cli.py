@@ -172,21 +172,14 @@ def _parse_range(text: str, default: tuple[int, int]) -> tuple[int, int]:
 
 
 def cmd_table(args) -> int:
-    if args.family == "B":
-        lo, hi = _parse_range(args.range, (0, 5))
-        if lo < 0 or hi > 5:
-            raise ParseError("type B table covers 0..5")
+    if args.family in ("B", "D"):
+        form, first, last = (peul_b_rec, 0, 5) if args.family == "B" else (peul_d_rec, 2, 7)
+        lo, hi = _parse_range(args.range, (first, last))
+        if lo < first or hi > last:
+            raise ParseError(f"type {args.family} table covers {first}..{last}")
         print("n\tpolynomial")
         for n in range(lo, hi + 1):
-            print(f"{n}\t{peul_b_rec(n).format()}")
-        return 0
-    if args.family == "D":
-        lo, hi = _parse_range(args.range, (2, 7))
-        if lo < 2 or hi > 7:
-            raise ParseError("type D table covers 2..7")
-        print("n\tpolynomial")
-        for n in range(lo, hi + 1):
-            print(f"{n}\t{peul_d_rec(n).format()}")
+            print(f"{n}\t{form(n).format()}")
         return 0
     print("W\tpolynomial\tprovenance")
     for name in ("H3", "H4", "F4", "E6", "E7", "E8"):

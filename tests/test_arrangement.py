@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
 from primeul.arrangement import (Arrangement, Hyperplane, build_flats,
                                  characteristic_polynomial,
@@ -13,6 +14,7 @@ from primeul.families import (braid, graphic, parse_family, rank2, root_system,
                               type_b, type_d)
 from primeul.intpoly import IntPoly
 from primeul.linalg import Subspace, in_rowspace, rref_int
+from test_differential import arrangements
 
 FOUR_CYCLE = graphic(4, [(1, 2), (2, 3), (3, 4), (4, 1)])
 
@@ -32,6 +34,16 @@ def test_hyperplane_normalization():
 def test_duplicate_hyperplanes_rejected():
     with pytest.raises(ValueError):
         Arrangement.from_normals([(1, 0), (2, 0)], 2)
+    # (2, 0) is the line of (1, 0): refused before the duplicate test
+    with pytest.raises(ValueError, match="primitive"):
+        Arrangement(2, (Hyperplane((2, 0)), Hyperplane((1, 0)), Hyperplane((0, 1))))
+
+
+def test_non_canonical_normal_rejected():
+    for normal in ((0, 0), (2, 0), (-1, 1), (0, 3, -6)):
+        with pytest.raises(ValueError, match="nonzero"):
+            Hyperplane(normal)
+    assert Hyperplane((0, 1, -2)).normal == (0, 1, -2)
 
 
 def test_single_hyperplane_lattice():
@@ -65,27 +77,70 @@ def _oracle_lattice(a):
     return keys, [found[k] for k in keys], mobius, n - max(map(len, found))
 
 
+def _oracle_chi(a, keys, containing):
+    """chi by the defining recursion of mu(ambient, .) over every pair of
+    flats, in the order by reverse inclusion."""
+    mu = {}
+    coeffs = [0] * (a.dim + 1)
+    for i in reversed(range(len(keys))):
+        mu[i] = -sum(mu[j] for j in mu if containing[j] < containing[i]) if mu else 1
+        coeffs[a.dim - len(keys[i])] += mu[i]
+    return IntPoly(tuple(coeffs))
+
+
+def _check_against_oracle(a):
+    lattice = build_flats(a)
+    keys, containing, mobius, bottom_dim = _oracle_lattice(a)
+    assert [f.subspace.normals for f in lattice.flats] == keys, a
+    assert [f.containing for f in lattice.flats] == containing, a
+    assert list(lattice.mobius_bottom) == mobius, a
+    assert lattice.bottom_dim == bottom_dim, a
+    assert [lattice.grade(i) for i in range(len(keys))] == \
+           [a.dim - len(k) - bottom_dim for k in keys], a
+    below = [tuple(j for j, kj in enumerate(keys) if len(kj) == len(k) + 1
+                   and containing[j] > containing[i])
+             for i, k in enumerate(keys)]
+    assert lattice.covers_below == tuple(below), a
+    assert lattice.covers_above == tuple(
+        tuple(i for i in range(len(keys)) if j in below[i])
+        for j in range(len(keys))), a
+    assert characteristic_polynomial(a) == _oracle_chi(a, keys, containing), a
+
+
 def test_lattice_against_brute_force_closure():
     cases = [parse_family(f) for f in _PATH_BUILTINS]
     cases += [root_system("F4"), product(rank2(3), braid(3)),
               Arrangement.from_normals([(1, 0, 0), (0, 1, 0), (1, 1, 0)], 3),
               Arrangement(3, ())]
     for a in cases:
-        lattice = build_flats(a)
-        keys, containing, mobius, bottom_dim = _oracle_lattice(a)
-        assert [f.subspace.normals for f in lattice.flats] == keys, a
-        assert [f.containing for f in lattice.flats] == containing, a
-        assert list(lattice.mobius_bottom) == mobius, a
-        assert lattice.bottom_dim == bottom_dim, a
-        assert [lattice.grade(i) for i in range(len(keys))] == \
-               [a.dim - len(k) - bottom_dim for k in keys], a
-        below = [tuple(j for j, kj in enumerate(keys) if len(kj) == len(k) + 1
-                       and containing[j] > containing[i])
-                 for i, k in enumerate(keys)]
-        assert lattice.covers_below == tuple(below), a
-        assert lattice.covers_above == tuple(
-            tuple(i for i in range(len(keys)) if j in below[i])
-            for j in range(len(keys))), a
+        _check_against_oracle(a)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(arrangements())
+def test_lattice_against_oracle_generated(a):
+    _check_against_oracle(a)
+
+
+def _exponent_poly(dim, exponents):
+    """t^(dim - rank) times the product of (t - e) over the exponents."""
+    out = IntPoly((0,) * (dim - len(exponents)) + (1,))
+    for e in exponents:
+        out = out * IntPoly((-e, 1))
+    return out
+
+
+def test_reflection_exponents():
+    # chi of a reflection arrangement factors over the exponents of its group
+    # (Orlik-Terao, ch. 6); "A n" is the braid arrangement of S_n in R^n.
+    cases = {"F4": (1, 5, 7, 11), "E6": (1, 4, 5, 7, 8, 11)}
+    for n in range(2, 6):
+        cases[f"A {n}"] = tuple(range(1, n))
+        cases[f"B {n}"] = tuple(range(1, 2 * n, 2))
+        cases[f"D {n}"] = tuple(range(1, 2 * n - 2, 2)) + (n - 1,)
+    for family, exponents in cases.items():
+        a = parse_family(family)
+        assert characteristic_polynomial(a) == _exponent_poly(a.dim, exponents), family
 
 
 def test_e6_flat_count():
