@@ -7,18 +7,20 @@ hyperplanes containing them; since a flat equals the intersection of exactly
 that set, containment of flats is containment of masks in reverse.  The
 flats just below a flat X are the classes of the hyperplanes off X, grouped
 by their restriction to X: a line in coordinates on X, cut from the lines of
-a flat just above X.  Mobius values come from the covers.
+a flat just above X.  Mobius values come from the covers.  The lattice also
+owns a basis of the minimum flat ⊥ and the direction of each rank-1 flat
+inside the span of the normals; the very generic test and the fan read them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 from math import gcd
 from operator import or_
 
 from .intpoly import IntPoly
-from .linalg import Subspace, dot, in_rowspace, primitive_signed, rref_int
+from .linalg import Subspace, dot, nullspace, primitive_signed, rref_int
 
 
 @dataclass(frozen=True)
@@ -166,11 +168,19 @@ class FlatLattice:
             out[self.grade(i)].append(i)
         return out
 
-    def grade_one_directions(self) -> list[tuple[int, ...]]:
-        """For each grade-1 flat, an integer vector spanning it modulo ⊥."""
-        bottom = self.flats[0].subspace
-        return [next(r for r in self.flats[i].subspace.basis() if not bottom.contains_vector(r))
-                for i in self.covers_above[self.bottom_index]]
+    @cached_property
+    def bottom_basis(self) -> tuple[tuple[int, ...], ...]:
+        """Basis of ⊥; a vector is orthogonal to ⊥ iff it lies in the span
+        of the normals."""
+        return nullspace(self.arrangement.normals, self.arrangement.dim)
+
+    @cached_property
+    def atom_directions(self) -> tuple[tuple[int, ...], ...]:
+        """For each flat in ``covers_above[bottom_index]``, the primitive
+        vector spanning it inside the span of the normals."""
+        return tuple(nullspace(self.flats[i].subspace.normals + self.bottom_basis,
+                               self.arrangement.dim)[0]
+                     for i in self.covers_above[self.bottom_index])
 
 
 def _cut(lines, d):
@@ -260,15 +270,14 @@ def product(a: Arrangement, b: Arrangement) -> Arrangement:
 def is_very_generic_vector(a: Arrangement, v) -> bool:
     """True iff v avoids every hyperplane and the halfspace {<v,x> <= 0} is
     generic: its boundary contains ⊥ but no other flat."""
-    v = tuple(v)
-    if len(v) != a.dim:
-        raise ValueError("vector dimension mismatch")
-    return (very_generic_failure(a, v) is None)
+    return very_generic_failure(a, v) is None
 
 
 def very_generic_failure(a: Arrangement, v):
     """None if v is very generic, else a human-readable reason."""
     v = tuple(v)
+    if len(v) != a.dim:
+        raise ValueError("vector dimension mismatch")
     for h in a.hyperplanes:
         if dot(h.normal, v) == 0:
             return f"v lies on the hyperplane with normal {h.normal}"
@@ -279,12 +288,13 @@ def halfspace_failure(a: Arrangement, v):
     """None if the halfspace {<v,x> <= 0} is generic (its boundary contains
     the minimum flat and no other flat), else a human-readable reason; v
     lying on hyperplanes of the arrangement is not checked."""
-    # Orthogonality to ⊥ is membership in the span of the normals.
-    span = rref_int(a.normals, a.dim)
-    if not in_rowspace(v, span, a.dim):
-        return "v is not orthogonal to the minimum flat"
+    v = tuple(v)
+    if len(v) != a.dim:
+        raise ValueError("vector dimension mismatch")
     lattice = build_flats(a)
-    for d in lattice.grade_one_directions():
+    if any(dot(v, b) for b in lattice.bottom_basis):
+        return "v is not orthogonal to the minimum flat"
+    for d in lattice.atom_directions:
         if dot(d, v) == 0:
             return f"bounding hyperplane contains the rank-1 flat spanned by {d}"
     return None

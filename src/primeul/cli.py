@@ -67,12 +67,24 @@ def _parse_v(args, arrangement):
     return v
 
 
-# The methods that apply to each polynomial; any other is refused with exit 3.
-_METHODS = {
-    "peul": ("auto", "mobius", "recursive", "halfspace", "descents"),
-    "cochar": ("auto", "mobius", "halfspace"),
-    "char": ("auto", "mobius"),
-    "eulerian": ("auto", "descents"),
+# The routes to each polynomial, as fn(arrangement, v, seed); "auto" names
+# the route it takes.  A method not listed is refused with exit 3.
+_ROUTES = {
+    "peul": {
+        "auto": "mobius",
+        "mobius": lambda a, v, seed: primitive_eulerian_mobius(a),
+        "recursive": lambda a, v, seed: primitive_eulerian_recursive(a),
+        "halfspace": lambda a, v, seed: peul_from_cochar(
+            cochar_via_halfspace(a, v, seed), build_flats(a).rank),
+        "descents": primitive_eulerian_descents,
+    },
+    "cochar": {
+        "auto": "mobius",
+        "mobius": lambda a, v, seed: cocharacteristic(a),
+        "halfspace": cochar_via_halfspace,
+    },
+    "char": {"auto": "mobius", "mobius": lambda a, v, seed: characteristic_polynomial(a)},
+    "eulerian": {"auto": "descents", "descents": lambda a, v, seed: eulerian_poly(a)},
 }
 
 
@@ -80,35 +92,12 @@ def cmd_poly(args) -> int:
     a, source = _load_arrangement(args)
     v = _parse_v(args, a)
     t0 = time.perf_counter()
-    which, method = args.which, args.method
-    if method not in _METHODS[which]:
-        raise PreconditionError(f"method {method!r} does not apply to {which}")
+    which, routes = args.which, _ROUTES[args.which]
+    if args.method not in routes:
+        raise PreconditionError(f"method {args.method!r} does not apply to {which}")
+    method = routes["auto"] if args.method == "auto" else args.method
     try:
-        if which == "char":
-            poly = characteristic_polynomial(a)
-            method = "mobius"
-        elif which == "cochar":
-            if method in ("auto", "mobius"):
-                poly = cocharacteristic(a)
-                method = "mobius"
-            else:
-                poly = cochar_via_halfspace(
-                    a, v if v is not None else find_very_generic(a, args.seed))
-        elif which == "eulerian":
-            poly = eulerian_poly(a)
-            method = "descents"
-        else:  # peul
-            if method in ("auto", "mobius"):
-                poly = primitive_eulerian_mobius(a)
-                method = "mobius"
-            elif method == "recursive":
-                poly = primitive_eulerian_recursive(a)
-            elif method == "halfspace":
-                psi = cochar_via_halfspace(
-                    a, v if v is not None else find_very_generic(a, args.seed))
-                poly = peul_from_cochar(psi, build_flats(a).rank)
-            else:
-                poly = primitive_eulerian_descents(a, v, seed=args.seed)
+        poly = routes[method](a, v, args.seed)
     except ValueError as exc:
         raise PreconditionError(str(exc)) from None
     elapsed_ms = int((time.perf_counter() - t0) * 1000)
@@ -339,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_poly = sub.add_parser("poly", help="compute a polynomial")
     add_source(p_poly)
-    p_poly.add_argument("--which", choices=tuple(_METHODS), default="peul")
+    p_poly.add_argument("--which", choices=tuple(_ROUTES), default="peul")
     p_poly.add_argument("--method",
                         choices=("mobius", "recursive", "halfspace", "descents", "auto"),
                         default="auto")

@@ -18,8 +18,7 @@ from fractions import Fraction
 
 from .arrangement import (Arrangement, build_flats, is_very_generic_vector,
                           very_generic_failure)
-from .faces import (enumerate_faces, enumerate_regions, faces_in_halfspace,
-                    is_simplicial)
+from .faces import enumerate_faces, enumerate_regions, is_simplicial
 from .intpoly import IntPoly, Z, ZM1
 from .linalg import dot, rref_int
 from .weakorder import WeakOrder
@@ -99,23 +98,12 @@ def perturb_blocked_vector(a: Arrangement, v, direction):
     Returns None when the direction cannot clear a blocked sign (both dot
     products vanish somewhere).
     """
-    lattice = build_flats(a)
-    tests = [h.normal for h in a.hyperplanes]
-    tests += lattice.grade_one_directions()
-    eps = None
-    for u in tests:
-        pv = dot(u, v)
-        pd = dot(u, direction)
-        if pv == 0:
-            if pd == 0:
-                return None
-            continue
-        if pd == 0:
-            continue
-        bound = Fraction(abs(pv), abs(pd))
-        if eps is None or bound < eps:
-            eps = bound
-    eps = Fraction(1) if eps is None else eps / 2
+    dots = [(dot(u, v), dot(u, direction))
+            for u in a.normals + build_flats(a).atom_directions]
+    if (0, 0) in dots:
+        return None
+    eps = min((Fraction(abs(pv), abs(pd)) for pv, pd in dots if pv and pd),
+              default=Fraction(2)) / 2
     return tuple(Fraction(x) + eps * d for x, d in zip(v, direction))
 
 
@@ -149,13 +137,21 @@ def base_region_of(a: Arrangement, v) -> tuple:
     return tuple(signs)
 
 
-def cochar_via_halfspace(a: Arrangement, v) -> IntPoly:
-    """Graded count of the faces inside the halfspace {<v, x> <= 0}."""
+def _very_generic(a: Arrangement, v, seed: int):
+    """v once it is checked to be very generic, or a found one if v is None."""
+    if v is None:
+        return find_very_generic(a, seed)
     failure = very_generic_failure(a, v)
     if failure is not None:
         raise ValueError(f"v not very generic: {failure}")
+    return v
+
+
+def cochar_via_halfspace(a: Arrangement, v=None, seed: int = 0) -> IntPoly:
+    """Graded count of the faces inside the halfspace {<v, x> <= 0}."""
+    v = _very_generic(a, v, seed)
     fan = enumerate_faces(a)
-    return IntPoly.from_counts(fan.grade(f) for f in faces_in_halfspace(fan, v))
+    return IntPoly.from_counts(fan.grade(f) for f in filter(fan.halfspace_test(v), fan.faces))
 
 
 class UpperSetError(ValueError):
@@ -177,12 +173,7 @@ def primitive_eulerian_descents(a: Arrangement, v=None, seed: int = 0) -> IntPol
     """
     if not is_simplicial(a):
         raise ValueError("descent path requires a simplicial arrangement")
-    if v is None:
-        v = find_very_generic(a, seed)
-    else:
-        failure = very_generic_failure(a, v)
-        if failure is not None:
-            raise ValueError(f"v not very generic: {failure}")
+    v = _very_generic(a, v, seed)
     base = base_region_of(a, v)
     order = WeakOrder(a, base)
     contained = list(filter(enumerate_faces(a).halfspace_test(v), order.regions))
@@ -198,9 +189,7 @@ def h_poly_relation_check(a: Arrangement, v=None, seed: int = 0) -> bool:
     f-to-h transform at rank r."""
     if not is_simplicial(a):
         raise ValueError("h-polynomial check requires a simplicial arrangement")
-    if v is None:
-        v = find_very_generic(a, seed)
-    psi = cochar_via_halfspace(a, v)
+    psi = cochar_via_halfspace(a, v, seed)
     r = build_flats(a).rank
     # h(y) = sum_k f_{k-1} y^k (1-y)^{r-k}, where f_{k-1} counts grade-k faces.
     one_minus_y = IntPoly((1, -1))

@@ -4,15 +4,16 @@ product, separation sets, rays, walls, simpliciality and sharpness tests.
 A sign vector assigns -1, 0 or +1 to every hyperplane in arrangement order.
 The faces are the covectors of the arrangement's oriented matroid: all
 compositions of its cocircuits, which are the sign vectors of the two rays
-along each rank-1 flat.  The closure packs a sign vector into one int,
-plus | minus << m, from its masks of + and - hyperplanes; composing f with
-a cocircuit c rewrites f only on its zero mask z: (p | c.p & z, n | c.n & z).
-Each face keeps the mask of the cocircuits (rays) in its closure, the AND
-over the hyperplanes h of those allowed by f's sign at h; each region keeps
-its walls, the h for which the region with 0 at h is a face.  Every
-geometric test reads these, so no linear program is solved.  Regions are the
-faces without zeros.  The order used everywhere sorts sign vectors by entry
-with 0 < + < -.
+along each rank-1 flat, ± its direction.  The directions and the basis of ⊥
+that the halfspace test reads come from the lattice of flats.  The closure
+packs a sign vector into one int, plus | minus << m, from its masks of +
+and - hyperplanes; composing f with a cocircuit c rewrites f only on its
+zero mask z: (p | c.p & z, n | c.n & z).  Each face keeps the mask of the
+cocircuits (rays) in its closure, the AND over the hyperplanes h of those
+allowed by f's sign at h; each region keeps its walls, the h for which the
+region with 0 at h is a face.  Every geometric test reads these, so no
+linear program is solved.  Regions are the faces without zeros.  The order
+used everywhere sorts sign vectors by entry with 0 < + < -.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ from __future__ import annotations
 from functools import lru_cache, reduce
 from operator import and_, getitem
 
-from .arrangement import Arrangement, build_flats, is_very_generic_vector
-from .linalg import dot, nullspace, primitive
+from .arrangement import Arrangement, build_flats, very_generic_failure
+from .linalg import dot
 
 SignVector = tuple  # entries in {-1, 0, +1}, one per hyperplane
 
@@ -73,15 +74,9 @@ class FanIndex:
             hyperplane h, most significant first, is 0, 1 or 2."""
             return int(format(f & full, bits)[::-1]) + 2 * int(format(f >> m, bits)[::-1])
 
-        # Basis of ⊥; a vector is orthogonal to ⊥ iff it lies in the span of
-        # the normals, where the ray directions are taken.
-        self.bottom_basis = nullspace(normals, arrangement.dim)
+        self.bottom_basis = lattice.bottom_basis
         directions: dict[int, tuple[int, ...]] = {}
-        for i in lattice.covers_above[lattice.bottom_index]:
-            flat = lattice.flats[i]
-            line = nullspace(flat.subspace.normals + self.bottom_basis,
-                             arrangement.dim)
-            d = primitive(line[0])
+        for d in lattice.atom_directions:
             for r in (d, tuple(-x for x in d)):
                 dots = [dot(n, r) for n in normals]
                 directions[sum(1 << h + (x < 0) * m for h, x in enumerate(dots) if x)] = r
@@ -144,6 +139,8 @@ class FanIndex:
         halfspace iff v is orthogonal to ⊥ and none of its rays has
         <v, d> > 0; both are settled here, once per v.
         """
+        if len(v) != self.arrangement.dim:
+            raise ValueError("vector dimension mismatch")
         if any(dot(v, b) for b in self.bottom_basis):
             return lambda f: False
         up = sum(1 << i for i, d in enumerate(self.directions) if dot(v, d) > 0)
@@ -235,6 +232,7 @@ def faces_in_halfspace(fan: FanIndex, v) -> tuple[SignVector, ...]:
     Requires a very generic v; the central face is always included since the
     bounding hyperplane contains the minimum flat.
     """
-    if not is_very_generic_vector(fan.arrangement, v):
-        raise ValueError("vector is not very generic")
+    failure = very_generic_failure(fan.arrangement, v)
+    if failure is not None:
+        raise ValueError(f"v not very generic: {failure}")
     return tuple(filter(fan.halfspace_test(v), fan.faces))

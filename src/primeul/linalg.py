@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd
 from operator import mul
 
@@ -142,7 +141,7 @@ class Subspace:
 
     def basis(self) -> tuple[tuple[int, ...], ...]:
         """Canonical integer basis rows spanning the subspace."""
-        return _cached_basis(self.ambient, self.normals)
+        return nullspace(self.normals, self.ambient)
 
     def contains_vector(self, vec) -> bool:
         return all(dot(n, vec) == 0 for n in self.normals)
@@ -158,9 +157,4 @@ class Subspace:
         if self.ambient != other.ambient:
             raise ValueError("ambient dimension mismatch")
         return Subspace(self.ambient, rref_int(self.normals + other.normals, self.ambient))
-
-
-@lru_cache(maxsize=None)
-def _cached_basis(ambient: int, normals) -> tuple[tuple[int, ...], ...]:
-    return nullspace(normals, ambient)
 

@@ -48,20 +48,17 @@ class WeakOrder:
 
     def covers_above(self, c: SignVector) -> list[SignVector]:
         """Regions covering c: wall flips that grow the separation set."""
-        i = self._pos[c]
-        out = []
-        for h in self.walls[i]:
-            if h not in self.sep[i]:
-                out.append(c[:h] + (-c[h],) + c[h + 1:])
-        return out
+        return self._flips(c, False)
 
     def covers_below(self, c: SignVector) -> list[SignVector]:
+        return self._flips(c, True)
+
+    def _flips(self, c: SignVector, separating: bool) -> list[SignVector]:
+        """c flipped across each wall that separates it from the base
+        region, or across each wall that does not."""
         i = self._pos[c]
-        out = []
-        for h in self.walls[i]:
-            if h in self.sep[i]:
-                out.append(c[:h] + (-c[h],) + c[h + 1:])
-        return out
+        return [c[:h] + (-c[h],) + c[h + 1:] for h in self.walls[i]
+                if (h in self.sep[i]) == separating]
 
     def is_upper_set(self, subset) -> bool:
         return self.upper_set_failure(subset) is None

@@ -1,19 +1,21 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from primeul.arrangement import (Arrangement, Hyperplane, build_flats,
                                  characteristic_polynomial,
                                  count_regions_zaslavsky, essentialize,
                                  halfspace_failure,
                                  is_very_generic_vector, localization,
-                                 product, restriction)
+                                 product, restriction, very_generic_failure)
 from primeul.cli import _PATH_BUILTINS
 from primeul.families import (braid, graphic, parse_family, rank2, root_system,
                               type_b, type_d)
 from primeul.intpoly import IntPoly
-from primeul.linalg import Subspace, in_rowspace, rref_int
+from primeul.linalg import Subspace, dot, in_rowspace, rref_int
 from test_differential import arrangements
 
 FOUR_CYCLE = graphic(4, [(1, 2), (2, 3), (3, 4), (4, 1)])
@@ -291,6 +293,28 @@ def test_very_generic_vector():
 def test_very_generic_dimension_check():
     with pytest.raises(ValueError):
         is_very_generic_vector(type_b(2), (1, 2, 3))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(arrangements(), st.data())
+def test_very_generic_against_row_reduction(a, data):
+    # Small entries make v hit hyperplanes, rank-1 flats and directions off
+    # the span of the normals.
+    v = data.draw(st.tuples(*[st.integers(-2, 2)] * a.dim))
+    lattice = build_flats(a)
+    atoms = [lattice.flats[i] for i in lattice.covers_above[lattice.bottom_index]]
+    # Oracle: v is orthogonal to ⊥ iff it is in the row space of the
+    # normals; then v^⊥ contains a rank-1 flat iff it holds its whole basis.
+    generic_halfspace = in_rowspace(v, rref_int(a.normals, a.dim), a.dim) and all(
+        any(dot(b, v) for b in x.subspace.basis()) for x in atoms)
+    assert (halfspace_failure(a, v) is None) == generic_halfspace
+    assert (very_generic_failure(a, v) is None) == (
+        generic_halfspace and all(dot(n, v) for n in a.normals))
+    assert len(lattice.atom_directions) == len(atoms)
+    for d, x in zip(lattice.atom_directions, atoms):
+        assert any(d) and gcd(*d) == 1
+        assert x.subspace.contains_vector(d)
+        assert not any(dot(d, b) for b in lattice.bottom_basis)
 
 
 def _unit(n, i):

@@ -3,7 +3,8 @@ import random
 import pytest
 
 from primeul.arrangement import (Arrangement, build_flats, essentialize,
-                                 product)
+                                 halfspace_failure, product,
+                                 very_generic_failure)
 from primeul.eulerpoly import (UpperSetError, base_region_of,
                                cochar_via_halfspace, cocharacteristic,
                                eulerian_poly, find_very_generic,
@@ -11,7 +12,8 @@ from primeul.eulerpoly import (UpperSetError, base_region_of,
                                primitive_eulerian_descents,
                                primitive_eulerian_mobius,
                                primitive_eulerian_recursive)
-from primeul.faces import enumerate_regions, is_sharp
+from primeul.faces import (enumerate_faces, enumerate_regions,
+                           faces_in_halfspace, is_sharp, region_in_halfspace)
 from primeul.families import (braid, generic_gn, graphic, rank2, type_b,
                               type_d, type_dnk)
 from primeul.intpoly import IntPoly, Z, ZM1
@@ -132,6 +134,22 @@ def test_halfspace_v_independence():
 def test_cochar_rejects_non_generic_v():
     with pytest.raises(ValueError):
         cochar_via_halfspace(type_b(2), (1, 1))
+
+
+@pytest.mark.parametrize("entry", [
+    very_generic_failure, halfspace_failure, cochar_via_halfspace,
+    primitive_eulerian_descents, h_poly_relation_check,
+    lambda a, v: region_in_halfspace(a, enumerate_regions(a)[0], v),
+    lambda a, v: faces_in_halfspace(enumerate_faces(a), v),
+    lambda a, v: enumerate_faces(a).halfspace_test(v),
+], ids=["very_generic_failure", "halfspace_failure", "cochar_via_halfspace",
+        "primitive_eulerian_descents", "h_poly_relation_check",
+        "region_in_halfspace", "faces_in_halfspace", "halfspace_test"])
+@pytest.mark.parametrize("v", [(1, 2), (1, 2, 4, 8)], ids=["short", "long"])
+def test_wrong_length_v_is_refused(entry, v):
+    # dot products zip, so a v of the wrong length would get an answer.
+    with pytest.raises(ValueError, match="vector dimension mismatch"):
+        entry(type_b(3), v)
 
 
 def test_nonsharp_negative_witness():
