@@ -6,16 +6,20 @@ values form a permutation (w(-i) = -w(i) implicitly).  Indexing convention
 for the classical families: eulerian_a(m) is the descent polynomial of the
 symmetric group on m letters, so that peul_a(m) = z * eulerian_a(m - 1) is
 the polynomial of the braid arrangement in R^m for m >= 2.
+
+The six recursive sequences, eulerian_a to peul_d_rec, share one memo
+helper, _sequence: each keeps its terms and extends them in order of n, so
+every term is computed once.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import wraps
 from itertools import permutations, product
 from math import comb
 
 from .egf import DEFAULT_ORDER, TruncatedEgf, egf_exp, egf_log, egf_sqrt
-from .intpoly import IntPoly, ONE, Z, ZERO
+from .intpoly import IntPoly, ONE, Z, ZERO, ZM1
 
 # ---------------------------------------------------------------------------
 # element generation
@@ -185,73 +189,71 @@ def peul_d_des(n: int) -> IntPoly:
 # ---------------------------------------------------------------------------
 # Eulerian polynomials and the recursions
 
-@lru_cache(maxsize=None)
+def _sequence(*initial: IntPoly):
+    """Decorator: the memoized sequence with the given first terms whose
+    later term n is step(n).  Terms are computed once each, in order of n;
+    step(n) may ask for any earlier term, which is then kept, so no call
+    recurses however large n is."""
+    def decorate(step):
+        terms = list(initial)
+
+        @wraps(step)
+        def term(n: int) -> IntPoly:
+            if n < 0:
+                raise ValueError("n >= 0 required")
+            while len(terms) <= n:
+                terms.append(step(len(terms)))
+            return terms[n]
+        return term
+    return decorate
+
+
+@_sequence(ONE)
 def eulerian_a(n: int) -> IntPoly:
     """Descent polynomial of the symmetric group on n letters.
 
     E_n = (1 + (n-1) z) E_{n-1} + z (1-z) E_{n-1}', with E_0 = 1.
     """
-    if n < 0:
-        raise ValueError("n >= 0 required")
-    e = ONE
-    for m in range(1, n + 1):
-        e = (ONE + (m - 1) * Z) * e + Z * (ONE - Z) * e.derivative()
-    return e
+    e = eulerian_a(n - 1)
+    return (ONE + (n - 1) * Z) * e + Z * (ONE - Z) * e.derivative()
 
 
-@lru_cache(maxsize=None)
+@_sequence(ONE)
 def eulerian_b(n: int) -> IntPoly:
     """Descent polynomial of the group of signed permutations of n letters.
 
     E_n = (1 + (2n-1) z) E_{n-1} + 2 z (1-z) E_{n-1}', with E_0 = 1.
     """
-    if n < 0:
-        raise ValueError("n >= 0 required")
-    e = ONE
-    for m in range(1, n + 1):
-        e = (ONE + (2 * m - 1) * Z) * e + 2 * Z * (ONE - Z) * e.derivative()
-    return e
+    e = eulerian_b(n - 1)
+    return (ONE + (2 * n - 1) * Z) * e + 2 * Z * (ONE - Z) * e.derivative()
 
 
-@lru_cache(maxsize=None)
+@_sequence(ONE, ONE)
 def peul_a(n: int) -> IntPoly:
     """Polynomial of the rank n-1 braid arrangement: z * eulerian_a(n-1)."""
-    if n < 0:
-        raise ValueError("n >= 0 required")
-    if n <= 1:
-        return ONE
     return Z * eulerian_a(n - 1)
 
 
-@lru_cache(maxsize=None)
+@_sequence(ONE)
 def peul_b_rec(n: int) -> IntPoly:
     """Quadratic recursion for the type B polynomials:
 
     P_n = z P_{n-1} + sum_{k=1}^{n-1} C(n-1, k) 2^k P_{n-1-k} peul_a(k+1).
     """
-    if n < 0:
-        raise ValueError("n >= 0 required")
-    table = [ONE]
-    for m in range(1, n + 1):
-        acc = Z * table[m - 1]
-        for k in range(1, m):
-            acc = acc + comb(m - 1, k) * 2 ** k * table[m - 1 - k] * peul_a(k + 1)
-        table.append(acc)
-    return table[n]
+    acc = Z * peul_b_rec(n - 1)
+    for k in range(1, n):
+        acc = acc + comb(n - 1, k) * 2 ** k * peul_b_rec(n - 1 - k) * peul_a(k + 1)
+    return acc
 
 
-@lru_cache(maxsize=None)
+@_sequence(ONE)
 def peul_b_diffrec(n: int) -> IntPoly:
     """Differential recursion P_n = (2n-1) z P_{n-1} + 2 z (1-z) P_{n-1}'."""
-    if n < 0:
-        raise ValueError("n >= 0 required")
-    p = ONE
-    for m in range(1, n + 1):
-        p = (2 * m - 1) * Z * p + 2 * Z * (ONE - Z) * p.derivative()
-    return p
+    p = peul_b_diffrec(n - 1)
+    return (2 * n - 1) * Z * p + 2 * Z * (ONE - Z) * p.derivative()
 
 
-@lru_cache(maxsize=None)
+@_sequence(ONE, ZERO)
 def peul_d_rec(n: int) -> IntPoly:
     """Quadratic recursion for type D, with P_0 = 1 and P_1 = 0:
 
@@ -259,19 +261,13 @@ def peul_d_rec(n: int) -> IntPoly:
           (z-1) P_{n-2-k} peul_a(k+1) + 2 P_{n-1-k} peul_a(k+1)
           + P_{n-2-k} peul_a(k+2)).
     """
-    if n < 0:
-        raise ValueError("n >= 0 required")
-    zm1 = Z - ONE
-    table = [ONE, ZERO]
-    for m in range(2, n + 1):
-        acc = zm1 ** 2 * peul_b_rec(m - 2)
-        for k in range(m - 1):
-            c = comb(m - 2, k) * 2 ** k
-            acc = acc + c * (zm1 * table[m - 2 - k] * peul_a(k + 1)
-                             + 2 * table[m - 1 - k] * peul_a(k + 1)
-                             + table[m - 2 - k] * peul_a(k + 2))
-        table.append(acc)
-    return table[n]
+    acc = ZM1 ** 2 * peul_b_rec(n - 2)
+    for k in range(n - 1):
+        c = comb(n - 2, k) * 2 ** k
+        acc = acc + c * (ZM1 * peul_d_rec(n - 2 - k) * peul_a(k + 1)
+                         + 2 * peul_d_rec(n - 1 - k) * peul_a(k + 1)
+                         + peul_d_rec(n - 2 - k) * peul_a(k + 2))
+    return acc
 
 
 def peul_dnk(n: int, k: int) -> IntPoly:

@@ -2,8 +2,9 @@
 
 A series sum_{n<=N} c_n(z) x^n / n! is stored as the tuple of coefficient
 polynomials c_0..c_N, each a tuple of Fractions in z (low degree first).
-Arithmetic is exact and truncated at the fixed order N; exp, log and sqrt
-are composed from the nilpotent part, so all coefficients stay polynomial.
+Arithmetic is exact and truncated at the fixed order N.  exp, log and sqrt
+are coefficient recurrences (exp from E' = f' E, log as the integral of
+f'/f, sqrt as exp(log(f) / 2)), so all coefficients stay polynomial.
 """
 
 from __future__ import annotations
@@ -47,6 +48,15 @@ def _pmul(a, b) -> QPoly:
 def _pscale(a, s) -> QPoly:
     s = Fraction(s)
     return _ptrim(x * s for x in a)
+
+
+def _product_coeff(a, b, n: int) -> QPoly:
+    """Coefficient n of the product of the EGFs with coefficients a and b:
+    sum_k C(n, k) a_k b_{n-k}."""
+    acc: QPoly = ()
+    for k in range(n + 1):
+        acc = _padd(acc, _pscale(_pmul(a[k], b[n - k]), comb(n, k)))
+    return acc
 
 
 def _qpoly(p) -> QPoly:
@@ -102,14 +112,8 @@ class TruncatedEgf:
 
     def __mul__(self, other: TruncatedEgf) -> TruncatedEgf:
         self._check(other)
-        out = []
-        for n in range(self.order + 1):
-            acc: QPoly = ()
-            for k in range(n + 1):
-                term = _pmul(self.coeffs[k], other.coeffs[n - k])
-                acc = _padd(acc, _pscale(term, comb(n, k)))
-            out.append(acc)
-        return TruncatedEgf(self.order, tuple(out))
+        return TruncatedEgf(self.order, tuple(
+            _product_coeff(self.coeffs, other.coeffs, n) for n in range(self.order + 1)))
 
     def _check(self, other):
         if self.order != other.order:
@@ -121,57 +125,40 @@ class TruncatedEgf:
         return TruncatedEgf(self.order, tuple(
             _pscale(p, c**n) for n, p in enumerate(self.coeffs)))
 
-    def _nilpotent_powers(self):
-        """Powers u^0..u^N of u = self - c_0 (which has zero constant term)."""
-        u = TruncatedEgf(self.order, ((),) + self.coeffs[1:])
-        powers = [TruncatedEgf.constant(1, self.order)]
-        for _ in range(self.order):
-            powers.append(powers[-1] * u)
-        return powers
-
 
 def egf_mul(a: TruncatedEgf, b: TruncatedEgf) -> TruncatedEgf:
     return a * b
 
 
 def egf_exp(f: TruncatedEgf) -> TruncatedEgf:
-    """exp(f) for a series with zero constant coefficient."""
+    """exp(f) for a series with zero constant coefficient, from E' = f' E:
+    E_0 = 1 and E_n = sum_{k=1}^{n} C(n-1, k-1) f_k E_{n-k}."""
     if f.coeffs[0]:
         raise ValueError("exp needs zero constant coefficient")
-    out = TruncatedEgf.constant(0, f.order)
-    factorial = 1
-    for j, p in enumerate(f._nilpotent_powers()):
-        if j:
-            factorial *= j
-        out = out + TruncatedEgf(f.order, tuple(
-            _pscale(c, Fraction(1, factorial)) for c in p.coeffs))
-    return out
+    out: list[QPoly] = [(Fraction(1),)]
+    for n in range(1, f.order + 1):
+        out.append(_product_coeff(f.coeffs[1:], out, n - 1))
+    return TruncatedEgf(f.order, tuple(out))
 
 
 def egf_log(f: TruncatedEgf) -> TruncatedEgf:
-    """log(f) for a series with constant coefficient 1."""
+    """log(f) for a series with constant coefficient 1: the integral of f'/f.
+
+    On an EGF, d/dx and the integral shift the coefficients down and up one
+    place; the top coefficient of f', unknown at this order, drops out.
+    """
     if f.coeffs[0] != (Fraction(1),):
         raise ValueError("log needs constant coefficient 1")
-    out = TruncatedEgf.constant(0, f.order)
-    for j, p in enumerate(f._nilpotent_powers()):
-        if j == 0:
-            continue
-        sign = Fraction((-1) ** (j + 1), j)
-        out = out + TruncatedEgf(f.order, tuple(_pscale(c, sign) for c in p.coeffs))
-    return out
+    quotient = egf_div(TruncatedEgf(f.order, f.coeffs[1:] + ((),)), f)
+    return TruncatedEgf(f.order, ((),) + quotient.coeffs[:-1])
 
 
 def egf_sqrt(f: TruncatedEgf) -> TruncatedEgf:
-    """Square root of a series with constant coefficient 1 (binomial series)."""
+    """Square root of a series with constant coefficient 1: exp(log(f) / 2)."""
     if f.coeffs[0] != (Fraction(1),):
         raise ValueError("sqrt needs constant coefficient 1")
-    out = TruncatedEgf.constant(0, f.order)
-    coef = Fraction(1)
-    for j, p in enumerate(f._nilpotent_powers()):
-        if j:
-            coef *= (Fraction(1, 2) - (j - 1)) / j  # binomial(1/2, j) update
-        out = out + TruncatedEgf(f.order, tuple(_pscale(c, coef) for c in p.coeffs))
-    return out
+    return egf_exp(TruncatedEgf(f.order, tuple(
+        _pscale(c, Fraction(1, 2)) for c in egf_log(f).coeffs)))
 
 
 def egf_div(f: TruncatedEgf, g: TruncatedEgf) -> TruncatedEgf:
@@ -184,8 +171,7 @@ def egf_div(f: TruncatedEgf, g: TruncatedEgf) -> TruncatedEgf:
     inv = 1 / g0[0]
     out: list[QPoly] = []
     for n in range(f.order + 1):
-        acc = f.coeffs[n]
-        for k in range(n):
-            acc = _padd(acc, _pscale(_pmul(out[k], g.coeffs[n - k]), -comb(n, k)))
-        out.append(_pscale(acc, inv))
+        # (f/g * g)_n = f_n, with the unknown (f/g)_n put as 0 in the product
+        rest = _product_coeff(out + [()], g.coeffs, n)
+        out.append(_pscale(_padd(f.coeffs[n], _pscale(rest, -1)), inv))
     return TruncatedEgf(f.order, tuple(out))

@@ -98,6 +98,8 @@ def perturb_blocked_vector(a: Arrangement, v, direction):
     Returns None when the direction cannot clear a blocked sign (both dot
     products vanish somewhere).
     """
+    if len(v) != a.dim or len(direction) != a.dim:
+        raise ValueError("vector dimension mismatch")
     dots = [(dot(u, v), dot(u, direction))
             for u in a.normals + build_flats(a).atom_directions]
     if (0, 0) in dots:
@@ -128,6 +130,8 @@ def find_very_generic(a: Arrangement, seed: int = 0):
 
 def base_region_of(a: Arrangement, v) -> tuple:
     """Sign vector of the region containing a generic point v."""
+    if len(v) != a.dim:
+        raise ValueError("vector dimension mismatch")
     signs = []
     for h in a.hyperplanes:
         s = dot(h.normal, v)

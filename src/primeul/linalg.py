@@ -80,11 +80,12 @@ def rref_int(rows, ncols: int) -> tuple[tuple[int, ...], ...]:
         r += 1
         if r == nrows:
             break
+    # Rows changed by the elimination were divided by their gcd, so every
+    # row is primitive already; only the pivot's sign is left to fix.
     out = []
     for row in mat[:r]:
-        p = primitive(row)
-        lead = next(c for c in p if c)
-        out.append(p if lead > 0 else tuple(-x for x in p))
+        lead = next(c for c in row if c)
+        out.append(tuple(row) if lead > 0 else tuple(-x for x in row))
     return tuple(out)
 
 

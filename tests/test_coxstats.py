@@ -1,3 +1,5 @@
+import importlib.util
+import sys
 from math import factorial
 
 import pytest
@@ -110,6 +112,43 @@ def test_peul_a_is_shifted_eulerian():
         assert peul_a(n) == Z * eulerian_a(n - 1)
     assert peul_a(1) == ONE
     assert peul_a(0) == ONE
+
+
+SEQUENCES = ("eulerian_a", "eulerian_b", "peul_a", "peul_b_rec",
+             "peul_b_diffrec", "peul_d_rec")
+
+
+def _fresh_coxstats():
+    """Another instance of the module, whose sequences start with empty memos."""
+    spec = importlib.util.find_spec("primeul.coxstats")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _stack_depth() -> int:
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    return depth
+
+
+@pytest.mark.parametrize("name", SEQUENCES)
+def test_sequence_terms_do_not_depend_on_order_asked(name):
+    top = 40
+    descending = getattr(_fresh_coxstats(), name)
+    ascending = getattr(_fresh_coxstats(), name)
+    # Asked from the top on an empty memo, a sequence that recursed on n
+    # would go about 2 * top frames deep; under this limit it must not.
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 40)
+    try:
+        down = [descending(n) for n in range(top, -1, -1)]
+    finally:
+        sys.setrecursionlimit(limit)
+    assert down[::-1] == [ascending(n) for n in range(top + 1)]
+    with pytest.raises(ValueError, match="n >= 0 required"):
+        descending(-1)
 
 
 def test_flag_descent_halving():

@@ -1,9 +1,50 @@
+import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
 from primeul.egf import TruncatedEgf, egf_exp, egf_log, egf_mul, egf_sqrt
 from primeul.intpoly import IntPoly, ONE, Z, ZM1
+
+
+def _power_sum(f: TruncatedEgf, coef) -> TruncatedEgf:
+    """sum_j coef(j) u^j with u = f - f_0, the power-series definition that
+    the coefficient recurrences must reproduce (u^j vanishes past j = order)."""
+    u = TruncatedEgf(f.order, ((),) + f.coeffs[1:])
+    out = TruncatedEgf.constant(0, f.order)
+    power = TruncatedEgf.constant(1, f.order)
+    for j in range(f.order + 1):
+        out = out + TruncatedEgf.constant(coef(j), f.order) * power
+        power = power * u
+    return out
+
+
+def _binomial_half(j: int) -> Fraction:
+    out = Fraction(1)
+    for i in range(j):
+        out *= (Fraction(1, 2) - i) / (i + 1)
+    return out
+
+
+def _random_series(rng: random.Random, order: int, constant) -> TruncatedEgf:
+    def q():
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+    rest = [tuple(q() for _ in range(rng.randint(0, 3))) for _ in range(order)]
+    return TruncatedEgf(order, (constant,) + tuple(rest))
+
+
+def test_exp_log_sqrt_against_power_sums():
+    rng = random.Random(2023)
+    one = (Fraction(1),)
+    for trial in range(60):
+        order = trial % 10
+        f = _random_series(rng, order, ())
+        g = _random_series(rng, order, one)
+        assert egf_exp(f) == _power_sum(f, lambda j: Fraction(1, factorial(j)))
+        assert egf_log(g) == _power_sum(
+            g, lambda j: Fraction((-1) ** (j + 1), j) if j else Fraction(0))
+        assert egf_sqrt(g) == _power_sum(g, _binomial_half)
 
 
 def test_exp_of_monomial():

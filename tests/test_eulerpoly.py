@@ -9,6 +9,7 @@ from primeul.eulerpoly import (UpperSetError, base_region_of,
                                cochar_via_halfspace, cocharacteristic,
                                eulerian_poly, find_very_generic,
                                h_poly_relation_check, peul_from_cochar,
+                               perturb_blocked_vector,
                                primitive_eulerian_descents,
                                primitive_eulerian_mobius,
                                primitive_eulerian_recursive)
@@ -142,9 +143,13 @@ def test_cochar_rejects_non_generic_v():
     lambda a, v: region_in_halfspace(a, enumerate_regions(a)[0], v),
     lambda a, v: faces_in_halfspace(enumerate_faces(a), v),
     lambda a, v: enumerate_faces(a).halfspace_test(v),
+    base_region_of,
+    lambda a, v: perturb_blocked_vector(a, v, (1, 2, 3)),
+    lambda a, v: perturb_blocked_vector(a, (1, 2, 3), v),
 ], ids=["very_generic_failure", "halfspace_failure", "cochar_via_halfspace",
         "primitive_eulerian_descents", "h_poly_relation_check",
-        "region_in_halfspace", "faces_in_halfspace", "halfspace_test"])
+        "region_in_halfspace", "faces_in_halfspace", "halfspace_test",
+        "base_region_of", "perturb_blocked_vector", "perturb_direction"])
 @pytest.mark.parametrize("v", [(1, 2), (1, 2, 4, 8)], ids=["short", "long"])
 def test_wrong_length_v_is_refused(entry, v):
     # dot products zip, so a v of the wrong length would get an answer.
