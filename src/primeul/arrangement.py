@@ -46,6 +46,8 @@ class Arrangement:
     hyperplanes: tuple[Hyperplane, ...]
 
     def __post_init__(self):
+        if self.dim < 0:
+            raise ValueError(f"ambient dimension {self.dim} must be >= 0")
         seen = set()
         for h in self.hyperplanes:
             if len(h.normal) != self.dim:

@@ -67,24 +67,24 @@ def _parse_v(args, arrangement):
     return v
 
 
-# The routes to each polynomial, as fn(arrangement, v, seed); "auto" names
-# the route it takes.  A method not listed is refused with exit 3.
+# The routes to each polynomial, as fn(arrangement, v); "auto" names the
+# route it takes.  A method not listed is refused with exit 3.
 _ROUTES = {
     "peul": {
         "auto": "mobius",
-        "mobius": lambda a, v, seed: primitive_eulerian_mobius(a),
-        "recursive": lambda a, v, seed: primitive_eulerian_recursive(a),
-        "halfspace": lambda a, v, seed: peul_from_cochar(
-            cochar_via_halfspace(a, v, seed), build_flats(a).rank),
+        "mobius": lambda a, v: primitive_eulerian_mobius(a),
+        "recursive": lambda a, v: primitive_eulerian_recursive(a),
+        "halfspace": lambda a, v: peul_from_cochar(
+            cochar_via_halfspace(a, v), build_flats(a).rank),
         "descents": primitive_eulerian_descents,
     },
     "cochar": {
         "auto": "mobius",
-        "mobius": lambda a, v, seed: cocharacteristic(a),
+        "mobius": lambda a, v: cocharacteristic(a),
         "halfspace": cochar_via_halfspace,
     },
-    "char": {"auto": "mobius", "mobius": lambda a, v, seed: characteristic_polynomial(a)},
-    "eulerian": {"auto": "descents", "descents": lambda a, v, seed: eulerian_poly(a)},
+    "char": {"auto": "mobius", "mobius": lambda a, v: characteristic_polynomial(a)},
+    "eulerian": {"auto": "descents", "descents": lambda a, v: eulerian_poly(a)},
 }
 
 
@@ -97,7 +97,7 @@ def cmd_poly(args) -> int:
         raise PreconditionError(f"method {args.method!r} does not apply to {which}")
     method = routes["auto"] if args.method == "auto" else args.method
     try:
-        poly = routes[method](a, v, args.seed)
+        poly = routes[method](a, v)
     except ValueError as exc:
         raise PreconditionError(str(exc)) from None
     elapsed_ms = int((time.perf_counter() - t0) * 1000)
@@ -212,7 +212,7 @@ def _verify_paths(args, failures):
         psi = cocharacteristic(a)
         _check(f"paths/{family}/cochar-reparam",
                peul_from_cochar(psi, lattice.rank) == p, failures)
-        v = find_very_generic(a, args.seed)
+        v = find_very_generic(a)
         _check(f"paths/{family}/halfspace",
                cochar_via_halfspace(a, v) == psi, failures)
         if is_simplicial(a):
@@ -315,6 +315,16 @@ def cmd_verify(args) -> int:
     return 0
 
 
+def _nonnegative_int(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0: {text!r}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="primeul",
@@ -334,18 +344,16 @@ def build_parser() -> argparse.ArgumentParser:
                         default="auto")
     p_poly.add_argument("--v", help="comma-separated rational vector")
     p_poly.add_argument("--json", action="store_true")
-    p_poly.add_argument("--seed", type=int, default=0)
     p_poly.set_defaults(fn=cmd_poly)
 
     p_verify = sub.add_parser("verify", help="run invariant suites")
     p_verify.add_argument("suite",
                           choices=("paths", "recursions", "statistics", "egf",
                                    "roots", "all"))
-    p_verify.add_argument("--max-rank", type=int, default=3, dest="max_rank")
-    p_verify.add_argument("--nmax", type=int, default=6)
-    p_verify.add_argument("--order", type=int, default=6)
-    p_verify.add_argument("--dn-max", type=int, default=30, dest="dn_max")
-    p_verify.add_argument("--seed", type=int, default=0)
+    p_verify.add_argument("--max-rank", type=_nonnegative_int, default=3, dest="max_rank")
+    p_verify.add_argument("--nmax", type=_nonnegative_int, default=6)
+    p_verify.add_argument("--order", type=_nonnegative_int, default=6)
+    p_verify.add_argument("--dn-max", type=_nonnegative_int, default=30, dest="dn_max")
     p_verify.add_argument("--long", action="store_true")
     p_verify.set_defaults(fn=cmd_verify)
 

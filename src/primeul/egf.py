@@ -73,6 +73,8 @@ class TruncatedEgf:
     coeffs: tuple[QPoly, ...]
 
     def __post_init__(self):
+        if self.order < 0:
+            raise ValueError("order must be >= 0")
         if len(self.coeffs) != self.order + 1:
             raise ValueError("need exactly order + 1 coefficients")
         object.__setattr__(self, "coeffs", tuple(_ptrim(c) for c in self.coeffs))

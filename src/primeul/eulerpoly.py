@@ -14,7 +14,6 @@ arrangement).
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 
 from .arrangement import (Arrangement, build_flats, is_very_generic_vector,
                           very_generic_failure)
@@ -27,7 +26,7 @@ __all__ = [
     "primitive_eulerian_mobius", "cocharacteristic", "peul_from_cochar",
     "primitive_eulerian_recursive", "cochar_via_halfspace",
     "primitive_eulerian_descents", "h_poly_relation_check", "eulerian_poly",
-    "find_very_generic", "perturb_blocked_vector", "base_region_of",
+    "find_very_generic", "base_region_of",
 ]
 
 
@@ -81,44 +80,12 @@ def primitive_eulerian_recursive(a: Arrangement) -> IntPoly:
     return peul(lattice.bottom_index, lattice.top_index)
 
 
-def _canonical_halfspace_candidates(a: Arrangement):
-    n = a.dim
-    yield tuple(2 ** i for i in range(n))
-    blocked = tuple([-1] * (n - 1) + [n - 1])
-    tilt = tuple(range(1, n + 1))
-    v = perturb_blocked_vector(a, blocked, tilt)
-    if v is not None:
-        yield v
-
-
-def perturb_blocked_vector(a: Arrangement, v, direction):
-    """v + eps * direction with eps > 0 rational, small enough that no sign
-    of v against a hyperplane normal or a rank-1 flat direction changes.
-
-    Returns None when the direction cannot clear a blocked sign (both dot
-    products vanish somewhere).
-    """
-    if len(v) != a.dim or len(direction) != a.dim:
-        raise ValueError("vector dimension mismatch")
-    dots = [(dot(u, v), dot(u, direction))
-            for u in a.normals + build_flats(a).atom_directions]
-    if (0, 0) in dots:
-        return None
-    eps = min((Fraction(abs(pv), abs(pd)) for pv, pd in dots if pv and pd),
-              default=Fraction(2)) / 2
-    return tuple(Fraction(x) + eps * d for x, d in zip(v, direction))
-
-
-def find_very_generic(a: Arrangement, seed: int = 0):
-    """A deterministic very generic vector: canonical candidates first, then
-    seeded random integer combinations of the span of the normals."""
-    for v in _canonical_halfspace_candidates(a):
-        if is_very_generic_vector(a, v):
-            return v
+def find_very_generic(a: Arrangement):
+    """A deterministic very generic vector: the first very generic one among
+    integer combinations of the span of the normals drawn from
+    random.Random(0).  With no hyperplanes the span is empty and v is 0."""
     span = rref_int(a.normals, a.dim)
-    if not span:
-        raise ValueError("trivial arrangement has no very generic vector")
-    rng = random.Random(seed)
+    rng = random.Random(0)
     for _ in range(10000):
         coeffs = [rng.randint(-99, 99) for _ in span]
         v = tuple(sum(c * row[j] for c, row in zip(coeffs, span))
@@ -141,19 +108,19 @@ def base_region_of(a: Arrangement, v) -> tuple:
     return tuple(signs)
 
 
-def _very_generic(a: Arrangement, v, seed: int):
+def _very_generic(a: Arrangement, v):
     """v once it is checked to be very generic, or a found one if v is None."""
     if v is None:
-        return find_very_generic(a, seed)
+        return find_very_generic(a)
     failure = very_generic_failure(a, v)
     if failure is not None:
         raise ValueError(f"v not very generic: {failure}")
     return v
 
 
-def cochar_via_halfspace(a: Arrangement, v=None, seed: int = 0) -> IntPoly:
+def cochar_via_halfspace(a: Arrangement, v=None) -> IntPoly:
     """Graded count of the faces inside the halfspace {<v, x> <= 0}."""
-    v = _very_generic(a, v, seed)
+    v = _very_generic(a, v)
     fan = enumerate_faces(a)
     return IntPoly.from_counts(fan.grade(f) for f in filter(fan.halfspace_test(v), fan.faces))
 
@@ -168,7 +135,7 @@ class UpperSetError(ValueError):
             f"is inside but its cover {witness[1]} is not")
 
 
-def primitive_eulerian_descents(a: Arrangement, v=None, seed: int = 0) -> IntPoly:
+def primitive_eulerian_descents(a: Arrangement, v=None) -> IntPoly:
     """sum of z^{descents(C)} over regions inside the halfspace of v, with
     base region the one containing v.
 
@@ -177,7 +144,7 @@ def primitive_eulerian_descents(a: Arrangement, v=None, seed: int = 0) -> IntPol
     """
     if not is_simplicial(a):
         raise ValueError("descent path requires a simplicial arrangement")
-    v = _very_generic(a, v, seed)
+    v = _very_generic(a, v)
     base = base_region_of(a, v)
     order = WeakOrder(a, base)
     contained = list(filter(enumerate_faces(a).halfspace_test(v), order.regions))
@@ -187,13 +154,13 @@ def primitive_eulerian_descents(a: Arrangement, v=None, seed: int = 0) -> IntPol
     return IntPoly.from_counts(order.descents(c) for c in contained)
 
 
-def h_poly_relation_check(a: Arrangement, v=None, seed: int = 0) -> bool:
+def h_poly_relation_check(a: Arrangement, v=None) -> bool:
     """Verify z^r h(Sigma(h), 1/z) equals the mobius-path polynomial, with h
     computed from the face counts of the halfspace complex by the standard
     f-to-h transform at rank r."""
     if not is_simplicial(a):
         raise ValueError("h-polynomial check requires a simplicial arrangement")
-    psi = cochar_via_halfspace(a, v, seed)
+    psi = cochar_via_halfspace(a, v)
     r = build_flats(a).rank
     # h(y) = sum_k f_{k-1} y^k (1-y)^{r-k}, where f_{k-1} counts grade-k faces.
     one_minus_y = IntPoly((1, -1))

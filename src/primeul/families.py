@@ -96,7 +96,20 @@ def generic_gn(n: int) -> Arrangement:
 
 
 # Simple roots in the standard rational coordinates; the full root systems
-# are generated by closing under the simple reflections.
+# are generated by closing under the simple reflections.  E6 and E7 take the
+# first 6 and 7 simple roots of E8.
+_E8_SIMPLE_ROOTS = (
+    (Fraction(1, 2), Fraction(-1, 2), Fraction(-1, 2), Fraction(-1, 2),
+     Fraction(-1, 2), Fraction(-1, 2), Fraction(-1, 2), Fraction(1, 2)),
+    (1, 1, 0, 0, 0, 0, 0, 0),
+    (-1, 1, 0, 0, 0, 0, 0, 0),
+    (0, -1, 1, 0, 0, 0, 0, 0),
+    (0, 0, -1, 1, 0, 0, 0, 0),
+    (0, 0, 0, -1, 1, 0, 0, 0),
+    (0, 0, 0, 0, -1, 1, 0, 0),
+    (0, 0, 0, 0, 0, -1, 1, 0),
+)
+
 _SIMPLE_ROOTS = {
     "F4": (
         (0, 1, -1, 0),
@@ -104,36 +117,9 @@ _SIMPLE_ROOTS = {
         (0, 0, 0, 1),
         (Fraction(1, 2), Fraction(-1, 2), Fraction(-1, 2), Fraction(-1, 2)),
     ),
-    "E6": (
-        (Fraction(1, 2), Fraction(-1, 2), Fraction(-1, 2), Fraction(-1, 2),
-         Fraction(-1, 2), Fraction(-1, 2), Fraction(-1, 2), Fraction(1, 2)),
-        (1, 1, 0, 0, 0, 0, 0, 0),
-        (-1, 1, 0, 0, 0, 0, 0, 0),
-        (0, -1, 1, 0, 0, 0, 0, 0),
-        (0, 0, -1, 1, 0, 0, 0, 0),
-        (0, 0, 0, -1, 1, 0, 0, 0),
-    ),
-    "E7": (
-        (Fraction(1, 2), Fraction(-1, 2), Fraction(-1, 2), Fraction(-1, 2),
-         Fraction(-1, 2), Fraction(-1, 2), Fraction(-1, 2), Fraction(1, 2)),
-        (1, 1, 0, 0, 0, 0, 0, 0),
-        (-1, 1, 0, 0, 0, 0, 0, 0),
-        (0, -1, 1, 0, 0, 0, 0, 0),
-        (0, 0, -1, 1, 0, 0, 0, 0),
-        (0, 0, 0, -1, 1, 0, 0, 0),
-        (0, 0, 0, 0, -1, 1, 0, 0),
-    ),
-    "E8": (
-        (Fraction(1, 2), Fraction(-1, 2), Fraction(-1, 2), Fraction(-1, 2),
-         Fraction(-1, 2), Fraction(-1, 2), Fraction(-1, 2), Fraction(1, 2)),
-        (1, 1, 0, 0, 0, 0, 0, 0),
-        (-1, 1, 0, 0, 0, 0, 0, 0),
-        (0, -1, 1, 0, 0, 0, 0, 0),
-        (0, 0, -1, 1, 0, 0, 0, 0),
-        (0, 0, 0, -1, 1, 0, 0, 0),
-        (0, 0, 0, 0, -1, 1, 0, 0),
-        (0, 0, 0, 0, 0, -1, 1, 0),
-    ),
+    "E6": _E8_SIMPLE_ROOTS[:6],
+    "E7": _E8_SIMPLE_ROOTS[:7],
+    "E8": _E8_SIMPLE_ROOTS,
 }
 
 ROOT_COUNTS = {"F4": 24, "E6": 36, "E7": 63, "E8": 120}

@@ -32,6 +32,7 @@ from primeul.linalg import Subspace, primitive_signed, rank
 from primeul.roots import interlaces, is_real_rooted
 from primeul.tables import EXCEPTIONAL, TYPE_B, TYPE_D
 from primeul.weakorder import WeakOrder
+from test_faces import _random_very_generic
 
 FOUR_CYCLE = graphic(4, [(1, 2), (2, 3), (3, 4), (4, 1)])
 
@@ -189,7 +190,7 @@ def test_2_greene_zaslavsky_random_halfspaces():
         mu_top = abs(lattice.mobius_bottom[lattice.top_index])
         regions = enumerate_regions(a)
         for trial in range(5):
-            v = find_very_generic(a, seed=rng.randint(0, 10 ** 6))
+            v = _random_very_generic(a, rng)
             inside = sum(1 for c in regions if region_in_halfspace(a, c, v))
             assert inside == mu_top, (a, v)
 
@@ -217,7 +218,7 @@ def test_2_upper_sets_on_sharp_builtins():
         if not is_sharp(a):
             continue
         for trial in range(3):
-            v = find_very_generic(a, seed=rng.randint(0, 10 ** 6))
+            v = _random_very_generic(a, rng)
             base = base_region_of(a, v)
             order = WeakOrder(a, base)
             inside = [c for c in order.regions if region_in_halfspace(a, c, v)]

@@ -1,9 +1,12 @@
-"""The names exported from ``primeul`` are the API contract: adding or
-removing one is a deliberate change made here and listed in CHANGES.md."""
+"""The names exported from ``primeul`` and the options of each ``primeul``
+subcommand are the API contract: adding or removing one is a deliberate
+change made here and listed in CHANGES.md."""
 
+import argparse
 import types
 
 import primeul
+from primeul.cli import build_parser
 
 EXPORTED = {
     # arrangements and their lattices of flats
@@ -38,3 +41,20 @@ def test_exported_names():
              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
     assert names == EXPORTED
 
+
+
+CLI_OPTIONS = {
+    "poly": {"--family", "--file", "--which", "--method", "--v", "--json"},
+    "verify": {"--max-rank", "--nmax", "--order", "--dn-max", "--long"},
+    "table": {"--long"},
+    "inspect": {"--family", "--file", "--v", "--json"},
+}
+
+
+def test_cli_options():
+    (sub,) = [action for action in build_parser()._actions
+              if isinstance(action, argparse._SubParsersAction)]
+    options = {name: {s for action in p._actions for s in action.option_strings
+                      if s not in ("-h", "--help")}
+               for name, p in sub.choices.items()}
+    assert options == CLI_OPTIONS

@@ -41,6 +41,12 @@ def test_duplicate_hyperplanes_rejected():
         Arrangement(2, (Hyperplane((2, 0)), Hyperplane((1, 0)), Hyperplane((0, 1))))
 
 
+def test_negative_dimension_rejected():
+    with pytest.raises(ValueError, match="dimension"):
+        Arrangement(-1, ())
+    assert Arrangement(0, ()).rank() == 0
+
+
 def test_non_canonical_normal_rejected():
     for normal in ((0, 0), (2, 0), (-1, 1), (0, 3, -6)):
         with pytest.raises(ValueError, match="nonzero"):

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from primeul.cli import main
 from primeul.intpoly import IntPoly
 
@@ -204,3 +206,12 @@ def test_verify_roots_small(capsys):
     code, out, _ = run(capsys, "verify", "roots", "--dn-max", "6")
     assert code == 0
     assert "PASS roots/G4-not-real-rooted" in out
+
+
+def test_negative_bounds_exit_2(capsys):
+    for suite, option in (("egf", "--order"), ("recursions", "--nmax"),
+                          ("roots", "--dn-max"), ("paths", "--max-rank")):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", suite, option, "-1"])
+        assert exc.value.code == 2, (suite, option)
+        assert f"argument {option}: must be >= 0" in capsys.readouterr().err

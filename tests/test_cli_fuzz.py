@@ -68,6 +68,7 @@ def test_vector_text(text):
 @example("2\n1/0 1")
 @example("2\n1e10000000 1")
 @example("\n")
+@example("-1")
 def test_file_text(text):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "fuzz.arr"

@@ -94,6 +94,14 @@ def test_preconditions():
         egf_sqrt(g)
 
 
+def test_negative_order_rejected():
+    with pytest.raises(ValueError, match="order must be >= 0"):
+        TruncatedEgf(-1, ())
+    with pytest.raises(ValueError, match="order must be >= 0"):
+        TruncatedEgf.constant(1, -1)
+    assert TruncatedEgf.constant(1, 0).coeffs == ((Fraction(1),),)
+
+
 def test_order_mismatch():
     with pytest.raises(ValueError):
         TruncatedEgf.constant(1, 3) + TruncatedEgf.constant(1, 4)
