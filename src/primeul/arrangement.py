@@ -137,8 +137,6 @@ class FlatLattice:
             for j in below_i:
                 above[j].append(i)
         self.covers_above = tuple(map(tuple, above))
-        self.mobius_bottom: tuple[int, ...] = _mobius_bottom(
-            self.covers_below, [f.dim for f in self.flats])
 
     def __len__(self) -> int:
         return len(self.flats)
@@ -169,6 +167,11 @@ class FlatLattice:
         for i in range(len(self.flats)):
             out[self.grade(i)].append(i)
         return out
+
+    @cached_property
+    def mobius_bottom(self) -> tuple[int, ...]:
+        """mu(bottom, X) for every flat X, computed on first use."""
+        return _mobius_bottom(self.covers_below, [f.dim for f in self.flats])
 
     @cached_property
     def bottom_basis(self) -> tuple[tuple[int, ...], ...]:

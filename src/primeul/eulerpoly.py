@@ -17,7 +17,7 @@ import random
 
 from .arrangement import (Arrangement, build_flats, is_very_generic_vector,
                           very_generic_failure)
-from .faces import enumerate_faces, enumerate_regions, is_simplicial
+from .faces import enumerate_faces, is_simplicial
 from .intpoly import IntPoly, Z, ZM1
 from .linalg import dot, rref_int
 from .weakorder import WeakOrder
@@ -122,7 +122,9 @@ def cochar_via_halfspace(a: Arrangement, v=None) -> IntPoly:
     """Graded count of the faces inside the halfspace {<v, x> <= 0}."""
     v = _very_generic(a, v)
     fan = enumerate_faces(a)
-    return IntPoly.from_counts(fan.grade(f) for f in filter(fan.halfspace_test(v), fan.faces))
+    up = fan.halfspace_mask(v)
+    return IntPoly.from_counts(fan.packed_grade(f) for f in fan.packed_faces
+                               if not fan.ray_mask(f) & up)
 
 
 class UpperSetError(ValueError):
@@ -145,13 +147,15 @@ def primitive_eulerian_descents(a: Arrangement, v=None) -> IntPoly:
     if not is_simplicial(a):
         raise ValueError("descent path requires a simplicial arrangement")
     v = _very_generic(a, v)
-    base = base_region_of(a, v)
-    order = WeakOrder(a, base)
-    contained = list(filter(enumerate_faces(a).halfspace_test(v), order.regions))
-    witness = order.upper_set_failure(contained)
-    if witness is not None:
-        raise UpperSetError(witness)
-    return IntPoly.from_counts(order.descents(c) for c in contained)
+    order = WeakOrder(a, base_region_of(a, v))
+    fan = enumerate_faces(a)
+    up = fan.halfspace_mask(v)
+    contained = [c for c in fan.packed_regions if not fan.ray_mask(c) & up]
+    if order.packed_failure(contained) is not None:
+        # The witness comes from the sign-vector API: the first pair met in
+        # the iteration order of the set of contained sign vectors.
+        raise UpperSetError(order.upper_set_failure(map(fan.unpack, contained)))
+    return IntPoly.from_counts(map(order.packed_descents, contained))
 
 
 def h_poly_relation_check(a: Arrangement, v=None) -> bool:
@@ -176,8 +180,8 @@ def eulerian_poly(a: Arrangement, base=None) -> IntPoly:
     simplicial arrangements."""
     if not is_simplicial(a):
         raise ValueError("descent polynomial requires a simplicial arrangement")
-    regions = enumerate_regions(a)
+    fan = enumerate_faces(a)
     if base is None:
-        base = regions[0]
+        base = fan.unpack(fan.packed_regions[0])
     order = WeakOrder(a, base)
-    return IntPoly.from_counts(order.descents(c) for c in regions)
+    return IntPoly.from_counts(map(order.packed_descents, fan.packed_regions))

@@ -2,24 +2,25 @@
 product, separation sets, rays, walls, simpliciality and sharpness tests.
 
 A sign vector assigns -1, 0 or +1 to every hyperplane in arrangement order.
-The faces are the covectors of the arrangement's oriented matroid: all
-compositions of its cocircuits, which are the sign vectors of the two rays
-along each rank-1 flat, ± its direction.  The directions and the basis of ⊥
-that the halfspace test reads come from the lattice of flats.  The closure
-packs a sign vector into one int, plus | minus << m, from its masks of +
-and - hyperplanes; composing f with a cocircuit c rewrites f only on its
-zero mask z: (p | c.p & z, n | c.n & z).  Each face keeps the mask of the
-cocircuits (rays) in its closure, the AND over the hyperplanes h of those
-allowed by f's sign at h; each region keeps its walls, the h for which the
-region with 0 at h is a face.  Every geometric test reads these, so no
-linear program is solved.  Regions are the faces without zeros.  The order
-used everywhere sorts sign vectors by entry with 0 < + < -.
+The fan, the weak order and the geometric routes hold it packed into one
+int, plus | minus << m, from its masks of + and - hyperplanes; that is
+their one internal form, and the fan builds the sign tuples of its API on
+first use.  The faces are the covectors of the arrangement's
+oriented matroid: all compositions of its cocircuits, which are the sign
+vectors of the two rays along each rank-1 flat, ± its direction.  The
+directions and the basis of ⊥ that the halfspace test reads come from the
+lattice of flats.  Composing f with a cocircuit c rewrites f only on its
+zero mask z: (p | c.p & z, n | c.n & z).  A ray c lies in the closure of f
+iff c & ~f == 0, so a face's ray mask is read from tables over 8-bit chunks
+of f; each region keeps its walls, the h for which the region with 0 at h
+is a face.  Every geometric test reads these, so no linear program is
+solved.  Regions are the faces without zeros.  The order used everywhere
+sorts sign vectors by entry with 0 < + < -.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache, reduce
-from operator import and_, getitem
+from functools import cached_property, lru_cache
 
 from .arrangement import Arrangement, build_flats, very_generic_failure
 from .linalg import dot
@@ -31,6 +32,11 @@ _SORT = {0: 0, 1: 1, -1: 2}
 
 def sign_key(signs: SignVector) -> tuple[int, ...]:
     return tuple(_SORT[s] for s in signs)
+
+
+def set_bits(mask: int) -> list[int]:
+    """Positions of the set bits of mask, lowest first."""
+    return [h for h in range(mask.bit_length()) if mask >> h & 1]
 
 
 def _compositions(cocircuits, m: int) -> set[int]:
@@ -57,70 +63,125 @@ def _compositions(cocircuits, m: int) -> set[int]:
 
 
 class FanIndex:
-    """Complete list of faces of an arrangement, indexed by sign vector,
-    with the rays in the closure of each face as a bitmask over
-    ``directions`` and the walls of each region."""
+    """Complete list of faces of an arrangement as packed sign vectors, with
+    the rays in the closure of each face as a bitmask over ``directions`` and
+    the walls of each region.
+
+    ``packed_faces`` is the closure, ``packed_regions`` its regions in fan
+    order and ``wall_masks`` their walls as masks of hyperplanes.  The
+    sign-vector views ``faces``, ``index``, ``dims``, ``ray_masks``,
+    ``walls`` and ``regions()`` are built on first use.
+    """
 
     def __init__(self, arrangement: Arrangement):
         self.arrangement = arrangement
         lattice = build_flats(arrangement)
         normals = arrangement.normals
-        m = len(normals)
-        full = (1 << m) - 1
-        bits = f"0{m}b"
-
-        def order(f: int) -> int:
-            """sign_key on packed sign vectors: the decimal digit for
-            hyperplane h, most significant first, is 0, 1 or 2."""
-            return int(format(f & full, bits)[::-1]) + 2 * int(format(f >> m, bits)[::-1])
-
+        self.m = m = len(normals)
+        self._full = full = (1 << m) - 1
         self.bottom_basis = lattice.bottom_basis
+        self.bottom_dim = lattice.bottom_dim
+        self.rank = lattice.rank
+        self._dim_of = dict(zip(lattice.masks, (flat.dim for flat in lattice.flats)))
         directions: dict[int, tuple[int, ...]] = {}
         for d in lattice.atom_directions:
             for r in (d, tuple(-x for x in d)):
-                dots = [dot(n, r) for n in normals]
-                directions[sum(1 << h + (x < 0) * m for h, x in enumerate(dots) if x)] = r
-        cocircuits = sorted(directions, key=order)
+                directions[self.pack([dot(n, r) for n in normals])] = r
+        cocircuits = sorted(directions, key=self._order)
         self.directions = tuple(map(directions.get, cocircuits))
-        # on[b]: the rays with bit b set (+ at b, or - at b - m).  allowed[h][s]:
-        # the rays whose sign at h is 0 or s (only 0 for s = 0); a ray lies
-        # in the closure of f iff f allows it at every h.
-        all_rays = (1 << len(cocircuits)) - 1
+        # A ray c lies in the closure of f iff c & ~f == 0.  _chunks[k][x]:
+        # the rays with no bit among the sign bits 8k..8k+7 outside x; a
+        # face's ray mask is the AND of its chunks' entries.
+        self._rays = (1 << len(cocircuits)) - 1
         on = [sum(1 << i for i, c in enumerate(cocircuits) if c >> b & 1)
               for b in range(2 * m)]
-        zero = [all_rays ^ on[h] ^ on[h + m] for h in range(m)]
-        allowed = [(z, z | on[h], z | on[h + m]) for h, z in enumerate(zero)]
-        found = _compositions(cocircuits, m)
-        ordered = sorted(found, key=order)
-        self.faces: tuple[SignVector, ...] = tuple(
-            tuple([(f >> h & 1) - (f >> h + m & 1) for h in range(m)]) for f in ordered)
-        dim_of = dict(zip(lattice.masks, (flat.dim for flat in lattice.flats)))
-        self.dims: tuple[int, ...] = tuple(dim_of[full & ~(f | f >> m)]
-                                           for f in ordered)
-        self.ray_masks: tuple[int, ...] = tuple(
-            reduce(and_, map(getitem, allowed, f), all_rays) for f in self.faces)
-        self.index: dict[SignVector, int] = {f: i for i, f in enumerate(self.faces)}
-        # Regions have no zeros, so their flat is the whole space; h is a
-        # wall of a region iff the region with 0 at h is a face.
-        tops = [i for i, d in enumerate(self.dims) if d == arrangement.dim]
-        self._regions = tuple(self.faces[i] for i in tops)
-        self.walls: tuple[tuple[int, ...], ...] = tuple(
-            tuple(h for h in range(m) if ordered[i] & ~(1 << h | 1 << h + m) in found)
-            for i in tops)
-        self.bottom_dim = lattice.bottom_dim
-        self.rank = lattice.rank
+        self._chunks = []
+        for k in range(0, 2 * m, 8):
+            hit = [0]  # hit[x]: the rays with a bit of the chunk in x
+            for rays in on[k:k + 8]:
+                hit += [h | rays for h in hit]
+            self._chunks.append((k, [self._rays ^ hit[x ^ len(hit) - 1]
+                                     for x in range(len(hit))]))
+        found = self.packed_faces = _compositions(cocircuits, m)
+        # Regions are the faces without zeros; h is a wall of a region iff
+        # the region with 0 at h is a face.
+        self.packed_regions: tuple[int, ...] = tuple(sorted(
+            (f for f in found if (f | f >> m) & full == full), key=self._order))
+        self.wall_masks: tuple[int, ...] = tuple(
+            sum(1 << h for h in range(m) if f & ~(1 << h | 1 << h + m) in found)
+            for f in self.packed_regions)
 
     def __len__(self) -> int:
-        return len(self.faces)
+        return len(self.packed_faces)
+
+    def _order(self, f: int) -> int:
+        """sign_key on packed sign vectors: the decimal digit for
+        hyperplane h, most significant first, is 0, 1 or 2."""
+        digits = f"0{self.m}b"
+        return (int(format(f & self._full, digits)[::-1])
+                + 2 * int(format(f >> self.m, digits)[::-1]))
+
+    def pack(self, f) -> int:
+        """plus | minus << m for the sign vector f."""
+        return sum(1 << h + (s < 0) * self.m for h, s in enumerate(f) if s)
+
+    def unpack(self, f: int) -> SignVector:
+        m = self.m
+        return tuple([(f >> h & 1) - (f >> h + m & 1) for h in range(m)])
+
+    def key(self, f: SignVector) -> int:
+        """The packed form of the face f; KeyError if f is not a face."""
+        p = self.pack(f)
+        if p not in self.packed_faces or self.unpack(p) != f:
+            raise KeyError(f)
+        return p
+
+    def ray_mask(self, f: int) -> int:
+        """The rays in the closure of the packed face f."""
+        rays = self._rays
+        for k, table in self._chunks:
+            rays &= table[f >> k & 255]
+        return rays
+
+    def packed_grade(self, f: int) -> int:
+        return self._dim_of[self._full & ~(f | f >> self.m)] - self.bottom_dim
+
+    @cached_property
+    def _ordered(self) -> tuple[int, ...]:
+        return tuple(sorted(self.packed_faces, key=self._order))
+
+    @cached_property
+    def faces(self) -> tuple[SignVector, ...]:
+        return tuple(map(self.unpack, self._ordered))
+
+    @cached_property
+    def index(self) -> dict[SignVector, int]:
+        return {f: i for i, f in enumerate(self.faces)}
+
+    @cached_property
+    def dims(self) -> tuple[int, ...]:
+        return tuple(self.packed_grade(f) + self.bottom_dim for f in self._ordered)
+
+    @cached_property
+    def ray_masks(self) -> tuple[int, ...]:
+        return tuple(map(self.ray_mask, self._ordered))
+
+    @cached_property
+    def walls(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(tuple(set_bits(w)) for w in self.wall_masks)
+
+    @cached_property
+    def _regions(self) -> tuple[SignVector, ...]:
+        return tuple(map(self.unpack, self.packed_regions))
 
     def grade(self, f: SignVector) -> int:
-        return self.dims[self.index[f]] - self.bottom_dim
+        return self.packed_grade(self.key(f))
 
     def f_vector(self) -> tuple[int, ...]:
         """Face counts by lattice grade, grade 0 (the central face) first."""
         out = [0] * (self.rank + 1)
-        for i in range(len(self.faces)):
-            out[self.dims[i] - self.bottom_dim] += 1
+        for f in self.packed_faces:
+            out[self.packed_grade(f)] += 1
         return tuple(out)
 
     def regions(self) -> tuple[SignVector, ...]:
@@ -128,23 +189,29 @@ class FanIndex:
 
     def rays_of(self, f: SignVector) -> tuple[tuple[int, ...], ...]:
         """Directions of the rays in the closure of f, in fan order."""
-        r = self.ray_masks[self.index[f]]
+        r = self.ray_mask(self.key(f))
         return tuple(d for i, d in enumerate(self.directions) if r >> i & 1)
 
-    def halfspace_test(self, v):
-        """Predicate on faces: True iff the closed face lies in
-        {x : <v, x> <= 0}.
+    def halfspace_mask(self, v) -> int | None:
+        """The rays d with <v, d> > 0, or None if v is not orthogonal to ⊥.
 
-        The closed face is ⊥ plus the cone over its rays, so it lies in the
-        halfspace iff v is orthogonal to ⊥ and none of its rays has
-        <v, d> > 0; both are settled here, once per v.
+        The closed face is ⊥ plus the cone over its rays, so it lies in
+        {x : <v, x> <= 0} iff v is orthogonal to ⊥ and its ray mask misses
+        this mask; both are settled here, once per v.
         """
         if len(v) != self.arrangement.dim:
             raise ValueError("vector dimension mismatch")
         if any(dot(v, b) for b in self.bottom_basis):
+            return None
+        return sum(1 << i for i, d in enumerate(self.directions) if dot(v, d) > 0)
+
+    def halfspace_test(self, v):
+        """Predicate on faces: True iff the closed face lies in
+        {x : <v, x> <= 0}."""
+        up = self.halfspace_mask(v)
+        if up is None:
             return lambda f: False
-        up = sum(1 << i for i, d in enumerate(self.directions) if dot(v, d) > 0)
-        return lambda f: not self.ray_masks[self.index[f]] & up
+        return lambda f: not self.ray_mask(self.key(f)) & up
 
     @property
     def center(self) -> SignVector:
@@ -194,8 +261,7 @@ def rays_of_region(fan: FanIndex, c: SignVector) -> tuple[tuple[int, ...], ...]:
 def is_simplicial(a: Arrangement) -> bool:
     """True iff every region has exactly rank(a) rays."""
     fan = enumerate_faces(a)
-    return all(fan.ray_masks[fan.index[c]].bit_count() == fan.rank
-               for c in fan.regions())
+    return all(fan.ray_mask(c).bit_count() == fan.rank for c in fan.packed_regions)
 
 
 def is_sharp(a: Arrangement) -> bool:
@@ -213,10 +279,13 @@ def is_sharp(a: Arrangement) -> bool:
     if not is_simplicial(a):
         return False
     normals = a.normals
-    for c, walls in zip(fan.regions(), fan.walls):
+    for c, wall_mask in zip(fan.packed_regions, fan.wall_masks):
+        walls = set_bits(wall_mask)
         for x, h in enumerate(walls):
             for k in walls[x + 1:]:
-                if c[h] * c[k] * dot(normals[h], normals[k]) > 0:
+                # c[h] * c[k] is -1 iff the plus bits of c differ at h and k
+                sign = 1 - 2 * ((c >> h ^ c >> k) & 1)
+                if sign * dot(normals[h], normals[k]) > 0:
                     return False
     return True
 
@@ -235,4 +304,5 @@ def faces_in_halfspace(fan: FanIndex, v) -> tuple[SignVector, ...]:
     failure = very_generic_failure(fan.arrangement, v)
     if failure is not None:
         raise ValueError(f"v not very generic: {failure}")
-    return tuple(filter(fan.halfspace_test(v), fan.faces))
+    up = fan.halfspace_mask(v)
+    return tuple(f for f, r in zip(fan.faces, fan.ray_masks) if not r & up)

@@ -36,11 +36,14 @@ def scale_to_int(vec) -> tuple[int, ...]:
 
 def primitive(vec) -> tuple[int, ...]:
     """Integer vector with content 1, same direction (zero stays zero)."""
-    iv = scale_to_int(vec)
-    g = gcd(*iv)
+    try:
+        g = gcd(*vec)
+    except TypeError:  # a non-integer entry: clear the denominators first
+        vec = scale_to_int(vec)
+        g = gcd(*vec)
     if g <= 1:
-        return iv
-    return tuple(c // g for c in iv)
+        return tuple(vec)
+    return tuple(c // g for c in vec)
 
 
 def primitive_signed(vec) -> tuple[int, ...]:

@@ -12,6 +12,7 @@ from primeul.arrangement import (Arrangement, Hyperplane, build_flats,
                                  is_very_generic_vector, localization,
                                  product, restriction, very_generic_failure)
 from primeul.cli import _PATH_BUILTINS
+from primeul.eulerpoly import primitive_eulerian_recursive
 from primeul.families import (braid, graphic, parse_family, rank2, root_system,
                               type_b, type_d)
 from primeul.intpoly import IntPoly
@@ -398,3 +399,13 @@ def test_type_d_flats_are_b_partitions_without_size_two_zero_block():
             if nzero != 1:
                 b_counts[blat.grade(i)] += 1
         assert d_counts == b_counts, n
+
+
+def test_recursive_route_leaves_mobius_unbuilt():
+    # mu(bottom, .) is computed on first use, so the recursive route, which
+    # never reads it, does not pay for it.
+    build_flats.cache_clear()
+    a = type_b(4)
+    primitive_eulerian_recursive(a)
+    assert "mobius_bottom" not in vars(build_flats(a))
+    assert build_flats(a).mobius_bottom[build_flats(a).top_index] == 105

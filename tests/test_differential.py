@@ -7,10 +7,16 @@ from hypothesis import strategies as st
 
 from primeul.arrangement import (Arrangement, Hyperplane, build_flats,
                                  essentialize, localization, restriction)
-from primeul.eulerpoly import (cocharacteristic, peul_from_cochar,
+from primeul.eulerpoly import (UpperSetError, base_region_of,
+                               cochar_via_halfspace, cocharacteristic,
+                               find_very_generic, peul_from_cochar,
+                               primitive_eulerian_descents,
                                primitive_eulerian_mobius,
                                primitive_eulerian_recursive)
+from primeul.faces import (enumerate_faces, is_simplicial,
+                           region_in_halfspace, sign_key)
 from primeul.intpoly import ZM1
+from primeul.weakorder import WeakOrder
 
 
 @st.composite
@@ -45,3 +51,28 @@ def test_routes_agree(a):
         if lattice.grade(i) == 1 and 0 not in x.containing:
             q = q + primitive_eulerian_mobius(localization(a, x))
     assert q == p
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(arrangements())
+@example(Arrangement(3, ()))
+@example(Arrangement.from_normals([(1, 0), (1, 1)], 2))
+def test_packed_routes_agree(a):
+    p = primitive_eulerian_mobius(a)
+    rank = build_flats(a).rank
+    assert peul_from_cochar(cochar_via_halfspace(a), rank) == p
+    fan = enumerate_faces(a)
+    assert len(fan) == len(fan.faces)
+    assert list(fan.faces) == sorted(fan.faces, key=sign_key)
+    assert is_simplicial(a) == all(len(fan.rays_of(c)) == fan.rank
+                                   for c in fan.regions())
+    if not is_simplicial(a):
+        return
+    try:
+        assert primitive_eulerian_descents(a) == p
+    except UpperSetError as exc:
+        # the witness is a cover pair leaving the halfspace
+        c, d = exc.witness
+        v = find_very_generic(a)
+        assert d in WeakOrder(a, base_region_of(a, v)).covers_above(c)
+        assert region_in_halfspace(a, c, v) and not region_in_halfspace(a, d, v)

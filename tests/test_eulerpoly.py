@@ -191,6 +191,32 @@ def test_nonsharp_negative_witness():
     assert primitive_eulerian_mobius(skew) == Z ** 2
 
 
+@pytest.mark.parametrize("normals, v, witness", [
+    ([(1, 0), (1, 1)], (1, 3), ((1, -1), (-1, -1))),
+    # several contained regions leave the halfspace here; the witness is
+    # the first met in the order of the set of contained sign vectors, not
+    # the first in fan order, ((1, 1, -1, 1), (1, 1, 1, 1))
+    ([(0, 1, -1), (2, -1, -1), (2, -1, 2), (1, -2, 1)], (-1, 95, 8),
+     ((-1, 1, -1, 1), (-1, 1, 1, 1))),
+])
+def test_upper_set_witness_is_pinned(normals, v, witness):
+    a = Arrangement.from_normals(normals)
+    with pytest.raises(UpperSetError) as exc:
+        primitive_eulerian_descents(a, v)
+    assert exc.value.witness == witness
+
+
+def test_routes_leave_the_sign_vector_views_unbuilt():
+    # The geometric routes read the packed fan; the sign-vector tuples and
+    # their index are built only when the API asks for them.
+    enumerate_faces.cache_clear()
+    a = type_b(4)
+    assert peul_from_cochar(cochar_via_halfspace(a), 4) == primitive_eulerian_descents(a)
+    fan = enumerate_faces(a)
+    assert "faces" not in vars(fan) and "index" not in vars(fan)
+    assert len(fan.faces) == len(fan) == 1697
+
+
 def test_product_law():
     pairs = [(rank2(3), Arrangement.from_normals([(1,)], 1)),
              (type_b(2), rank2(4)),

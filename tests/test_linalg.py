@@ -1,4 +1,6 @@
+import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -83,3 +85,77 @@ def test_subspace_contains():
 def test_subspace_mismatch():
     with pytest.raises(ValueError):
         Subspace.full(2).intersect(Subspace.full(3))
+
+
+def _oracle_scale_to_int(vec):
+    if all(type(c) is int for c in vec):
+        return tuple(vec)
+    m = 1
+    for c in vec:
+        if isinstance(c, Fraction):
+            d = c.denominator
+            m = m * d // gcd(m, d)
+    return tuple(int(c * m) for c in vec)
+
+
+def _oracle_primitive(vec):
+    iv = _oracle_scale_to_int(vec)
+    g = gcd(*iv)
+    return iv if g <= 1 else tuple(c // g for c in iv)
+
+
+def _oracle_rref(rows, ncols):
+    """Row reduction with every row scaled to integers by a test for
+    all-int entries, kept here as the reference for rref_int."""
+    mat = [list(_oracle_primitive(r)) for r in rows if any(r)]
+    nrows, r = len(mat), 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, nrows) if mat[i][c]), None)
+        if pr is None:
+            continue
+        mat[r], mat[pr] = mat[pr], mat[r]
+        prow, pval = mat[r], mat[r][c]
+        for i in range(nrows):
+            if i != r and mat[i][c]:
+                v = mat[i][c]
+                row = [pval * a - v * b for a, b in zip(mat[i], prow)]
+                g = gcd(*row)
+                mat[i] = [x // g for x in row] if g > 1 else row
+        r += 1
+        if r == nrows:
+            break
+    out = []
+    for row in mat[:r]:
+        lead = next(c for c in row if c)
+        out.append(tuple(row) if lead > 0 else tuple(-x for x in row))
+    return tuple(out)
+
+
+def _oracle_nullspace(rows, ncols):
+    red = _oracle_rref(rows, ncols)
+    pivots = [next(c for c in range(ncols) if row[c]) for row in red]
+    basis = []
+    for free in range(ncols):
+        if free not in pivots:
+            vec = [Fraction(0)] * ncols
+            vec[free] = Fraction(1)
+            for row, pc in zip(red, pivots):
+                vec[pc] = -Fraction(row[free], row[pc])
+            basis.append(tuple(vec))
+    return _oracle_rref(basis, ncols)
+
+
+def test_rref_and_nullspace_against_reference():
+    # Integer rows take the gcd directly and only rows with a Fraction are
+    # scaled first; the output must not depend on which way a row went.
+    rng = random.Random(11)
+    for trial in range(3000):
+        ncols = rng.randint(1, 5)
+
+        def entry():
+            x = rng.randint(-6, 6)
+            return Fraction(x, rng.randint(1, 4)) if trial % 2 else x
+
+        rows = [tuple(entry() for _ in range(ncols)) for _ in range(rng.randint(0, 5))]
+        assert rref_int(rows, ncols) == _oracle_rref(rows, ncols), rows
+        assert nullspace(rows, ncols) == _oracle_nullspace(rows, ncols), rows
