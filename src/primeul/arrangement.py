@@ -6,8 +6,9 @@ duplicates detectable.  Flats are keyed by the int bitmask of the
 hyperplanes containing them; since a flat equals the intersection of exactly
 that set, containment of flats is containment of masks in reverse.  The
 flats just below a flat X are the classes of the hyperplanes off X, grouped
-by their restriction to X: a line in coordinates on X, cut from the lines of
-a flat just above X.  Mobius values come from the covers.  The lattice also
+by their restriction to X: a line, kept as a normal reduced modulo the key
+of X (the canonical RREF of its normal space), which is the one new row of
+its cover's key.  Mobius values come from the covers.  The lattice also
 owns a basis of the minimum flat ⊥ and the direction of each rank-1 flat
 inside the span of the normals; the very generic test and the fan read them.
 """
@@ -16,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
-from math import gcd
 from operator import or_
 
 from .intpoly import IntPoly
@@ -98,10 +98,10 @@ class FlatLattice:
 
         # Grade by grade down from the ambient space, whose restricted lines
         # are the normals.  The hyperplanes on one line of a flat make one
-        # cover; ``down`` keeps them all.  ``gens`` maps every mask found to
-        # hyperplanes whose normals span the flat's normal space, reduced
-        # once at the end.
-        gens = {0: ()}
+        # cover; ``down`` keeps them all.  ``keys`` maps every mask found to
+        # its flat's key: the parent's rows with column c eliminated by the
+        # line d of pivot c, plus d, in pivot order (descending tuples).
+        keys = {0: ()}
         down: dict[int, list[int]] = {}
         level = {0: {v: 1 << j for j, v in enumerate(normals)}}
         while level:
@@ -112,12 +112,13 @@ class FlatLattice:
                     cover = mask | group
                     covers.append(cover)
                     if cover not in below:
-                        gens[cover] = gens[mask] + ((group & -group).bit_length() - 1,)
-                        below[cover] = _cut(lines, d)
+                        c = next(i for i, x in enumerate(d) if x)
+                        keys[cover] = tuple(sorted([_reduce(r, d, c) if r[c] else r
+                                                    for r in keys[mask]] + [d], reverse=True))
+                        below[cover] = _cut(lines, d, c)
             level = below
 
-        flats = sorted((n - len(g), rref_int([normals[j] for j in g], n), mask)
-                       for mask, g in gens.items())
+        flats = sorted((n - len(key), key, mask) for mask, key in keys.items())
         self.flats: tuple[Flat, ...] = tuple(
             Flat(Subspace(n, key), frozenset(j for j in range(len(normals))
                                              if mask >> j & 1))
@@ -127,7 +128,7 @@ class FlatLattice:
         self.masks = tuple(mask for _, _, mask in flats)
         self.bottom_dim = flats[0][0]
         self.rank = n - self.bottom_dim
-        self._pos = {f.subspace.normals: i for i, f in enumerate(self.flats)}
+        self._pos = {f.subspace: i for i, f in enumerate(self.flats)}
         # Positions of the flats that flat i covers / that cover flat i.
         at = {m: i for i, m in enumerate(self.masks)}
         self.covers_below = tuple(tuple(sorted(at[c] for c in down[m]))
@@ -149,10 +150,10 @@ class FlatLattice:
         return self.masks[i] & self.masks[j] == self.masks[j]
 
     def position(self, subspace: Subspace) -> int:
-        return self._pos[subspace.normals]
+        return self._pos[subspace]
 
     def find(self, subspace: Subspace) -> int | None:
-        return self._pos.get(subspace.normals)
+        return self._pos.get(subspace)
 
     @property
     def bottom_index(self) -> int:
@@ -188,23 +189,18 @@ class FlatLattice:
                      for i in self.covers_above[self.bottom_index])
 
 
-def _cut(lines, d):
-    """The restricted lines of the cover cut out by the line d.  The vectors
-    d[i0] e_i - d[i] e_i0 (i != i0) are a basis of the kernel of d, so a line
-    r maps to d[i0] r - r[i0] d with coordinate i0 dropped; lines landing on
-    one image join their masks."""
-    i0 = next(i for i, c in enumerate(d) if c)
-    a0, zero = d[i0], (0,) * (len(d) - 1)
+def _reduce(r, d, c):
+    """r with column c eliminated by d, whose pivot is c; primitive_signed."""
+    return primitive_signed([d[c] * x - r[c] * y for x, y in zip(r, d)])
+
+
+def _cut(lines, d, c):
+    """The lines of the cover cut out by the line d with pivot c, reduced
+    modulo the cover's key; lines landing on one image join their masks."""
     out: dict[tuple[int, ...], int] = {}
     for r, m in lines.items():
         if r != d:
-            v = [a0 * x - r[i0] * y for x, y in zip(r, d)]
-            v = tuple(v[:i0] + v[i0 + 1:])
-            g = gcd(*v)
-            if v < zero:
-                g = -g
-            if g != 1:
-                v = tuple(x // g for x in v)
+            v = _reduce(r, d, c) if r[c] else r
             out[v] = out.get(v, 0) | m
     return out
 

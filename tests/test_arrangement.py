@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from primeul.arrangement import (Arrangement, Hyperplane, build_flats,
-                                 characteristic_polynomial,
+from primeul.arrangement import (Arrangement, FlatLattice, Hyperplane,
+                                 build_flats, characteristic_polynomial,
                                  count_regions_zaslavsky, essentialize,
                                  halfspace_failure,
                                  is_very_generic_vector, localization,
@@ -409,3 +409,33 @@ def test_recursive_route_leaves_mobius_unbuilt():
     primitive_eulerian_recursive(a)
     assert "mobius_bottom" not in vars(build_flats(a))
     assert build_flats(a).mobius_bottom[build_flats(a).top_index] == 105
+
+
+def test_lattice_keys_equal_row_reduction(monkeypatch):
+    # Each key is built from its parent's key and one reduced line; it must
+    # be the canonical RREF of the normals of the hyperplanes containing the
+    # flat, and the build must not row-reduce any flat on its own.
+    cases = [root_system("E6")] + [parse_family(f) for f in
+                                   ("A 6", "B 5", "D 5", "Dnk 5 3", "Gn 8")]
+    for a in cases:
+        for flat in build_flats(a).flats:
+            assert flat.subspace.normals == rref_int(
+                [a.normals[j] for j in sorted(flat.containing)], a.dim), (a, flat)
+
+    def refuse(*args):
+        raise AssertionError("rref_int called while building the lattice")
+
+    monkeypatch.setattr("primeul.arrangement.rref_int", refuse)
+    for a in cases:
+        assert FlatLattice(a).flats == build_flats(a).flats
+
+
+def test_find_and_position_read_the_ambient_dimension():
+    # The full space of R^7 has the same empty normal space as the top flat
+    # of "A 3", the full space of R^3, but it is no flat of "A 3".
+    lattice = build_flats(parse_family("A 3"))
+    assert lattice.find(Subspace.full(3)) == lattice.top_index
+    assert lattice.position(Subspace.full(3)) == lattice.top_index
+    assert lattice.find(Subspace.full(7)) is None
+    with pytest.raises(KeyError):
+        lattice.position(Subspace.full(7))
