@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
+from math import gcd
 from operator import or_
 
 from .intpoly import IntPoly
@@ -100,8 +101,10 @@ class FlatLattice:
         # are the normals.  The hyperplanes on one line of a flat make one
         # cover; ``down`` keeps them all.  ``keys`` maps every mask found to
         # its flat's key: the parent's rows with column c eliminated by the
-        # line d of pivot c, plus d, in pivot order (descending tuples).
+        # line d of pivot c, plus d, in pivot order (descending tuples), and
+        # ``containing`` to its set bits, the parent's joined with the line's.
         keys = {0: ()}
+        containing = {0: frozenset()}
         down: dict[int, list[int]] = {}
         level = {0: {v: 1 << j for j, v in enumerate(normals)}}
         while level:
@@ -115,14 +118,13 @@ class FlatLattice:
                         c = next(i for i, x in enumerate(d) if x)
                         keys[cover] = tuple(sorted([_reduce(r, d, c) if r[c] else r
                                                     for r in keys[mask]] + [d], reverse=True))
+                        containing[cover] = containing[mask].union(set_bits(group))
                         below[cover] = _cut(lines, d, c)
             level = below
 
         flats = sorted((n - len(key), key, mask) for mask, key in keys.items())
         self.flats: tuple[Flat, ...] = tuple(
-            Flat(Subspace(n, key), frozenset(j for j in range(len(normals))
-                                             if mask >> j & 1))
-            for _, key, mask in flats)
+            Flat(Subspace(n, key), containing[mask]) for _, key, mask in flats)
         # Bit j of a flat's mask is set iff hyperplane j contains the flat;
         # Y <= X in the lattice iff mask(Y) is a superset of mask(X).
         self.masks = tuple(mask for _, _, mask in flats)
@@ -176,9 +178,9 @@ class FlatLattice:
 
     @cached_property
     def bottom_basis(self) -> tuple[tuple[int, ...], ...]:
-        """Basis of ⊥; a vector is orthogonal to ⊥ iff it lies in the span
-        of the normals."""
-        return nullspace(self.arrangement.normals, self.arrangement.dim)
+        """Basis of ⊥, read off its key; a vector is orthogonal to ⊥ iff it
+        lies in the span of the normals."""
+        return nullspace(self.flats[0].subspace.normals, self.arrangement.dim)
 
     @cached_property
     def atom_directions(self) -> tuple[tuple[int, ...], ...]:
@@ -190,8 +192,21 @@ class FlatLattice:
 
 
 def _reduce(r, d, c):
-    """r with column c eliminated by d, whose pivot is c; primitive_signed."""
-    return primitive_signed([d[c] * x - r[c] * y for x, y in zip(r, d)])
+    """r with column c eliminated by d, whose pivot is c; primitive_signed.
+    r is off the line of d, so the result is nonzero."""
+    a, b = d[c], r[c]
+    v = [a * x - b * y for x, y in zip(r, d)]
+    g = gcd(*v) if next(filter(None, v)) > 0 else -gcd(*v)
+    return tuple([x // g for x in v]) if g != 1 else tuple(v)
+
+
+def set_bits(mask: int) -> list[int]:
+    """Positions of the set bits of mask, lowest first."""
+    out = []
+    while mask:
+        out.append((mask & -mask).bit_length() - 1)
+        mask &= mask - 1
+    return out
 
 
 def _cut(lines, d, c):

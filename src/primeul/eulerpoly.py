@@ -2,7 +2,8 @@
 
 1. mobius:    sum of |mu(bot, X)| (z-1)^corank over the lattice of flats;
 2. recursive: deletion-style recursion over a pivot hyperplane, run on
-              intervals of the one lattice of flats;
+              intervals of the one lattice of flats, with each interval's
+              polynomial kept as a tuple of integer coefficients;
 3. halfspace: graded face count of a very generic halfspace, reparametrized;
 4. descents:  descent statistic over the regions inside such a halfspace.
 
@@ -19,7 +20,7 @@ from .arrangement import (Arrangement, build_flats, is_very_generic_vector,
                           very_generic_failure)
 from .faces import enumerate_faces, is_simplicial
 from .intpoly import IntPoly, Z, ZM1
-from .linalg import dot, rref_int
+from .linalg import dot
 from .weakorder import WeakOrder
 
 __all__ = [
@@ -59,32 +60,39 @@ def primitive_eulerian_recursive(a: Arrangement) -> IntPoly:
     pivot of P_{localization}, on intervals [lo, hi] of the lattice of flats:
     the pivot is the first coatom C of [lo, hi], its restriction is [lo, C],
     and the localization at an atom X not below C is [X, hi].  An interval
-    with as many coatoms as its rank is Boolean, with P = z^rank."""
+    with as many coatoms as its rank is Boolean, with P = z^rank.  Each
+    interval's P is memoized as a coefficient tuple, low degree first; flat
+    x lies below flat y iff the mask of y is a subset of the mask of x."""
     lattice = build_flats(a)
-    leq = lattice.leq
-    memo: dict[tuple[int, int], IntPoly] = {}
+    masks, below, above = lattice.masks, lattice.covers_below, lattice.covers_above
+    dims = [f.dim for f in lattice.flats]
+    memo: dict[tuple[int, int], tuple[int, ...]] = {}
 
-    def peul(lo: int, hi: int) -> IntPoly:
+    def peul(lo: int, hi: int) -> tuple[int, ...]:
         if (lo, hi) not in memo:
-            coatoms = [c for c in lattice.covers_below[hi] if leq(lo, c)]
-            r = lattice.grade(hi) - lattice.grade(lo)
+            coatoms = [c for c in below[hi] if masks[c] & masks[lo] == masks[c]]
+            r = dims[hi] - dims[lo]
             if len(coatoms) == r:
-                memo[lo, hi] = Z ** r
+                memo[lo, hi] = (0,) * r + (1,)
             else:
-                pivot = coatoms[0]
-                memo[lo, hi] = sum((peul(x, hi) for x in lattice.covers_above[lo]
-                                    if leq(x, hi) and not leq(x, pivot)),
-                                   ZM1 * peul(lo, pivot))
+                q = peul(lo, coatoms[0])
+                out = [-q[0]] + [x - y for x, y in zip(q, q[1:])] + [q[-1]]  # (z-1) q
+                m_hi, m_pivot = masks[hi], masks[coatoms[0]]
+                for x in above[lo]:
+                    if masks[x] & m_hi == m_hi and masks[x] & m_pivot != m_pivot:
+                        for k, c in enumerate(peul(x, hi)):
+                            out[k] += c
+                memo[lo, hi] = tuple(out)
         return memo[lo, hi]
 
-    return peul(lattice.bottom_index, lattice.top_index)
+    return IntPoly(peul(lattice.bottom_index, lattice.top_index))
 
 
 def find_very_generic(a: Arrangement):
     """A deterministic very generic vector: the first very generic one among
-    integer combinations of the span of the normals drawn from
-    random.Random(0).  With no hyperplanes the span is empty and v is 0."""
-    span = rref_int(a.normals, a.dim)
+    integer combinations of the key rows of ⊥ (spanning the normals) drawn
+    from random.Random(0).  With no hyperplanes the span is empty and v is 0."""
+    span = build_flats(a).flats[0].subspace.normals
     rng = random.Random(0)
     for _ in range(10000):
         coeffs = [rng.randint(-99, 99) for _ in span]

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from functools import cached_property, lru_cache
 
-from .arrangement import Arrangement, build_flats, very_generic_failure
+from .arrangement import Arrangement, build_flats, set_bits, very_generic_failure
 from .linalg import dot
 
 SignVector = tuple  # entries in {-1, 0, +1}, one per hyperplane
@@ -32,11 +32,6 @@ _SORT = {0: 0, 1: 1, -1: 2}
 
 def sign_key(signs: SignVector) -> tuple[int, ...]:
     return tuple(_SORT[s] for s in signs)
-
-
-def set_bits(mask: int) -> list[int]:
-    """Positions of the set bits of mask, lowest first."""
-    return [h for h in range(mask.bit_length()) if mask >> h & 1]
 
 
 def _compositions(cocircuits, m: int) -> set[int]:

@@ -1,4 +1,4 @@
-"""Exact rational linear algebra on integer-scaled vectors.
+"""Exact integer linear algebra; rational vectors are scaled to integer ones.
 
 Vectors are tuples of ints or Fractions.  Subspaces are represented by the
 canonical primitive-integer reduced row echelon form of their *orthogonal
@@ -12,26 +12,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from operator import mul
-
-Vector = tuple
 
 
 def dot(u, v):
     return sum(map(mul, u, v))
-
-
-def scale_to_int(vec) -> tuple[int, ...]:
-    """Clear denominators: integer vector pointing the same way."""
-    if all(type(c) is int for c in vec):
-        return tuple(vec)
-    m = 1
-    for c in vec:
-        if isinstance(c, Fraction):
-            d = c.denominator
-            m = m * d // gcd(m, d)
-    return tuple(int(c * m) for c in vec)
 
 
 def primitive(vec) -> tuple[int, ...]:
@@ -39,20 +25,16 @@ def primitive(vec) -> tuple[int, ...]:
     try:
         g = gcd(*vec)
     except TypeError:  # a non-integer entry: clear the denominators first
-        vec = scale_to_int(vec)
+        m = lcm(*(c.denominator for c in vec if isinstance(c, Fraction)))
+        vec = [int(c * m) for c in vec]
         g = gcd(*vec)
-    if g <= 1:
-        return tuple(vec)
-    return tuple(c // g for c in vec)
+    return tuple(vec) if g <= 1 else tuple(c // g for c in vec)
 
 
 def primitive_signed(vec) -> tuple[int, ...]:
     """Canonical representative of the line through vec: primitive, first nonzero entry positive."""
     p = primitive(vec)
-    for c in p:
-        if c:
-            return p if c > 0 else tuple(-x for x in p)
-    return p
+    return tuple(-x for x in p) if next(filter(None, p), 0) < 0 else p
 
 
 def rref_int(rows, ncols: int) -> tuple[tuple[int, ...], ...]:
@@ -99,19 +81,18 @@ def rank(rows, ncols: int) -> int:
 def nullspace(rows, ncols: int) -> tuple[tuple[int, ...], ...]:
     """Canonical basis of {x : row . x = 0 for every row}, as integer RREF rows."""
     red = rref_int(rows, ncols)
-    pivots = []
-    for row in red:
-        pivots.append(next(c for c in range(ncols) if row[c]))
-    pivot_set = set(pivots)
+    pivots = [next(c for c, x in enumerate(row) if x) for row in red]
     basis = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        vec = [Fraction(0)] * ncols
-        vec[free] = Fraction(1)
-        for row, pc in zip(red, pivots):
-            vec[pc] = -Fraction(row[free], row[pc])
-        basis.append(tuple(vec))
+    for free in sorted(set(range(ncols)).difference(pivots)):
+        # x[free] = m and x[pc] = -row[free] * m / row[pc] on each pivot row
+        # touching the free column; m, the lcm of their pivots, keeps x integral.
+        touch = [(row[free], row[pc], pc) for row, pc in zip(red, pivots) if row[free]]
+        m = lcm(*(p for _, p, _ in touch))
+        vec = [0] * ncols
+        vec[free] = m
+        for x, p, pc in touch:
+            vec[pc] = -x * (m // p)
+        basis.append(vec)
     return rref_int(basis, ncols)
 
 

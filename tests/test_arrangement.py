@@ -2,7 +2,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from primeul.arrangement import (Arrangement, FlatLattice, Hyperplane,
@@ -18,6 +18,7 @@ from primeul.families import (braid, graphic, parse_family, rank2, root_system,
 from primeul.intpoly import IntPoly
 from primeul.linalg import Subspace, dot, in_rowspace, rref_int
 from test_differential import arrangements
+from test_linalg import _oracle_nullspace
 
 FOUR_CYCLE = graphic(4, [(1, 2), (2, 3), (3, 4), (4, 1)])
 
@@ -439,3 +440,33 @@ def test_find_and_position_read_the_ambient_dimension():
     assert lattice.find(Subspace.full(7)) is None
     with pytest.raises(KeyError):
         lattice.position(Subspace.full(7))
+
+
+def _check_containing_and_directions(a):
+    # Containing sets are joined from the parent's set and the cover's
+    # group, and ⊥'s basis is read off its key; both must equal their
+    # definitions, the latter a nullspace computed over Fractions.
+    lattice = build_flats(a)
+    for flat, mask in zip(lattice.flats, lattice.masks):
+        assert flat.containing == {j for j in range(len(a.hyperplanes))
+                                   if mask >> j & 1}, (a, flat)
+    bottom = _oracle_nullspace(a.normals, a.dim)
+    assert lattice.bottom_basis == bottom, a
+    assert lattice.atom_directions == tuple(
+        _oracle_nullspace(lattice.flats[i].subspace.normals + bottom, a.dim)[0]
+        for i in lattice.covers_above[lattice.bottom_index]), a
+
+
+def test_containing_and_directions_against_oracle():
+    for a in (root_system("E6"), type_b(5)):
+        _check_containing_and_directions(a)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(arrangements())
+@example(Arrangement(3, ()))
+# non-essential, and rank 2 in R^3 with three normals
+@example(Arrangement.from_normals([(1, 0, 0, 0), (0, 0, 1, 0)], 4))
+@example(Arrangement.from_normals([(1, -1, 0), (0, 1, -1), (1, 0, -1)], 3))
+def test_containing_and_directions_generated(a):
+    _check_containing_and_directions(a)

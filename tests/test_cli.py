@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import primeul
 from primeul.cli import main
 from primeul.intpoly import IntPoly
 
@@ -215,3 +220,20 @@ def test_negative_bounds_exit_2(capsys):
             main(["verify", suite, option, "-1"])
         assert exc.value.code == 2, (suite, option)
         assert f"argument {option}: must be >= 0" in capsys.readouterr().err
+
+
+def test_python_dash_m_runs_the_cli():
+    # The package runs as a module without an installed console script.
+    src = str(Path(primeul.__file__).parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+
+    def python_m(*argv):
+        return subprocess.run([sys.executable, "-m", "primeul", *argv],
+                              capture_output=True, text=True, env=env, timeout=60)
+
+    done = python_m("poly", "--family", "B 3")
+    assert (done.returncode, done.stdout) == (0, "z^3 + 10z^2 + 4z\n")
+    done = python_m("poly", "--family", "A 0")
+    assert done.returncode == 2
+    assert "braid needs n >= 1" in done.stderr

@@ -1,7 +1,8 @@
 """Route agreement on generated integer arrangements: dim <= 4, entries in
 [-2, 2], at most 7 distinct hyperplanes, non-essential, rank-deficient and
-empty draws included."""
+empty draws included; and the recursive route on denser draws of dim 5-6."""
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -76,3 +77,36 @@ def test_packed_routes_agree(a):
         v = find_very_generic(a)
         assert d in WeakOrder(a, base_region_of(a, v)).covers_above(c)
         assert region_in_halfspace(a, c, v) and not region_in_halfspace(a, d, v)
+
+
+@st.composite
+def dense_arrangements(draw):
+    """dim 5-6, up to 12 hyperplanes whose normals have one or two nonzero
+    entries in [-3, 3]: many coincidences, so many intervals are not Boolean
+    and the recursion shifts and adds (27% of the intervals it memoizes on
+    80 draws, against 3% when every entry is drawn)."""
+    dim = draw(st.integers(5, 6))
+    entry = st.integers(-3, 3).filter(bool)
+    vectors = draw(st.lists(st.dictionaries(st.integers(0, dim - 1), entry,
+                                            min_size=1, max_size=2),
+                            min_size=dim + 2, max_size=12))
+    normals = dict.fromkeys(Hyperplane.from_vector([v.get(j, 0) for j in range(dim)]).normal
+                            for v in vectors)
+    return Arrangement.from_normals(list(normals), dim)
+
+
+def _recursive_equals_mobius(a):
+    assert primitive_eulerian_recursive(a) == primitive_eulerian_mobius(a), a
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(dense_arrangements())
+def test_recursive_route_on_dense_draws(a):
+    _recursive_equals_mobius(a)
+
+
+@pytest.mark.long
+@settings(derandomize=True, deadline=None, max_examples=1000)
+@given(dense_arrangements())
+def test_recursive_route_on_dense_draws_long(a):
+    _recursive_equals_mobius(a)
