@@ -174,15 +174,16 @@ def cmd_table(args) -> int:
     for name in ("H3", "H4", "F4", "E6", "E7", "E8"):
         golden = EXCEPTIONAL[name]
         if name in GOLDEN_ONLY:
-            note = "golden (irrational realization out of scope)"
+            note = f"golden ({GOLDEN_ONLY[name]})"
         elif name in LONG_RUNNING and not args.long:
             note = "golden (long tier; pass --long to recompute)"
         else:
-            computed = primitive_eulerian_mobius(root_system(name))
-            if computed != golden:
+            method, route = (("recursive", primitive_eulerian_recursive)
+                             if name in LONG_RUNNING else ("mobius", primitive_eulerian_mobius))
+            if route(root_system(name)) != golden:
                 print(f"error: {name} row disagrees with golden data", file=sys.stderr)
                 return EXIT_CHECK
-            note = "computed (mobius)"
+            note = f"computed ({method})"
         print(f"{name}\t{golden.format()}\t{note}")
     return 0
 

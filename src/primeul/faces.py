@@ -3,19 +3,19 @@ product, separation sets, rays, walls, simpliciality and sharpness tests.
 
 A sign vector assigns -1, 0 or +1 to every hyperplane in arrangement order.
 The fan, the weak order and the geometric routes hold it packed into one
-int, plus | minus << m, from its masks of + and - hyperplanes; that is
-their one internal form, and the fan builds the sign tuples of its API on
-first use.  The faces are the covectors of the arrangement's
-oriented matroid: all compositions of its cocircuits, which are the sign
-vectors of the two rays along each rank-1 flat, ± its direction.  The
-directions and the basis of ⊥ that the halfspace test reads come from the
-lattice of flats.  Composing f with a cocircuit c rewrites f only on its
-zero mask z: (p | c.p & z, n | c.n & z).  A ray c lies in the closure of f
-iff c & ~f == 0, so a face's ray mask is read from tables over 8-bit chunks
-of f; each region keeps its walls, the h for which the region with 0 at h
-is a face.  Every geometric test reads these, so no linear program is
-solved.  Regions are the faces without zeros.  The order used everywhere
-sorts sign vectors by entry with 0 < + < -.
+int, plus | minus << m, from its masks of + and - hyperplanes, and the fan
+builds the sign tuples of its API on first use.  The faces are built grade
+by grade along the covers of the lattice of flats.  A face f with flat X is
+0 exactly on mask(X) (zz, both halves); the faces just above it are
+f | ±c & zz, one pair per flat Y covering X, for the cocircuit c of a ray
+(± a rank-1 flat's direction) below Y and not below X, whose zero set is
+mask(X ∨ ray) = mask(Y).  Near f the hyperplanes through X cut Y in two,
+and the lattice is graded by dimension, so these are all the faces above f
+and each face is reached once per facet.  A ray c lies in the closure of f
+iff c & ~f == 0, so ray masks are read from tables over 8-bit chunks of f.
+The regions are the top grade; a face one grade down is 0 at one h only
+and is the wall at h of the two regions beside it.  No linear program is
+solved.  The fan order sorts sign vectors by entry with 0 < + < -.
 """
 
 from __future__ import annotations
@@ -32,29 +32,6 @@ _SORT = {0: 0, 1: 1, -1: 2}
 
 def sign_key(signs: SignVector) -> tuple[int, ...]:
     return tuple(_SORT[s] for s in signs)
-
-
-def _compositions(cocircuits, m: int) -> set[int]:
-    """Closure of the zero vector under composition with the packed
-    cocircuits.  Composing f with c rewrites f only on its zero mask z:
-    (p | c.p & z, n | c.n & z), one ``|`` and ``&`` on the packed ints.  The
-    distinct restrictions of the cocircuits are taken once per zero mask."""
-    full = (1 << m) - 1
-    found = {0}
-    stack = [0]
-    restrictions: dict[int, set[int]] = {}
-    while stack:
-        f = stack.pop()
-        z = full & ~(f | f >> m)
-        parts = restrictions.get(z)
-        if parts is None:
-            parts = restrictions[z] = {c & (z | z << m) for c in cocircuits}
-        for c in parts:
-            g = f | c
-            if g not in found:
-                found.add(g)
-                stack.append(g)
-    return found
 
 
 class FanIndex:
@@ -78,10 +55,11 @@ class FanIndex:
         self.bottom_dim = lattice.bottom_dim
         self.rank = lattice.rank
         self._dim_of = dict(zip(lattice.masks, (flat.dim for flat in lattice.flats)))
-        directions: dict[int, tuple[int, ...]] = {}
-        for d in lattice.atom_directions:
-            for r in (d, tuple(-x for x in d)):
-                directions[self.pack([dot(n, r) for n in normals])] = r
+        # The rays of a rank-1 flat are ±d; negating swaps a packed vector's halves.
+        atom_rays = [self.pack([dot(n, d) for n in normals]) for d in lattice.atom_directions]
+        directions = {}
+        for c, d in zip(atom_rays, lattice.atom_directions):
+            directions[c], directions[c >> m | (c & full) << m] = d, tuple(-x for x in d)
         cocircuits = sorted(directions, key=self._order)
         self.directions = tuple(map(directions.get, cocircuits))
         # A ray c lies in the closure of f iff c & ~f == 0.  _chunks[k][x]:
@@ -97,14 +75,34 @@ class FanIndex:
                 hit += [h | rays for h in hit]
             self._chunks.append((k, [self._rays ^ hit[x ^ len(hit) - 1]
                                      for x in range(len(hit))]))
-        found = self.packed_faces = _compositions(cocircuits, m)
-        # Regions are the faces without zeros; h is a wall of a region iff
-        # the region with 0 at h is a face.
+        below = [0] * len(lattice.masks)  # the rank-1 flats below each flat, over the atoms
+        for k, i in enumerate(lattice.covers_above[0]):
+            below[i] = 1 << k
+        for i, covers in enumerate(lattice.covers_below):
+            for j in covers:
+                below[i] |= below[j]
+        # steps[mask(X)]: ±c & zz_X, c a ray below each Y covering X, not below X.
+        steps = {}
+        for x, up, low in zip(lattice.masks, lattice.covers_above, below):
+            cs = [atom_rays[((t := below[y] & ~low) & -t).bit_length() - 1] & (x | x << m)
+                  for y in up]
+            steps[x] = cs + [c >> m | (c & full) << m for c in cs]
+        found = self.packed_faces = {0}
+        facets, regions = set(), {0}
+        for _ in range(self.rank):
+            facets, regions = regions, set()
+            for f in facets:
+                regions.update(map(f.__or__, steps[full & ~(f | f >> m)]))
+            found |= regions
+        walls = dict.fromkeys(regions, 0)
+        for f in facets:  # z = 1 << h: f is the wall at h of f | z and f | z << m
+            z = full & ~(f | f >> m)
+            walls[f | z] |= z
+            walls[f | z << m] |= z
+        # On regions, the fan order is the order of the bit-reversed - mask.
         self.packed_regions: tuple[int, ...] = tuple(sorted(
-            (f for f in found if (f | f >> m) & full == full), key=self._order))
-        self.wall_masks: tuple[int, ...] = tuple(
-            sum(1 << h for h in range(m) if f & ~(1 << h | 1 << h + m) in found)
-            for f in self.packed_regions)
+            regions, key=lambda f, digits=f"0{m}b": int(format(f >> m, digits)[::-1], 2)))
+        self.wall_masks: tuple[int, ...] = tuple(map(walls.get, self.packed_regions))
 
     def __len__(self) -> int:
         return len(self.packed_faces)

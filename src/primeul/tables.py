@@ -1,8 +1,8 @@
 """Golden polynomial tables for the classical and exceptional families.
 
-The H3 and H4 rows require irrational coordinates, so they are embedded as
-golden data; every other row is reproducible by the library and pinned by
-the test suite.
+The H3 and H4 rows require irrational coordinates and the E8 lattice is
+beyond desk scale, so they are embedded as golden data; every other row is
+reproducible by the library and pinned by the test suite.
 """
 
 from __future__ import annotations
@@ -38,7 +38,8 @@ EXCEPTIONAL = {
                    60853504, 11946408, 440872, 1)),
 }
 
-#: Rows that cannot be realized with rational normals.
-GOLDEN_ONLY = ("H3", "H4")
-#: Rows whose lattice is too large for the default desk-scale run.
-LONG_RUNNING = ("E7", "E8")
+_IRRATIONAL = "irrational realization out of scope"
+#: Rows that are never recomputed, with the reason.
+GOLDEN_ONLY = {"H3": _IRRATIONAL, "H4": _IRRATIONAL, "E8": "lattice too large to recompute"}
+#: Rows recomputed by the recursive route only under --long.
+LONG_RUNNING = ("E7",)

@@ -184,6 +184,39 @@ def test_table_exceptional(capsys):
     assert "z^4 + 1316z^3 + 3844z^2 + 900z" in out
 
 
+def test_table_exceptional_long_recomputes_e7_only(capsys, monkeypatch):
+    # --long recomputes E7 by the recursive route and never builds E8
+    from primeul import cli
+    from primeul.tables import EXCEPTIONAL
+    built, solved = [], []
+
+    def root_system(name):
+        built.append(name)
+        return name
+
+    def recursive(a):
+        solved.append(a)
+        return EXCEPTIONAL[a]
+
+    monkeypatch.setattr(cli, "root_system", root_system)
+    monkeypatch.setattr(cli, "primitive_eulerian_recursive", recursive)
+    monkeypatch.setattr(cli, "primitive_eulerian_mobius", EXCEPTIONAL.get)
+    code, out, _ = run(capsys, "table", "exceptional", "--long")
+    assert code == 0
+    assert (built, solved) == (["F4", "E6", "E7"], ["E7"])
+    lines = out.strip().splitlines()
+    assert lines[5].startswith("E7\t") and lines[5].endswith("\tcomputed (recursive)")
+    assert lines[6].startswith("E8\t") and lines[6].endswith(
+        "\tgolden (lattice too large to recompute)")
+
+
+@pytest.mark.long
+def test_table_exceptional_long_within_a_minute():
+    done = python_m("table", "exceptional", "--long")
+    assert done.returncode == 0, done.stderr
+    assert "computed (recursive)" in done.stdout
+
+
 def test_table_exceptional_golden_mismatch_exit_1(capsys, monkeypatch):
     from primeul import tables
     monkeypatch.setitem(tables.EXCEPTIONAL, "F4", IntPoly((0, 1)))
@@ -222,16 +255,17 @@ def test_negative_bounds_exit_2(capsys):
         assert f"argument {option}: must be >= 0" in capsys.readouterr().err
 
 
-def test_python_dash_m_runs_the_cli():
-    # The package runs as a module without an installed console script.
+def python_m(*argv):
+    """``python -m primeul *argv`` on this package's sources, at most 60 s."""
     src = str(Path(primeul.__file__).parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    return subprocess.run([sys.executable, "-m", "primeul", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
 
-    def python_m(*argv):
-        return subprocess.run([sys.executable, "-m", "primeul", *argv],
-                              capture_output=True, text=True, env=env, timeout=60)
 
+def test_python_dash_m_runs_the_cli():
+    # The package runs as a module without an installed console script.
     done = python_m("poly", "--family", "B 3")
     assert (done.returncode, done.stdout) == (0, "z^3 + 10z^2 + 4z\n")
     done = python_m("poly", "--family", "A 0")

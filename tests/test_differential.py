@@ -1,13 +1,15 @@
 """Route agreement on generated integer arrangements: dim <= 4, entries in
 [-2, 2], at most 7 distinct hyperplanes, non-essential, rank-deficient and
-empty draws included; and the recursive route on denser draws of dim 5-6."""
+empty draws included; P and the f-vector under relabelling, symmetries and
+products of such draws; and the recursive route on denser draws of dim 5-6."""
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from primeul.arrangement import (Arrangement, Hyperplane, build_flats,
-                                 essentialize, localization, restriction)
+                                 essentialize, localization, product,
+                                 restriction)
 from primeul.eulerpoly import (UpperSetError, base_region_of,
                                cochar_via_halfspace, cocharacteristic,
                                find_very_generic, peul_from_cochar,
@@ -77,6 +79,57 @@ def test_packed_routes_agree(a):
         v = find_very_generic(a)
         assert d in WeakOrder(a, base_region_of(a, v)).covers_above(c)
         assert region_in_halfspace(a, c, v) and not region_in_halfspace(a, d, v)
+
+
+@st.composite
+def relabellings(draw):
+    """A generated arrangement with an order of its hyperplanes, an order
+    of the coordinates, coordinate sign flips and normal scales."""
+    a = draw(arrangements())
+    m, n = len(a.hyperplanes), a.dim
+    return (a, draw(st.permutations(range(m))), draw(st.permutations(range(n))),
+            draw(st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n)),
+            draw(st.lists(st.sampled_from((-3, -2, -1, 1, 2, 3)), min_size=m, max_size=m)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(relabellings())
+@example((Arrangement(3, ()), [], [2, 0, 1], [1, -1, 1], []))
+@example((Arrangement.from_normals([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)], 3),
+          [3, 1, 0, 2], [1, 2, 0], [-1, 1, -1], [2, -1, 3, -2]))
+def test_invariant_under_relabelling_and_symmetries(case):
+    # P depends only on the lattice of flats: permuting the hyperplanes or
+    # the coordinates, flipping coordinate signs, and flipping or scaling
+    # normals keep it; the f-vector of the fan does not see the order of
+    # the hyperplanes either.
+    a, order, coords, flips, scales = case
+    n, normals = a.dim, a.normals
+    p, f = primitive_eulerian_mobius(a), enumerate_faces(a).f_vector()
+    permuted = Arrangement.from_normals([normals[i] for i in order], n)
+    assert primitive_eulerian_mobius(permuted) == p
+    assert enumerate_faces(permuted).f_vector() == f
+    moved = Arrangement.from_normals(
+        [tuple(s * v[j] for s, j in zip(flips, coords)) for v in normals], n)
+    assert primitive_eulerian_mobius(moved) == p
+    scaled = Arrangement.from_normals(
+        [tuple(c * x for x in v) for c, v in zip(scales, normals)], n)
+    assert primitive_eulerian_mobius(scaled) == p
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(arrangements(), arrangements())
+def test_product_multiplies(a, b):
+    # The lattice of A x B is the product of the lattices and its fan the
+    # product of the fans: P multiplies and the f-vectors convolve.
+    ab = product(a, b)
+    assert primitive_eulerian_mobius(ab) == (primitive_eulerian_mobius(a)
+                                              * primitive_eulerian_mobius(b))
+    fa, fb = enumerate_faces(a).f_vector(), enumerate_faces(b).f_vector()
+    want = [0] * (len(fa) + len(fb) - 1)
+    for i, x in enumerate(fa):
+        for j, y in enumerate(fb):
+            want[i + j] += x * y
+    assert enumerate_faces(ab).f_vector() == tuple(want)
 
 
 @st.composite

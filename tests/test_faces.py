@@ -1,15 +1,19 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
 
 from primeul.arrangement import (Arrangement, build_flats, count_regions_zaslavsky,
                                  essentialize, is_very_generic_vector)
-from primeul.faces import (enumerate_faces, enumerate_regions, face_leq,
+from primeul.cli import _PATH_BUILTINS
+from primeul.faces import (FanIndex, enumerate_faces, enumerate_regions, face_leq,
                            faces_in_halfspace, is_sharp, is_simplicial,
                            opposite, rays_of_region, region_in_halfspace,
                            separation_set, sign_key, tits_product)
-from primeul.families import braid, generic_gn, graphic, rank2, type_b, type_d, type_dnk
-from primeul.linalg import rref_int
+from primeul.families import (braid, generic_gn, graphic, parse_family, rank2,
+                              type_b, type_d, type_dnk)
+from primeul.linalg import dot, rref_int
+from test_differential import arrangements
 
 FOUR_CYCLE = graphic(4, [(1, 2), (2, 3), (3, 4), (4, 1)])
 COORD2 = Arrangement.from_normals([(1, 0), (0, 1)], 2)
@@ -276,3 +280,83 @@ def test_empty_arrangement_fan():
     assert fan.faces == ((),)
     assert fan.f_vector() == (1,)
     assert fan.regions() == ((),)
+
+
+def _compositions(cocircuits, m: int) -> set[int]:
+    """Closure of the zero vector under composition with the packed
+    cocircuits: the faces by definition.  Composing f with c rewrites f only
+    on its zero mask z: (p | c.p & z, n | c.n & z).  The distinct
+    restrictions of the cocircuits are taken once per zero mask."""
+    full = (1 << m) - 1
+    found = {0}
+    stack = [0]
+    restrictions: dict[int, set[int]] = {}
+    while stack:
+        f = stack.pop()
+        z = full & ~(f | f >> m)
+        parts = restrictions.get(z)
+        if parts is None:
+            parts = restrictions[z] = {c & (z | z << m) for c in cocircuits}
+        for c in parts:
+            g = f | c
+            if g not in found:
+                found.add(g)
+                stack.append(g)
+    return found
+
+
+def _oracle_fan(a):
+    """packed_faces, packed_regions, wall_masks and directions by their
+    definitions: the faces are the compositions of the cocircuits (the sign
+    vectors of ± each rank-1 flat's direction), the regions the faces
+    without zeros in fan order, and h is a wall of a region iff the region
+    with 0 at h is a face."""
+    m = len(a.hyperplanes)
+
+    def pack(signs):
+        return sum(1 << h + (s < 0) * m for h, s in enumerate(signs) if s)
+
+    def unpack(f):
+        return tuple((f >> h & 1) - (f >> h + m & 1) for h in range(m))
+
+    rays = {}
+    for d in build_flats(a).atom_directions:
+        for r in (d, tuple(-x for x in d)):
+            rays[tuple((x > 0) - (x < 0) for x in (dot(n, r) for n in a.normals))] = r
+    faces = _compositions([pack(c) for c in rays], m)
+    regions = tuple(sorted((f for f in faces if 0 not in unpack(f)),
+                           key=lambda f: sign_key(unpack(f))))
+    walls = tuple(sum(1 << h for h in range(m) if f & ~(1 << h | 1 << h + m) in faces)
+                  for f in regions)
+    return faces, regions, walls, tuple(rays[c] for c in sorted(rays, key=sign_key))
+
+
+def _cover_fan_equals_oracle(a):
+    fan = FanIndex(a)
+    got = (fan.packed_faces, fan.packed_regions, fan.wall_masks, fan.directions)
+    assert got == _oracle_fan(a), a
+
+
+@pytest.mark.parametrize("family", _PATH_BUILTINS + ("A 6", "B 5", "D 5", "Dnk 5 3", "F4"))
+def test_cover_fan_against_compositions(family):
+    _cover_fan_equals_oracle(parse_family(family))
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(arrangements())
+@example(Arrangement(0, ()))
+@example(Arrangement(3, ()))
+# non-essential, rank-deficient, and four generic planes (not simplicial)
+@example(Arrangement.from_normals([(1, 0, 0, 0), (0, 0, 1, 0)], 4))
+@example(Arrangement.from_normals([(1, -1, 0), (0, 1, -1), (1, 0, -1)], 3))
+@example(Arrangement.from_normals([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)], 3))
+def test_cover_fan_against_compositions_generated(a):
+    _cover_fan_equals_oracle(a)
+
+
+@pytest.mark.long
+def test_cover_fan_against_compositions_d6():
+    a = type_d(6)
+    _cover_fan_equals_oracle(a)
+    assert len(enumerate_faces(a)) == 216113
+    assert len(enumerate_regions(a)) == 23040
