@@ -8,9 +8,11 @@ that set, containment of flats is containment of masks in reverse.  The
 flats just below a flat X are the classes of the hyperplanes off X, grouped
 by their restriction to X: a line, kept as a normal reduced modulo the key
 of X (the canonical RREF of its normal space), which is the one new row of
-its cover's key.  Mobius values come from the covers.  The lattice also
-owns a basis of the minimum flat ⊥ and the direction of each rank-1 flat
-inside the span of the normals; the very generic test and the fan read them.
+its cover's key.  Mobius values come from the covers.  Inside the lattice
+a flat is its mask, dimension and key; ``Flat`` objects, with their
+containing sets, are built only for the API.  The lattice also owns a basis
+of the minimum flat ⊥ and the direction of each rank-1 flat inside the span
+of the normals; the very generic test and the fan read them.
 """
 
 from __future__ import annotations
@@ -88,8 +90,10 @@ class FlatLattice:
     """All intersections of hyperplane subsets, with Mobius values from ⊥.
 
     Flats are sorted by (grade, canonical key), where grade is the lattice
-    height above the minimum flat; positions in ``flats`` are the handles
-    used everywhere else.
+    height above the minimum flat; positions are the handles used everywhere
+    else.  Flat i is ``masks[i]``, ``dims[i]`` and ``keys[i]`` (the canonical
+    RREF of its normal space).  The views ``flats`` and the index behind
+    ``find`` and ``position`` are built on first use; no route reads them.
     """
 
     def __init__(self, arrangement: Arrangement):
@@ -101,10 +105,8 @@ class FlatLattice:
         # are the normals.  The hyperplanes on one line of a flat make one
         # cover; ``down`` keeps them all.  ``keys`` maps every mask found to
         # its flat's key: the parent's rows with column c eliminated by the
-        # line d of pivot c, plus d, in pivot order (descending tuples), and
-        # ``containing`` to its set bits, the parent's joined with the line's.
+        # line d of pivot c, plus d, in pivot order (descending tuples).
         keys = {0: ()}
-        containing = {0: frozenset()}
         down: dict[int, list[int]] = {}
         level = {0: {v: 1 << j for j, v in enumerate(normals)}}
         while level:
@@ -118,34 +120,40 @@ class FlatLattice:
                         c = next(i for i, x in enumerate(d) if x)
                         keys[cover] = tuple(sorted([_reduce(r, d, c) if r[c] else r
                                                     for r in keys[mask]] + [d], reverse=True))
-                        containing[cover] = containing[mask].union(set_bits(group))
                         below[cover] = _cut(lines, d, c)
             level = below
 
-        flats = sorted((n - len(key), key, mask) for mask, key in keys.items())
-        self.flats: tuple[Flat, ...] = tuple(
-            Flat(Subspace(n, key), containing[mask]) for _, key, mask in flats)
         # Bit j of a flat's mask is set iff hyperplane j contains the flat;
         # Y <= X in the lattice iff mask(Y) is a superset of mask(X).
-        self.masks = tuple(mask for _, _, mask in flats)
-        self.bottom_dim = flats[0][0]
+        self.dims, self.keys, self.masks = zip(*sorted(
+            (n - len(key), key, mask) for mask, key in keys.items()))
+        self.bottom_dim = self.dims[0]
         self.rank = n - self.bottom_dim
-        self._pos = {f.subspace: i for i, f in enumerate(self.flats)}
         # Positions of the flats that flat i covers / that cover flat i.
         at = {m: i for i, m in enumerate(self.masks)}
         self.covers_below = tuple(tuple(sorted(at[c] for c in down[m]))
                                   for m in self.masks)
-        above: list[list[int]] = [[] for _ in flats]
+        above: list[list[int]] = [[] for _ in self.masks]
         for i, below_i in enumerate(self.covers_below):
             for j in below_i:
                 above[j].append(i)
         self.covers_above = tuple(map(tuple, above))
 
+    @cached_property
+    def flats(self) -> tuple[Flat, ...]:
+        n = self.arrangement.dim
+        return tuple(Flat(Subspace(n, key), frozenset(set_bits(mask)))
+                     for key, mask in zip(self.keys, self.masks))
+
+    @cached_property
+    def _pos(self) -> dict[Subspace, int]:
+        return {f.subspace: i for i, f in enumerate(self.flats)}
+
     def __len__(self) -> int:
-        return len(self.flats)
+        return len(self.masks)
 
     def grade(self, i: int) -> int:
-        return self.flats[i].dim - self.bottom_dim
+        return self.dims[i] - self.bottom_dim
 
     def leq(self, i: int, j: int) -> bool:
         """True iff flat i is contained in flat j."""
@@ -163,30 +171,30 @@ class FlatLattice:
 
     @property
     def top_index(self) -> int:
-        return len(self.flats) - 1
+        return len(self.masks) - 1
 
     def flats_by_grade(self) -> list[list[int]]:
         out: list[list[int]] = [[] for _ in range(self.rank + 1)]
-        for i in range(len(self.flats)):
-            out[self.grade(i)].append(i)
+        for i, dim in enumerate(self.dims):
+            out[dim - self.bottom_dim].append(i)
         return out
 
     @cached_property
     def mobius_bottom(self) -> tuple[int, ...]:
         """mu(bottom, X) for every flat X, computed on first use."""
-        return _mobius_bottom(self.covers_below, [f.dim for f in self.flats])
+        return _mobius_bottom(self.covers_below, self.dims)
 
     @cached_property
     def bottom_basis(self) -> tuple[tuple[int, ...], ...]:
         """Basis of ⊥, read off its key; a vector is orthogonal to ⊥ iff it
         lies in the span of the normals."""
-        return nullspace(self.flats[0].subspace.normals, self.arrangement.dim)
+        return nullspace(self.keys[0], self.arrangement.dim)
 
     @cached_property
     def atom_directions(self) -> tuple[tuple[int, ...], ...]:
         """For each flat in ``covers_above[bottom_index]``, the primitive
         vector spanning it inside the span of the normals."""
-        return tuple(nullspace(self.flats[i].subspace.normals + self.bottom_basis,
+        return tuple(nullspace(self.keys[i] + self.bottom_basis,
                                self.arrangement.dim)[0]
                      for i in self.covers_above[self.bottom_index])
 
@@ -329,7 +337,7 @@ def characteristic_polynomial(a: Arrangement) -> IntPoly:
         low = masks[i] & -masks[i]
         mu[i] = -sum(mu[y] for y in lattice.covers_above[i]
                      if not masks[y] & low) if low else 1
-        coeffs[lattice.flats[i].dim] += mu[i]
+        coeffs[lattice.dims[i]] += mu[i]
     return IntPoly(tuple(coeffs))
 
 

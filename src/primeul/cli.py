@@ -124,7 +124,7 @@ def cmd_inspect(args) -> int:
         ("hyperplanes", len(a.hyperplanes)),
         ("rank", lattice.rank),
         ("flats_by_grade", ",".join(str(len(g)) for g in lattice.flats_by_grade())),
-        ("flats", len(lattice.flats)),
+        ("flats", len(lattice)),
         ("regions", len(enumerate_regions(a))),
         ("faces_by_grade", ",".join(str(c) for c in fan.f_vector())),
         ("faces", len(fan)),

@@ -40,8 +40,8 @@ def cocharacteristic(a: Arrangement) -> IntPoly:
     """sum_X |mu(bot, X)| z^{grade of X above bot} (nonnegative coefficients)."""
     lattice = build_flats(a)
     coeffs = [0] * (lattice.rank + 1)
-    for i in range(len(lattice.flats)):
-        coeffs[lattice.grade(i)] += abs(lattice.mobius_bottom[i])
+    for dim, mu in zip(lattice.dims, lattice.mobius_bottom):
+        coeffs[dim - lattice.bottom_dim] += abs(mu)
     return IntPoly(tuple(coeffs))
 
 
@@ -64,8 +64,8 @@ def primitive_eulerian_recursive(a: Arrangement) -> IntPoly:
     interval's P is memoized as a coefficient tuple, low degree first; flat
     x lies below flat y iff the mask of y is a subset of the mask of x."""
     lattice = build_flats(a)
-    masks, below, above = lattice.masks, lattice.covers_below, lattice.covers_above
-    dims = [f.dim for f in lattice.flats]
+    masks, below, above, dims = (lattice.masks, lattice.covers_below,
+                                 lattice.covers_above, lattice.dims)
     memo: dict[tuple[int, int], tuple[int, ...]] = {}
 
     def peul(lo: int, hi: int) -> tuple[int, ...]:
@@ -92,7 +92,7 @@ def find_very_generic(a: Arrangement):
     """A deterministic very generic vector: the first very generic one among
     integer combinations of the key rows of ⊥ (spanning the normals) drawn
     from random.Random(0).  With no hyperplanes the span is empty and v is 0."""
-    span = build_flats(a).flats[0].subspace.normals
+    span = build_flats(a).keys[0]
     rng = random.Random(0)
     for _ in range(10000):
         coeffs = [rng.randint(-99, 99) for _ in span]

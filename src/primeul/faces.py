@@ -54,7 +54,7 @@ class FanIndex:
         self.bottom_basis = lattice.bottom_basis
         self.bottom_dim = lattice.bottom_dim
         self.rank = lattice.rank
-        self._dim_of = dict(zip(lattice.masks, (flat.dim for flat in lattice.flats)))
+        self._dim_of = dict(zip(lattice.masks, lattice.dims))
         # The rays of a rank-1 flat are ±d; negating swaps a packed vector's halves.
         atom_rays = [self.pack([dot(n, d) for n in normals]) for d in lattice.atom_directions]
         directions = {}

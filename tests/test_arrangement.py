@@ -10,9 +10,15 @@ from primeul.arrangement import (Arrangement, FlatLattice, Hyperplane,
                                  count_regions_zaslavsky, essentialize,
                                  halfspace_failure,
                                  is_very_generic_vector, localization,
-                                 product, restriction, very_generic_failure)
-from primeul.cli import _PATH_BUILTINS
-from primeul.eulerpoly import primitive_eulerian_recursive
+                                 product, restriction, set_bits,
+                                 very_generic_failure)
+from primeul.cli import _PATH_BUILTINS, main
+from primeul.eulerpoly import (cochar_via_halfspace, find_very_generic,
+                               peul_from_cochar, primitive_eulerian_descents,
+                               primitive_eulerian_mobius,
+                               primitive_eulerian_recursive)
+from primeul.faces import (enumerate_faces, enumerate_regions, is_sharp,
+                           is_simplicial)
 from primeul.families import (braid, graphic, parse_family, rank2, root_system,
                               type_b, type_d)
 from primeul.intpoly import IntPoly
@@ -442,14 +448,46 @@ def test_find_and_position_read_the_ambient_dimension():
         lattice.position(Subspace.full(7))
 
 
+def test_routes_leave_the_flat_views_unbuilt(capsys):
+    # Inside the lattice a flat is its mask, dimension and key; the Flat
+    # objects and the index from subspaces to positions are built only when
+    # the API asks for them, so no route, the fan or inspect builds them.
+    build_flats.cache_clear()
+    enumerate_faces.cache_clear()
+    for a in (type_b(4), parse_family("graphic 4 1-2,2-3")):
+        p = primitive_eulerian_mobius(a)
+        assert primitive_eulerian_recursive(a) == p
+        assert peul_from_cochar(cochar_via_halfspace(a), a.rank()) == p
+        assert primitive_eulerian_descents(a) == p
+        assert count_regions_zaslavsky(a) == len(enumerate_regions(a))
+        characteristic_polynomial(a)
+        find_very_generic(a)
+        is_simplicial(a)
+        is_sharp(a)
+        lattice = build_flats(a)
+        assert len(lattice) == sum(map(len, lattice.flats_by_grade()))
+        assert "flats" not in vars(lattice) and "_pos" not in vars(lattice), a
+    assert main(["inspect", "--family", "B 4"]) == 0
+    assert "\nflats: 116\n" in capsys.readouterr().out
+    lattice = build_flats(type_b(4))
+    assert "flats" not in vars(lattice) and "_pos" not in vars(lattice)
+    assert len(lattice.flats) == len(lattice) == 116
+
+
 def _check_containing_and_directions(a):
-    # Containing sets are joined from the parent's set and the cover's
-    # group, and ⊥'s basis is read off its key; both must equal their
-    # definitions, the latter a nullspace computed over Fractions.
+    # Containing sets are read off the masks, and ⊥'s basis off its key;
+    # both must equal their definitions, the latter a nullspace computed
+    # over Fractions.
     lattice = build_flats(a)
     for flat, mask in zip(lattice.flats, lattice.masks):
         assert flat.containing == {j for j in range(len(a.hyperplanes))
                                    if mask >> j & 1}, (a, flat)
+    # The packed fields the routes read agree with the views of the API.
+    for i, flat in enumerate(lattice.flats):
+        assert lattice.dims[i] == flat.dim, (a, i)
+        assert lattice.keys[i] == flat.subspace.normals, (a, i)
+        assert flat.containing == frozenset(set_bits(lattice.masks[i])), (a, i)
+        assert lattice.position(flat.subspace) == i, (a, i)
     bottom = _oracle_nullspace(a.normals, a.dim)
     assert lattice.bottom_basis == bottom, a
     assert lattice.atom_directions == tuple(

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -210,11 +211,26 @@ def test_table_exceptional_long_recomputes_e7_only(capsys, monkeypatch):
         "\tgolden (lattice too large to recompute)")
 
 
+# cli.main, then the process's own peak resident size (VmHWM) on stderr;
+# ru_maxrss would carry the parent's peak across fork and exec.
+_MAIN_WITH_PEAK = """\
+import sys
+from primeul.cli import main
+code = main(sys.argv[1:])
+print(*(line for line in open("/proc/self/status") if line.startswith("VmHWM:")),
+      file=sys.stderr)
+sys.exit(code)
+"""
+
+
 @pytest.mark.long
 def test_table_exceptional_long_within_a_minute():
-    done = python_m("table", "exceptional", "--long")
+    # E7 by the recursive route within the desk budget: 60 s wall, 600 MB.
+    done = python("-c", _MAIN_WITH_PEAK, "table", "exceptional", "--long")
     assert done.returncode == 0, done.stderr
     assert "computed (recursive)" in done.stdout
+    peak_kb = int(re.search(r"VmHWM:\s*(\d+) kB", done.stderr).group(1))
+    assert peak_kb < 600 * 1024, peak_kb
 
 
 def test_table_exceptional_golden_mismatch_exit_1(capsys, monkeypatch):
@@ -255,13 +271,18 @@ def test_negative_bounds_exit_2(capsys):
         assert f"argument {option}: must be >= 0" in capsys.readouterr().err
 
 
-def python_m(*argv):
-    """``python -m primeul *argv`` on this package's sources, at most 60 s."""
+def python(*args):
+    """``python *args`` on this package's sources, at most 60 s."""
     src = str(Path(primeul.__file__).parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    return subprocess.run([sys.executable, "-m", "primeul", *argv],
+    return subprocess.run([sys.executable, *args],
                           capture_output=True, text=True, env=env, timeout=60)
+
+
+def python_m(*argv):
+    """``python -m primeul *argv`` on this package's sources, at most 60 s."""
+    return python("-m", "primeul", *argv)
 
 
 def test_python_dash_m_runs_the_cli():
