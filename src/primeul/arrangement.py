@@ -17,22 +17,22 @@ of the normals; the very generic test and the fan read them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 from math import gcd
 from operator import or_
 
-from .intpoly import IntPoly
-from .linalg import Subspace, dot, nullspace, primitive_signed, rref_int
+from .intpoly import Frozen, IntPoly
+from .linalg import (Subspace, dot, free_solutions, nullspace, primitive_signed,
+                     rref_int)
 
 
-@dataclass(frozen=True)
-class Hyperplane:
-    normal: tuple[int, ...]
+class Hyperplane(Frozen):
+    _fields = ("normal",)
 
-    def __post_init__(self):
-        if not any(self.normal) or self.normal != primitive_signed(self.normal):
-            raise ValueError(f"normal {self.normal} must be nonzero and primitive_signed")
+    def __init__(self, normal: tuple[int, ...]):
+        if not any(normal) or normal != primitive_signed(normal):
+            raise ValueError(f"normal {normal} must be nonzero and primitive_signed")
+        self._set(normal)
 
     @classmethod
     def from_vector(cls, vec) -> Hyperplane:
@@ -43,21 +43,20 @@ class Hyperplane:
         return len(self.normal)
 
 
-@dataclass(frozen=True)
-class Arrangement:
-    dim: int
-    hyperplanes: tuple[Hyperplane, ...]
+class Arrangement(Frozen):
+    _fields = ("dim", "hyperplanes")
 
-    def __post_init__(self):
-        if self.dim < 0:
-            raise ValueError(f"ambient dimension {self.dim} must be >= 0")
+    def __init__(self, dim: int, hyperplanes: tuple[Hyperplane, ...]):
+        if dim < 0:
+            raise ValueError(f"ambient dimension {dim} must be >= 0")
         seen = set()
-        for h in self.hyperplanes:
-            if len(h.normal) != self.dim:
+        for h in hyperplanes:
+            if len(h.normal) != dim:
                 raise ValueError("hyperplane dimension mismatch")
             if h.normal in seen:
                 raise ValueError(f"duplicate hyperplane {h.normal}")
             seen.add(h.normal)
+        self._set(dim, hyperplanes)
 
     @classmethod
     def from_normals(cls, normals, dim: int | None = None) -> Arrangement:
@@ -76,10 +75,11 @@ class Arrangement:
         return len(rref_int(self.normals, self.dim))
 
 
-@dataclass(frozen=True)
-class Flat:
-    subspace: Subspace
-    containing: frozenset[int]
+class Flat(Frozen):
+    _fields = ("subspace", "containing")
+
+    def __init__(self, subspace: Subspace, containing: frozenset[int]):
+        self._set(subspace, containing)
 
     @property
     def dim(self) -> int:
@@ -192,11 +192,14 @@ class FlatLattice:
 
     @cached_property
     def atom_directions(self) -> tuple[tuple[int, ...], ...]:
-        """For each flat in ``covers_above[bottom_index]``, the primitive
-        vector spanning it inside the span of the normals."""
-        return tuple(nullspace(self.keys[i] + self.bottom_basis,
-                               self.arrangement.dim)[0]
-                     for i in self.covers_above[self.bottom_index])
+        """For each flat in ``covers_above[bottom_index]``, the primitive vector spanning it
+        in the span of the normals: the solution of its key, joined by ⊥'s basis if ⊥ ≠ 0."""
+        n, bottom = self.arrangement.dim, self.bottom_basis
+        out = []
+        for i in self.covers_above[self.bottom_index]:
+            key = rref_int(self.keys[i] + bottom, n) if bottom else self.keys[i]
+            out.append(primitive_signed(free_solutions(key, n)[0]))
+        return tuple(out)
 
 
 def _reduce(r, d, c):

@@ -36,6 +36,7 @@ from .tables import EXCEPTIONAL, GOLDEN_ONLY, LONG_RUNNING, TYPE_B, TYPE_D
 EXIT_CHECK = 1
 EXIT_PARSE = 2
 EXIT_PRECONDITION = 3
+MAX_DIM = 1000  # a basis of the minimum flat alone holds up to dim**2 entries
 
 
 class ParseError(Exception):
@@ -47,12 +48,15 @@ class PreconditionError(Exception):
 
 
 def _load_arrangement(args) -> tuple[Arrangement, str]:
+    source = args.family or args.file
     try:
-        if args.family:
-            return parse_family(args.family), args.family
-        return parse_arrangement_file(Path(args.file).read_text()), args.file
+        a = (parse_family(source) if args.family
+             else parse_arrangement_file(Path(source).read_text()))
     except ValueError as exc:
         raise ParseError(str(exc)) from None
+    if a.dim > MAX_DIM:
+        raise PreconditionError(f"ambient dimension {a.dim} exceeds the limit of {MAX_DIM}")
+    return a, source
 
 
 def _parse_v(args, arrangement):

@@ -9,11 +9,10 @@ f'/f, sqrt as exp(log(f) / 2)), so all coefficients stay polynomial.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .intpoly import IntPoly
+from .intpoly import Frozen, IntPoly
 
 QPoly = tuple  # polynomial in z over Fraction, low degree first
 
@@ -65,19 +64,17 @@ def _qpoly(p) -> QPoly:
     return _ptrim(Fraction(c) for c in p)
 
 
-@dataclass(frozen=True)
-class TruncatedEgf:
+class TruncatedEgf(Frozen):
     """Exponential generating series truncated at a fixed order."""
 
-    order: int
-    coeffs: tuple[QPoly, ...]
+    _fields = ("order", "coeffs")
 
-    def __post_init__(self):
-        if self.order < 0:
+    def __init__(self, order: int, coeffs: tuple[QPoly, ...]):
+        if order < 0:
             raise ValueError("order must be >= 0")
-        if len(self.coeffs) != self.order + 1:
+        if len(coeffs) != order + 1:
             raise ValueError("need exactly order + 1 coefficients")
-        object.__setattr__(self, "coeffs", tuple(_ptrim(c) for c in self.coeffs))
+        self._set(order, tuple(_ptrim(c) for c in coeffs))
 
     @classmethod
     def from_polys(cls, polys, order: int = DEFAULT_ORDER) -> TruncatedEgf:

@@ -2,14 +2,45 @@
 
 Coefficients are stored low degree first, e.g. ``IntPoly((0, 4, 1))`` is
 ``z**2 + 4*z``.  The trailing (highest-index) coefficient is nonzero unless
-the polynomial is zero, so equal polynomials compare equal as dataclasses.
+the polynomial is zero, so equal polynomials have equal coefficient tuples.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
+
+
+class Frozen:
+    """An immutable value with the fields named in ``_fields``, which
+    ``__init__`` sets once through ``_set``.  As for a frozen dataclass,
+    ``==`` compares the field tuples of two instances of one class, the hash
+    is that tuple's, the repr lists the fields and assignment raises."""
+
+    def _set(self, *values):
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def _astuple(self) -> tuple:
+        return tuple([getattr(self, f) for f in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._astuple() == other._astuple()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._astuple())
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 def _trim(coeffs) -> tuple[int, ...]:
@@ -19,15 +50,23 @@ def _trim(coeffs) -> tuple[int, ...]:
     return tuple(c)
 
 
-@dataclass(frozen=True)
-class IntPoly:
-    coeffs: tuple[int, ...] = ()
+class IntPoly(Frozen):
+    _fields = ("coeffs",)
 
-    def __post_init__(self):
-        for c in self.coeffs:
+    def __init__(self, coeffs: tuple[int, ...] = ()):
+        for c in coeffs:
             if not isinstance(c, int):
                 raise TypeError(f"integer coefficient required, got {c!r}")
-        object.__setattr__(self, "coeffs", _trim(self.coeffs))
+        object.__setattr__(self, "coeffs", _trim(coeffs))
+
+    # Frozen's forms, written out: the series checks run them in their loops.
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.coeffs == other.coeffs
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.coeffs,))
 
     @classmethod
     def from_counts(cls, exponents) -> IntPoly:

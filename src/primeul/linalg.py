@@ -10,10 +10,11 @@ are identical tuples.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
+
+from .intpoly import Frozen
 
 
 def dot(u, v):
@@ -80,7 +81,12 @@ def rank(rows, ncols: int) -> int:
 
 def nullspace(rows, ncols: int) -> tuple[tuple[int, ...], ...]:
     """Canonical basis of {x : row . x = 0 for every row}, as integer RREF rows."""
-    red = rref_int(rows, ncols)
+    return rref_int(free_solutions(rref_int(rows, ncols), ncols), ncols)
+
+
+def free_solutions(red, ncols: int) -> list[list[int]]:
+    """A basis of the nullspace of the canonical RREF rows red: one integer
+    solution per free column, nonzero there and zero at the other free ones."""
     pivots = [next(c for c, x in enumerate(row) if x) for row in red]
     basis = []
     for free in sorted(set(range(ncols)).difference(pivots)):
@@ -93,7 +99,7 @@ def nullspace(rows, ncols: int) -> tuple[tuple[int, ...], ...]:
         for x, p, pc in touch:
             vec[pc] = -x * (m // p)
         basis.append(vec)
-    return rref_int(basis, ncols)
+    return basis
 
 
 def in_rowspace(vec, red_rows, ncols: int) -> bool:
@@ -105,12 +111,13 @@ def in_rowspace(vec, red_rows, ncols: int) -> bool:
     return len(rref_int(tuple(red_rows) + (tuple(vec),), ncols)) == len(red_rows)
 
 
-@dataclass(frozen=True)
-class Subspace:
+class Subspace(Frozen):
     """Linear subspace of R^ambient, canonically keyed by its normal space."""
 
-    ambient: int
-    normals: tuple[tuple[int, ...], ...]  # canonical integer RREF of the orthogonal complement
+    _fields = ("ambient", "normals")
+
+    def __init__(self, ambient: int, normals: tuple[tuple[int, ...], ...]):
+        self._set(ambient, normals)
 
     @classmethod
     def from_normals(cls, vectors, ambient: int) -> Subspace:

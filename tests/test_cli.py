@@ -106,6 +106,20 @@ def test_precondition_exit_3_bad_vector(capsys):
     assert "not very generic" in err
 
 
+def test_oversized_dimension_exit_3(capsys, tmp_path):
+    # A basis of the minimum flat holds dim**2 entries: refused up front.
+    path = tmp_path / "big.arr"
+    for text, dim in (("20000\n", 20000), (" 4_1747\n", 41747)):
+        path.write_text(text)
+        for argv in (("inspect",), ("poly", "--which", "char")):
+            code, out, err = run(capsys, *argv, "--file", str(path))
+            assert (code, out) == (3, "")
+            assert err == f"error: ambient dimension {dim} exceeds the limit of 1000\n"
+    path.write_text("1000\n")
+    code, out, _ = run(capsys, "poly", "--file", str(path), "--which", "char")
+    assert (code, out) == (0, "t^1000\n")
+
+
 def test_method_that_does_not_apply_exit_3(capsys):
     refused = [("char", m) for m in ("recursive", "halfspace", "descents")]
     refused += [("eulerian", m) for m in ("mobius", "recursive", "halfspace")]

@@ -69,6 +69,8 @@ def test_vector_text(text):
 @example("2\n1e10000000 1")
 @example("\n")
 @example("-1")
+@example("20000\n")
+@example(" 4_1747")
 def test_file_text(text):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "fuzz.arr"

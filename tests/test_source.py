@@ -4,6 +4,7 @@ import ast
 from pathlib import Path
 
 import primeul
+from test_cli import python
 
 
 def test_no_assert_in_package():
@@ -15,3 +16,16 @@ def test_no_assert_in_package():
         offenders += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                       if isinstance(node, ast.Assert)]
     assert offenders == []
+
+
+def test_import_leaves_out_dataclasses():
+    # ``dataclasses`` pulls in ``inspect``, ``ast``, ``dis`` and
+    # ``tokenize``: about 12 ms of every process's start.  Module names,
+    # not times, so the check is exact.
+    done = python("-c", "import sys; bare = set(sys.modules)\n"
+                        "import primeul, primeul.coxstats, primeul.cli\n"
+                        "print(*sorted(set(sys.modules) - bare))")
+    assert done.returncode == 0, done.stderr
+    added = set(done.stdout.split())
+    assert "primeul.cli" in added
+    assert added.isdisjoint({"dataclasses", "inspect", "ast", "dis"}), sorted(added)
