@@ -194,12 +194,11 @@ class FlatLattice:
     def atom_directions(self) -> tuple[tuple[int, ...], ...]:
         """For each flat in ``covers_above[bottom_index]``, the primitive vector spanning it
         in the span of the normals: the solution of its key, joined by ⊥'s basis if ⊥ ≠ 0."""
-        n, bottom = self.arrangement.dim, self.bottom_basis
-        out = []
-        for i in self.covers_above[self.bottom_index]:
-            key = rref_int(self.keys[i] + bottom, n) if bottom else self.keys[i]
-            out.append(primitive_signed(free_solutions(key, n)[0]))
-        return tuple(out)
+        n = self.arrangement.dim
+        keys = [self.keys[i] for i in self.covers_above[self.bottom_index]]
+        if bottom := self.bottom_basis:
+            keys = [rref_int(k + bottom, n) for k in keys]
+        return tuple(primitive_signed(free_solutions(k, n)[0]) for k in keys)
 
 
 def _reduce(r, d, c):

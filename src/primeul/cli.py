@@ -27,8 +27,8 @@ from .eulerpoly import (UpperSetError, cochar_via_halfspace, cocharacteristic,
                         peul_from_cochar, primitive_eulerian_descents,
                         primitive_eulerian_mobius, primitive_eulerian_recursive)
 from .faces import enumerate_faces, enumerate_regions, is_sharp, is_simplicial
-from .families import (parse_arrangement_file, parse_family, parse_vector,
-                       root_system)
+from .families import (DimensionError, parse_arrangement_file, parse_family,
+                       parse_vector, root_system)
 from .intpoly import Z
 from .roots import is_real_rooted
 from .tables import EXCEPTIONAL, GOLDEN_ONLY, LONG_RUNNING, TYPE_B, TYPE_D
@@ -50,12 +50,12 @@ class PreconditionError(Exception):
 def _load_arrangement(args) -> tuple[Arrangement, str]:
     source = args.family or args.file
     try:
-        a = (parse_family(source) if args.family
-             else parse_arrangement_file(Path(source).read_text()))
+        a = (parse_family(source, MAX_DIM) if args.family
+             else parse_arrangement_file(Path(source).read_text(), MAX_DIM))
+    except DimensionError as exc:
+        raise PreconditionError(str(exc)) from None
     except ValueError as exc:
         raise ParseError(str(exc)) from None
-    if a.dim > MAX_DIM:
-        raise PreconditionError(f"ambient dimension {a.dim} exceeds the limit of {MAX_DIM}")
     return a, source
 
 

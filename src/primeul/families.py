@@ -152,7 +152,18 @@ def root_system(name: str) -> Arrangement:
     return Arrangement.from_normals(normals, dim)
 
 
-def parse_family(text: str) -> Arrangement:
+class DimensionError(Exception):
+    """A parsed ambient dimension above ``max_dim``, refused before building."""
+
+
+def _dim(token, max_dim: int | None) -> int:
+    dim = int(token)
+    if max_dim is not None and dim > max_dim:
+        raise DimensionError(f"ambient dimension {dim} exceeds the limit of {max_dim}")
+    return dim
+
+
+def parse_family(text: str, max_dim: int | None = None) -> Arrangement:
     """Build an arrangement from a family DSL string.
 
     Grammar: "A n", "B n", "D n", "Dnk n k", "I2 k", "Gn n",
@@ -164,23 +175,23 @@ def parse_family(text: str) -> Arrangement:
     kind = parts[0]
     try:
         if kind == "A" and len(parts) == 2:
-            return braid(int(parts[1]))
+            return braid(_dim(parts[1], max_dim))
         if kind == "B" and len(parts) == 2:
-            return type_b(int(parts[1]))
+            return type_b(_dim(parts[1], max_dim))
         if kind == "D" and len(parts) == 2:
-            return type_d(int(parts[1]))
+            return type_d(_dim(parts[1], max_dim))
         if kind == "Dnk" and len(parts) == 3:
-            return type_dnk(int(parts[1]), int(parts[2]))
+            return type_dnk(_dim(parts[1], max_dim), int(parts[2]))
         if kind == "I2" and len(parts) == 2:
             return rank2(int(parts[1]))
         if kind == "Gn" and len(parts) == 2:
-            return generic_gn(int(parts[1]))
+            return generic_gn(_dim(parts[1], max_dim))
         if kind == "graphic" and len(parts) == 3:
             edges = []
             for chunk in parts[2].split(","):
                 i, j = chunk.split("-")
                 edges.append((int(i), int(j)))
-            return graphic(int(parts[1]), edges)
+            return graphic(_dim(parts[1], max_dim), edges)
         if kind in ("F4", "E6", "E7", "E8") and len(parts) == 1:
             return root_system(kind)
     except ValueError as exc:
@@ -204,10 +215,10 @@ def parse_vector(text: str) -> tuple[Fraction, ...]:
     return tuple(parse_rational(t.strip()) for t in text.split(","))
 
 
-def parse_arrangement_file(text: str) -> Arrangement:
+def parse_arrangement_file(text: str, max_dim: int | None = None) -> Arrangement:
     """Text format: first data line is the ambient dimension; every further
     data line is one hyperplane normal as whitespace-separated rationals.
-    '#' starts a comment."""
+    '#' starts a comment.  Raises ``DimensionError`` above ``max_dim``."""
     lines = []
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
@@ -216,7 +227,7 @@ def parse_arrangement_file(text: str) -> Arrangement:
     if not lines:
         raise ValueError("empty arrangement file")
     try:
-        dim = int(lines[0])
+        dim = _dim(lines[0], max_dim)
     except ValueError:
         raise ValueError(f"bad dimension line {lines[0]!r}") from None
     normals = []

@@ -12,10 +12,9 @@ from fractions import Fraction
 
 
 class Frozen:
-    """An immutable value with the fields named in ``_fields``, which
-    ``__init__`` sets once through ``_set``.  As for a frozen dataclass,
-    ``==`` compares the field tuples of two instances of one class, the hash
-    is that tuple's, the repr lists the fields and assignment raises."""
+    """An immutable value with the fields named in ``_fields``, set once by
+    ``__init__`` through ``_set``.  As for a frozen dataclass, ``==`` compares
+    the field tuples within one class, the hash is the field tuple's."""
 
     def _set(self, *values):
         for name, value in zip(self._fields, values):
@@ -58,15 +57,6 @@ class IntPoly(Frozen):
             if not isinstance(c, int):
                 raise TypeError(f"integer coefficient required, got {c!r}")
         object.__setattr__(self, "coeffs", _trim(coeffs))
-
-    # Frozen's forms, written out: the series checks run them in their loops.
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.coeffs == other.coeffs
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.coeffs,))
 
     @classmethod
     def from_counts(cls, exponents) -> IntPoly:

@@ -118,6 +118,13 @@ def test_oversized_dimension_exit_3(capsys, tmp_path):
     path.write_text("1000\n")
     code, out, _ = run(capsys, "poly", "--file", str(path), "--which", "char")
     assert (code, out) == (0, "t^1000\n")
+    # Family strings are refused before their builder makes any hyperplane.
+    for family in ("A 1200", "B 1200", "D 1200", "Dnk 1200 3", "Gn 1200",
+                   "graphic 1200 1-2", "B 100000000"):
+        n = family.split()[1]
+        code, out, err = run(capsys, "inspect", "--family", family)
+        assert (code, out) == (3, "")
+        assert err == f"error: ambient dimension {n} exceeds the limit of 1000\n"
 
 
 def test_method_that_does_not_apply_exit_3(capsys):
