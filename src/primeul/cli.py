@@ -36,7 +36,6 @@ from .tables import EXCEPTIONAL, GOLDEN_ONLY, LONG_RUNNING, TYPE_B, TYPE_D
 EXIT_CHECK = 1
 EXIT_PARSE = 2
 EXIT_PRECONDITION = 3
-MAX_DIM = 1000  # a basis of the minimum flat alone holds up to dim**2 entries
 
 
 class ParseError(Exception):
@@ -48,15 +47,14 @@ class PreconditionError(Exception):
 
 
 def _load_arrangement(args) -> tuple[Arrangement, str]:
-    source = args.family or args.file
     try:
-        a = (parse_family(source, MAX_DIM) if args.family
-             else parse_arrangement_file(Path(source).read_text(), MAX_DIM))
+        if args.family:
+            return parse_family(args.family), args.family
+        return parse_arrangement_file(Path(args.file).read_text()), args.file
     except DimensionError as exc:
         raise PreconditionError(str(exc)) from None
     except ValueError as exc:
         raise ParseError(str(exc)) from None
-    return a, source
 
 
 def _parse_v(args, arrangement):

@@ -152,18 +152,21 @@ def root_system(name: str) -> Arrangement:
     return Arrangement.from_normals(normals, dim)
 
 
+MAX_DIM = 1000  # a basis of the minimum flat alone holds up to dim**2 entries
+
+
 class DimensionError(Exception):
-    """A parsed ambient dimension above ``max_dim``, refused before building."""
+    """A parsed ambient dimension above ``MAX_DIM``, refused before building."""
 
 
-def _dim(token, max_dim: int | None) -> int:
+def _dim(token) -> int:
     dim = int(token)
-    if max_dim is not None and dim > max_dim:
-        raise DimensionError(f"ambient dimension {dim} exceeds the limit of {max_dim}")
+    if dim > MAX_DIM:
+        raise DimensionError(f"ambient dimension {dim} exceeds the limit of {MAX_DIM}")
     return dim
 
 
-def parse_family(text: str, max_dim: int | None = None) -> Arrangement:
+def parse_family(text: str) -> Arrangement:
     """Build an arrangement from a family DSL string.
 
     Grammar: "A n", "B n", "D n", "Dnk n k", "I2 k", "Gn n",
@@ -175,23 +178,23 @@ def parse_family(text: str, max_dim: int | None = None) -> Arrangement:
     kind = parts[0]
     try:
         if kind == "A" and len(parts) == 2:
-            return braid(_dim(parts[1], max_dim))
+            return braid(_dim(parts[1]))
         if kind == "B" and len(parts) == 2:
-            return type_b(_dim(parts[1], max_dim))
+            return type_b(_dim(parts[1]))
         if kind == "D" and len(parts) == 2:
-            return type_d(_dim(parts[1], max_dim))
+            return type_d(_dim(parts[1]))
         if kind == "Dnk" and len(parts) == 3:
-            return type_dnk(_dim(parts[1], max_dim), int(parts[2]))
+            return type_dnk(_dim(parts[1]), int(parts[2]))
         if kind == "I2" and len(parts) == 2:
             return rank2(int(parts[1]))
         if kind == "Gn" and len(parts) == 2:
-            return generic_gn(_dim(parts[1], max_dim))
+            return generic_gn(_dim(parts[1]))
         if kind == "graphic" and len(parts) == 3:
             edges = []
             for chunk in parts[2].split(","):
                 i, j = chunk.split("-")
                 edges.append((int(i), int(j)))
-            return graphic(_dim(parts[1], max_dim), edges)
+            return graphic(_dim(parts[1]), edges)
         if kind in ("F4", "E6", "E7", "E8") and len(parts) == 1:
             return root_system(kind)
     except ValueError as exc:
@@ -215,10 +218,10 @@ def parse_vector(text: str) -> tuple[Fraction, ...]:
     return tuple(parse_rational(t.strip()) for t in text.split(","))
 
 
-def parse_arrangement_file(text: str, max_dim: int | None = None) -> Arrangement:
+def parse_arrangement_file(text: str) -> Arrangement:
     """Text format: first data line is the ambient dimension; every further
     data line is one hyperplane normal as whitespace-separated rationals.
-    '#' starts a comment.  Raises ``DimensionError`` above ``max_dim``."""
+    '#' starts a comment."""
     lines = []
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
@@ -227,7 +230,7 @@ def parse_arrangement_file(text: str, max_dim: int | None = None) -> Arrangement
     if not lines:
         raise ValueError("empty arrangement file")
     try:
-        dim = _dim(lines[0], max_dim)
+        dim = _dim(lines[0])
     except ValueError:
         raise ValueError(f"bad dimension line {lines[0]!r}") from None
     normals = []

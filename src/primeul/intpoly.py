@@ -12,9 +12,8 @@ from fractions import Fraction
 
 
 class Frozen:
-    """An immutable value with the fields named in ``_fields``, set once by
-    ``__init__`` through ``_set``.  As for a frozen dataclass, ``==`` compares
-    the field tuples within one class, the hash is the field tuple's."""
+    """An immutable value with the fields named in ``_fields``, set once through ``_set``.
+    As for a frozen dataclass, ``==`` compares field tuples within one class."""
 
     def _set(self, *values):
         for name, value in zip(self._fields, values):
