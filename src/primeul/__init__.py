@@ -8,11 +8,9 @@ statistics for the classical reflection families, exact real-rootedness and
 interlacing tests, and truncated exponential generating series.
 """
 
-from .arrangement import (Arrangement, Flat, FlatLattice, Hyperplane,
-                          build_flats, characteristic_polynomial,
-                          count_regions_zaslavsky, essentialize,
-                          is_very_generic_vector, localization, product,
-                          restriction)
+from .arrangement import (Arrangement, FlatLattice, Hyperplane, build_flats,
+                          characteristic_polynomial, count_regions_zaslavsky,
+                          is_very_generic_vector, product)
 from .egf import (TruncatedEgf, egf_div, egf_exp, egf_log, egf_mul,
                   egf_sqrt)
 from .eulerpoly import (UpperSetError, cocharacteristic, cochar_via_halfspace,
@@ -21,17 +19,14 @@ from .eulerpoly import (UpperSetError, cocharacteristic, cochar_via_halfspace,
                         primitive_eulerian_descents,
                         primitive_eulerian_mobius,
                         primitive_eulerian_recursive)
-from .faces import (FanIndex, enumerate_faces, enumerate_regions,
-                    faces_in_halfspace, is_sharp, is_simplicial, opposite,
-                    rays_of_region, region_in_halfspace, separation_set,
-                    tits_product)
+from .faces import (FanIndex, enumerate_faces, enumerate_regions, is_sharp,
+                    is_simplicial, region_in_halfspace)
 from .families import (braid, generic_gn, graphic, parse_arrangement_file,
                        parse_family, parse_vector, rank2, root_system, type_b,
                        type_d, type_dnk)
 from .feasibility import strict_feasible, strict_feasible_point
 from .intpoly import IntPoly
-from .linalg import Subspace
 from .roots import interlaces, is_real_rooted, real_root_count
-from .weakorder import WeakOrder, descent_set, top_star
+from .weakorder import WeakOrder
 
 __version__ = "0.1.0"

@@ -8,11 +8,11 @@ that set, containment of flats is containment of masks in reverse.  The
 flats just below a flat X are the classes of the hyperplanes off X, grouped
 by their restriction to X: a line, kept as a normal reduced modulo the key
 of X (the canonical RREF of its normal space), which is the one new row of
-its cover's key.  Mobius values come from the covers.  Inside the lattice
-a flat is its mask, dimension and key; ``Flat`` objects, with their
-containing sets, are built only for the API.  The lattice also owns a basis
-of the minimum flat ⊥ and the direction of each rank-1 flat inside the span
-of the normals; the very generic test and the fan read them.
+its cover's key.  Mobius values come from the covers.  A flat is its
+position in the lattice, which holds its mask, dimension and key; there is
+no separate flat object.  The lattice also owns a basis of the minimum flat
+⊥ and the direction of each rank-1 flat inside the span of the normals; the
+very generic test and the fan read them.
 """
 
 from __future__ import annotations
@@ -22,8 +22,7 @@ from math import gcd
 from operator import or_
 
 from .intpoly import Frozen, IntPoly
-from .linalg import (Subspace, dot, free_solutions, nullspace, primitive_signed,
-                     rref_int)
+from .linalg import dot, free_solutions, nullspace, primitive_signed, rref_int
 
 
 class Hyperplane(Frozen):
@@ -71,20 +70,6 @@ class Arrangement(Frozen):
     def normals(self) -> tuple[tuple[int, ...], ...]:
         return tuple(h.normal for h in self.hyperplanes)
 
-    def rank(self) -> int:
-        return len(rref_int(self.normals, self.dim))
-
-
-class Flat(Frozen):
-    _fields = ("subspace", "containing")
-
-    def __init__(self, subspace: Subspace, containing: frozenset[int]):
-        self._set(subspace, containing)
-
-    @property
-    def dim(self) -> int:
-        return self.subspace.dim
-
 
 class FlatLattice:
     """All intersections of hyperplane subsets, with Mobius values from ⊥.
@@ -92,8 +77,7 @@ class FlatLattice:
     Flats are sorted by (grade, canonical key), where grade is the lattice
     height above the minimum flat; positions are the handles used everywhere
     else.  Flat i is ``masks[i]``, ``dims[i]`` and ``keys[i]`` (the canonical
-    RREF of its normal space).  The views ``flats`` and the index behind
-    ``find`` and ``position`` are built on first use; no route reads them.
+    RREF of its normal space).
     """
 
     def __init__(self, arrangement: Arrangement):
@@ -139,31 +123,8 @@ class FlatLattice:
                 above[j].append(i)
         self.covers_above = tuple(map(tuple, above))
 
-    @cached_property
-    def flats(self) -> tuple[Flat, ...]:
-        n = self.arrangement.dim
-        return tuple(Flat(Subspace(n, key), frozenset(set_bits(mask)))
-                     for key, mask in zip(self.keys, self.masks))
-
-    @cached_property
-    def _pos(self) -> dict[Subspace, int]:
-        return {f.subspace: i for i, f in enumerate(self.flats)}
-
     def __len__(self) -> int:
         return len(self.masks)
-
-    def grade(self, i: int) -> int:
-        return self.dims[i] - self.bottom_dim
-
-    def leq(self, i: int, j: int) -> bool:
-        """True iff flat i is contained in flat j."""
-        return self.masks[i] & self.masks[j] == self.masks[j]
-
-    def position(self, subspace: Subspace) -> int:
-        return self._pos[subspace]
-
-    def find(self, subspace: Subspace) -> int | None:
-        return self._pos.get(subspace)
 
     @property
     def bottom_index(self) -> int:
@@ -249,41 +210,6 @@ def _mobius_bottom(covers_below, dims) -> tuple[int, ...]:
 @lru_cache(maxsize=None)
 def build_flats(a: Arrangement) -> FlatLattice:
     return FlatLattice(a)
-
-
-def restriction(a: Arrangement, x: Flat) -> Arrangement:
-    """The arrangement induced inside the flat x, in chart coordinates."""
-    _require_flat(a, x)
-    chart = x.subspace.basis()
-    normals = dict.fromkeys(
-        primitive_signed(tuple(dot(h.normal, b) for b in chart))
-        for i, h in enumerate(a.hyperplanes) if i not in x.containing)
-    return Arrangement.from_normals(normals, len(chart))
-
-
-def localization(a: Arrangement, x: Flat) -> Arrangement:
-    """Subarrangement of the hyperplanes containing x, in the same space."""
-    _require_flat(a, x)
-    return Arrangement(a.dim, tuple(a.hyperplanes[i] for i in sorted(x.containing)))
-
-
-def _require_flat(a: Arrangement, x: Flat):
-    lattice = build_flats(a)
-    i = lattice.find(x.subspace)
-    if i is None or lattice.flats[i] != x:
-        raise ValueError("not a flat of the arrangement")
-
-
-def essentialize(a: Arrangement) -> Arrangement:
-    """A combinatorially isomorphic arrangement of full rank.
-
-    Coordinates come from the canonical basis of the span of the normals, so
-    the result is deterministic; the chart is not an isometry, so metric
-    properties (sharpness) must be read off the original coordinates.
-    """
-    chart = rref_int(a.normals, a.dim)
-    return Arrangement.from_normals(
-        [tuple(dot(h.normal, b) for b in chart) for h in a.hyperplanes], len(chart))
 
 
 def product(a: Arrangement, b: Arrangement) -> Arrangement:

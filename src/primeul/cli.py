@@ -26,7 +26,7 @@ from .eulerpoly import (UpperSetError, cochar_via_halfspace, cocharacteristic,
                         eulerian_poly, find_very_generic, h_poly_relation_check,
                         peul_from_cochar, primitive_eulerian_descents,
                         primitive_eulerian_mobius, primitive_eulerian_recursive)
-from .faces import enumerate_faces, enumerate_regions, is_sharp, is_simplicial
+from .faces import enumerate_faces, is_sharp, is_simplicial
 from .families import (DimensionError, parse_arrangement_file, parse_family,
                        parse_vector, root_system)
 from .intpoly import Z
@@ -127,7 +127,7 @@ def cmd_inspect(args) -> int:
         ("rank", lattice.rank),
         ("flats_by_grade", ",".join(str(len(g)) for g in lattice.flats_by_grade())),
         ("flats", len(lattice)),
-        ("regions", len(enumerate_regions(a))),
+        ("regions", len(fan.packed_regions)),
         ("faces_by_grade", ",".join(str(c) for c in fan.f_vector())),
         ("faces", len(fan)),
         ("simplicial", str(is_simplicial(a)).lower()),
@@ -227,7 +227,8 @@ def _verify_paths(args, failures):
             _check(f"paths/{family}/h-transform",
                    h_poly_relation_check(a, v), failures)
         _check(f"paths/{family}/zaslavsky",
-               count_regions_zaslavsky(a) == len(enumerate_regions(a)), failures)
+               count_regions_zaslavsky(a) == len(enumerate_faces(a).packed_regions),
+               failures)
     if args.long:
         b5 = parse_family("B 5")
         _check("paths/B 5/mobius (long)",

@@ -159,10 +159,9 @@ def primitive_eulerian_descents(a: Arrangement, v=None) -> IntPoly:
     fan = enumerate_faces(a)
     up = fan.halfspace_mask(v)
     contained = [c for c in fan.packed_regions if not fan.ray_mask(c) & up]
-    if order.packed_failure(contained) is not None:
-        # The witness comes from the sign-vector API: the first pair met in
-        # the iteration order of the set of contained sign vectors.
-        raise UpperSetError(order.upper_set_failure(map(fan.unpack, contained)))
+    witness = order.packed_failure(contained)
+    if witness is not None:
+        raise UpperSetError(tuple(map(fan.unpack, witness)))
     return IntPoly.from_counts(map(order.packed_descents, contained))
 
 

@@ -1,37 +1,33 @@
-"""Faces and regions of an arrangement as sign vectors, with the Tits
-product, separation sets, rays, walls, simpliciality and sharpness tests.
+"""Faces and regions of an arrangement as packed sign vectors, with rays,
+walls, simpliciality and sharpness tests.
 
 A sign vector assigns -1, 0 or +1 to every hyperplane in arrangement order.
 The fan, the weak order and the geometric routes hold it packed into one
-int, plus | minus << m, from its masks of + and - hyperplanes, and the fan
-builds the sign tuples of its API on first use.  The faces are built grade
-by grade along the covers of the lattice of flats.  A face f with flat X is
-0 exactly on mask(X) (zz, both halves); the faces just above it are
-f | ±c & zz, one pair per flat Y covering X, for the cocircuit c of a ray
-(± a rank-1 flat's direction) below Y and not below X, whose zero set is
-mask(X ∨ ray) = mask(Y).  Near f the hyperplanes through X cut Y in two,
-and the lattice is graded by dimension, so these are all the faces above f
-and each face is reached once per facet.  A ray c lies in the closure of f
-iff c & ~f == 0, so ray masks are read from tables over 8-bit chunks of f.
-The regions are the top grade; a face one grade down is 0 at one h only
-and is the wall at h of the two regions beside it.  No linear program is
-solved.  The fan order sorts sign vectors by entry with 0 < + < -.
+int, plus | minus << m, from its masks of + and - hyperplanes.  The faces
+are built grade by grade along the covers of the lattice of flats.  A face
+f with flat X is 0 exactly on mask(X) (zz, both halves); the faces just
+above it are f | ±c & zz, one pair per flat Y covering X, for the cocircuit
+c of a ray (± a rank-1 flat's direction) below Y and not below X, whose
+zero set is mask(X ∨ ray) = mask(Y).  Near f the hyperplanes through X cut
+Y in two, and the lattice is graded by dimension, so these are all the
+faces above f and each face is reached once per facet.  A ray c lies in
+the closure of f iff c & ~f == 0, so ray masks are read from tables over
+8-bit chunks of f.  The regions are the top grade; a face one grade down is
+0 at one h only and is the wall at h of the two regions beside it.  No
+linear program is solved.  The fan order sorts sign vectors by entry with
+0 < + < -.  Sign tuples remain only at the edge that perfbench reads:
+``enumerate_regions``, ``region_in_halfspace`` and ``FanIndex.pack``,
+``unpack`` and ``key``.
 """
 
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
 
-from .arrangement import Arrangement, build_flats, set_bits, very_generic_failure
+from .arrangement import Arrangement, build_flats, set_bits
 from .linalg import dot
 
 SignVector = tuple  # entries in {-1, 0, +1}, one per hyperplane
-
-_SORT = {0: 0, 1: 1, -1: 2}
-
-
-def sign_key(signs: SignVector) -> tuple[int, ...]:
-    return tuple(_SORT[s] for s in signs)
 
 
 class FanIndex:
@@ -40,9 +36,7 @@ class FanIndex:
     the walls of each region.
 
     ``packed_faces`` is the closure, ``packed_regions`` its regions in fan
-    order and ``wall_masks`` their walls as masks of hyperplanes.  The
-    sign-vector views ``faces``, ``index``, ``dims``, ``ray_masks``,
-    ``walls`` and ``regions()`` are built on first use.
+    order and ``wall_masks`` their walls as masks of hyperplanes.
     """
 
     def __init__(self, arrangement: Arrangement):
@@ -108,8 +102,8 @@ class FanIndex:
         return len(self.packed_faces)
 
     def _order(self, f: int) -> int:
-        """sign_key on packed sign vectors: the decimal digit for
-        hyperplane h, most significant first, is 0, 1 or 2."""
+        """The fan order on packed sign vectors: the decimal digit for
+        hyperplane h, most significant first, is 0, 1 or 2 for 0, + or -."""
         digits = f"0{self.m}b"
         return (int(format(f & self._full, digits)[::-1])
                 + 2 * int(format(f >> self.m, digits)[::-1]))
@@ -122,12 +116,17 @@ class FanIndex:
         m = self.m
         return tuple([(f >> h & 1) - (f >> h + m & 1) for h in range(m)])
 
+    # key and _regions serve only the sign-tuple edge that perfbench reads.
     def key(self, f: SignVector) -> int:
         """The packed form of the face f; KeyError if f is not a face."""
         p = self.pack(f)
         if p not in self.packed_faces or self.unpack(p) != f:
             raise KeyError(f)
         return p
+
+    @cached_property
+    def _regions(self) -> tuple[SignVector, ...]:
+        return tuple(map(self.unpack, self.packed_regions))
 
     def ray_mask(self, f: int) -> int:
         """The rays in the closure of the packed face f."""
@@ -139,51 +138,12 @@ class FanIndex:
     def packed_grade(self, f: int) -> int:
         return self._dim_of[self._full & ~(f | f >> self.m)] - self.bottom_dim
 
-    @cached_property
-    def _ordered(self) -> tuple[int, ...]:
-        return tuple(sorted(self.packed_faces, key=self._order))
-
-    @cached_property
-    def faces(self) -> tuple[SignVector, ...]:
-        return tuple(map(self.unpack, self._ordered))
-
-    @cached_property
-    def index(self) -> dict[SignVector, int]:
-        return {f: i for i, f in enumerate(self.faces)}
-
-    @cached_property
-    def dims(self) -> tuple[int, ...]:
-        return tuple(self.packed_grade(f) + self.bottom_dim for f in self._ordered)
-
-    @cached_property
-    def ray_masks(self) -> tuple[int, ...]:
-        return tuple(map(self.ray_mask, self._ordered))
-
-    @cached_property
-    def walls(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(tuple(set_bits(w)) for w in self.wall_masks)
-
-    @cached_property
-    def _regions(self) -> tuple[SignVector, ...]:
-        return tuple(map(self.unpack, self.packed_regions))
-
-    def grade(self, f: SignVector) -> int:
-        return self.packed_grade(self.key(f))
-
     def f_vector(self) -> tuple[int, ...]:
         """Face counts by lattice grade, grade 0 (the central face) first."""
         out = [0] * (self.rank + 1)
         for f in self.packed_faces:
             out[self.packed_grade(f)] += 1
         return tuple(out)
-
-    def regions(self) -> tuple[SignVector, ...]:
-        return self._regions
-
-    def rays_of(self, f: SignVector) -> tuple[tuple[int, ...], ...]:
-        """Directions of the rays in the closure of f, in fan order."""
-        r = self.ray_mask(self.key(f))
-        return tuple(d for i, d in enumerate(self.directions) if r >> i & 1)
 
     def halfspace_mask(self, v) -> int | None:
         """The rays d with <v, d> > 0, or None if v is not orthogonal to ⊥.
@@ -198,57 +158,16 @@ class FanIndex:
             return None
         return sum(1 << i for i, d in enumerate(self.directions) if dot(v, d) > 0)
 
-    def halfspace_test(self, v):
-        """Predicate on faces: True iff the closed face lies in
-        {x : <v, x> <= 0}."""
-        up = self.halfspace_mask(v)
-        if up is None:
-            return lambda f: False
-        return lambda f: not self.ray_mask(self.key(f)) & up
-
-    @property
-    def center(self) -> SignVector:
-        return (0,) * len(self.arrangement.hyperplanes)
-
 
 @lru_cache(maxsize=None)
 def enumerate_faces(a: Arrangement) -> FanIndex:
     return FanIndex(a)
 
 
+# perfbench reads the regions as sign tuples; no route does.
 def enumerate_regions(a: Arrangement) -> tuple[SignVector, ...]:
     """All full-dimensional sign vectors, sorted."""
-    return enumerate_faces(a).regions()
-
-
-def tits_product(fan: FanIndex, f: SignVector, g: SignVector) -> SignVector:
-    """Entrywise "first nonzero wins" product; always a face of the fan."""
-    prod = tuple(x if x else y for x, y in zip(f, g))
-    if prod not in fan.index:
-        raise AssertionError(
-            "Tits product missing from the fan: face enumeration bug")
-    return prod
-
-
-def opposite(f: SignVector) -> SignVector:
-    return tuple(-x for x in f)
-
-
-def separation_set(c: SignVector, d: SignVector) -> frozenset[int]:
-    """Hyperplanes carrying strictly opposite signs on the two faces."""
-    return frozenset(i for i, (x, y) in enumerate(zip(c, d)) if x and y and x != y)
-
-
-def face_leq(f: SignVector, g: SignVector) -> bool:
-    """Face order: f lies in the closure of g."""
-    return all(x == 0 or x == y for x, y in zip(f, g))
-
-
-def rays_of_region(fan: FanIndex, c: SignVector) -> tuple[tuple[int, ...], ...]:
-    """Primitive integer spanning vectors of the rays of a region."""
-    if fan.bottom_dim != 0:
-        raise ValueError("rays are only defined for essential arrangements")
-    return fan.rays_of(c)
+    return enumerate_faces(a)._regions
 
 
 def is_simplicial(a: Arrangement) -> bool:
@@ -283,19 +202,9 @@ def is_sharp(a: Arrangement) -> bool:
     return True
 
 
+# perfbench checks a declined route's witness with it; no route calls it.
 def region_in_halfspace(a: Arrangement, c: SignVector, v) -> bool:
     """True iff the closed region lies in {x : <v, x> <= 0}."""
-    return enumerate_faces(a).halfspace_test(v)(c)
-
-
-def faces_in_halfspace(fan: FanIndex, v) -> tuple[SignVector, ...]:
-    """All faces whose closed cone lies in {x : <v, x> <= 0}.
-
-    Requires a very generic v; the central face is always included since the
-    bounding hyperplane contains the minimum flat.
-    """
-    failure = very_generic_failure(fan.arrangement, v)
-    if failure is not None:
-        raise ValueError(f"v not very generic: {failure}")
+    fan = enumerate_faces(a)
     up = fan.halfspace_mask(v)
-    return tuple(f for f, r in zip(fan.faces, fan.ray_masks) if not r & up)
+    return up is not None and not fan.ray_mask(fan.key(c)) & up

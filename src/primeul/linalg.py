@@ -1,11 +1,11 @@
 """Exact integer linear algebra; rational vectors are scaled to integer ones.
 
-Vectors are tuples of ints or Fractions.  Subspaces are represented by the
-canonical primitive-integer reduced row echelon form of their *orthogonal
-complement* (the "normal space"): flats of an arrangement are intersections
-of hyperplanes, so accumulating normals keeps every operation a single
-integer row reduction.  Two subspaces are equal iff their canonical forms
-are identical tuples.
+Vectors are tuples of ints or Fractions.  A subspace is keyed by the
+canonical primitive-integer reduced row echelon form of its *orthogonal
+complement* (the "normal space"), a plain tuple of rows: flats of an
+arrangement are intersections of hyperplanes, so accumulating normals keeps
+every operation a single integer row reduction, and two subspaces are equal
+iff their keys are identical tuples.
 """
 
 from __future__ import annotations
@@ -13,8 +13,6 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
-
-from .intpoly import Frozen
 
 
 def dot(u, v):
@@ -75,10 +73,6 @@ def rref_int(rows, ncols: int) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-def rank(rows, ncols: int) -> int:
-    return len(rref_int(rows, ncols))
-
-
 def nullspace(rows, ncols: int) -> tuple[tuple[int, ...], ...]:
     """Canonical basis of {x : row . x = 0 for every row}, as integer RREF rows."""
     return rref_int(free_solutions(rref_int(rows, ncols), ncols), ncols)
@@ -100,53 +94,3 @@ def free_solutions(red, ncols: int) -> list[list[int]]:
             vec[pc] = -x * (m // p)
         basis.append(vec)
     return basis
-
-
-def in_rowspace(vec, red_rows, ncols: int) -> bool:
-    """True iff vec lies in the row space spanned by red_rows."""
-    if not any(vec):
-        return True
-    if not red_rows:
-        return False
-    return len(rref_int(tuple(red_rows) + (tuple(vec),), ncols)) == len(red_rows)
-
-
-class Subspace(Frozen):
-    """Linear subspace of R^ambient, canonically keyed by its normal space."""
-
-    _fields = ("ambient", "normals")
-
-    def __init__(self, ambient: int, normals: tuple[tuple[int, ...], ...]):
-        self._set(ambient, normals)
-
-    @classmethod
-    def from_normals(cls, vectors, ambient: int) -> Subspace:
-        return cls(ambient, rref_int(vectors, ambient))
-
-    @classmethod
-    def full(cls, ambient: int) -> Subspace:
-        return cls(ambient, ())
-
-    @property
-    def dim(self) -> int:
-        return self.ambient - len(self.normals)
-
-    def basis(self) -> tuple[tuple[int, ...], ...]:
-        """Canonical integer basis rows spanning the subspace."""
-        return nullspace(self.normals, self.ambient)
-
-    def contains_vector(self, vec) -> bool:
-        return all(dot(n, vec) == 0 for n in self.normals)
-
-    def contains(self, other: Subspace) -> bool:
-        """True iff other is a subspace of self."""
-        if self.ambient != other.ambient:
-            raise ValueError("ambient dimension mismatch")
-        merged = rref_int(other.normals + self.normals, self.ambient)
-        return len(merged) == len(other.normals)
-
-    def intersect(self, other: Subspace) -> Subspace:
-        if self.ambient != other.ambient:
-            raise ValueError("ambient dimension mismatch")
-        return Subspace(self.ambient, rref_int(self.normals + other.normals, self.ambient))
-

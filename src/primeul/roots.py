@@ -116,13 +116,6 @@ def _index(seq) -> int:
             - _variations(_sign(c[-1]) for c in seq))
 
 
-def distinct_real_roots(p: IntPoly) -> int:
-    """Number of distinct real roots."""
-    if p.is_zero():
-        raise ValueError("zero polynomial")
-    return _index(_sturm_chain(p.coeffs))
-
-
 def real_root_count(p: IntPoly) -> int:
     """Number of real roots counted with multiplicity."""
     if p.is_zero():

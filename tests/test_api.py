@@ -10,9 +10,9 @@ from primeul.cli import build_parser
 
 EXPORTED = {
     # arrangements and their lattices of flats
-    "Arrangement", "Flat", "FlatLattice", "Hyperplane", "build_flats",
-    "characteristic_polynomial", "count_regions_zaslavsky", "essentialize",
-    "is_very_generic_vector", "localization", "product", "restriction",
+    "Arrangement", "FlatLattice", "Hyperplane", "build_flats",
+    "characteristic_polynomial", "count_regions_zaslavsky",
+    "is_very_generic_vector", "product",
     # exponential generating series
     "TruncatedEgf", "egf_div", "egf_exp", "egf_log", "egf_mul", "egf_sqrt",
     # the four routes and their companions
@@ -21,18 +21,16 @@ EXPORTED = {
     "peul_from_cochar", "primitive_eulerian_descents",
     "primitive_eulerian_mobius", "primitive_eulerian_recursive",
     # the fan of faces and the weak order
-    "FanIndex", "enumerate_faces", "enumerate_regions", "faces_in_halfspace",
-    "is_sharp", "is_simplicial", "opposite", "rays_of_region",
-    "region_in_halfspace", "separation_set", "tits_product", "WeakOrder",
-    "descent_set", "top_star",
+    "FanIndex", "enumerate_faces", "enumerate_regions", "is_sharp",
+    "is_simplicial", "region_in_halfspace", "WeakOrder",
     # families and input parsing
     "braid", "generic_gn", "graphic", "parse_arrangement_file",
     "parse_family", "parse_vector", "rank2", "root_system", "type_b",
     "type_d", "type_dnk",
     # the strict-feasibility certificate
     "strict_feasible", "strict_feasible_point",
-    # polynomials, subspaces and real roots
-    "IntPoly", "Subspace", "interlaces", "is_real_rooted", "real_root_count",
+    # polynomials and real roots
+    "IntPoly", "interlaces", "is_real_rooted", "real_root_count",
 }
 
 

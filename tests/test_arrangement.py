@@ -7,10 +7,8 @@ from hypothesis import strategies as st
 
 from primeul.arrangement import (Arrangement, FlatLattice, Hyperplane,
                                  build_flats, characteristic_polynomial,
-                                 count_regions_zaslavsky, essentialize,
-                                 halfspace_failure,
-                                 is_very_generic_vector, localization,
-                                 product, restriction, set_bits,
+                                 count_regions_zaslavsky, halfspace_failure,
+                                 is_very_generic_vector, product, set_bits,
                                  very_generic_failure)
 from primeul.cli import _PATH_BUILTINS, main
 from primeul.eulerpoly import (cochar_via_halfspace, find_very_generic,
@@ -21,17 +19,55 @@ from primeul.faces import (enumerate_faces, enumerate_regions, is_sharp,
                            is_simplicial)
 from primeul.families import (braid, graphic, parse_family, rank2, root_system,
                               type_b, type_d)
-from primeul.intpoly import IntPoly
-from primeul.linalg import Subspace, dot, in_rowspace, rref_int
+from primeul.intpoly import IntPoly, ZM1
+from primeul.linalg import dot, nullspace, primitive_signed, rref_int
 from test_differential import arrangements
-from test_linalg import _oracle_nullspace
+from test_linalg import _oracle_nullspace, in_rowspace
 
 FOUR_CYCLE = graphic(4, [(1, 2), (2, 3), (3, 4), (4, 1)])
 
+# References on the lattice's plain fields; flat i is masks[i], dims[i] and
+# keys[i], its normal space's canonical RREF.
+
 
 def flat_of(a, normals):
+    """The position of the flat cut out by the normals."""
+    return build_flats(a).keys.index(rref_int(normals, a.dim))
+
+
+def essentialize(a):
+    """A combinatorially isomorphic arrangement of full rank, in the
+    coordinates of the key rows of ⊥ (the canonical basis of the span of the
+    normals).  The chart is not an isometry."""
+    chart = build_flats(a).keys[0]
+    return Arrangement.from_normals(
+        [tuple(dot(n, b) for b in chart) for n in a.normals], len(chart))
+
+
+def restriction(a, i):
+    """The arrangement induced inside flat i, in the coordinates of the
+    canonical basis of the flat."""
     lattice = build_flats(a)
-    return lattice.flats[lattice.position(Subspace.from_normals(normals, a.dim))]
+    chart = nullspace(lattice.keys[i], a.dim)
+    normals = dict.fromkeys(primitive_signed(tuple(dot(n, b) for b in chart))
+                            for j, n in enumerate(a.normals) if not lattice.masks[i] >> j & 1)
+    return Arrangement.from_normals(normals, len(chart))
+
+
+def localization(a, i):
+    """The hyperplanes containing flat i, in the same space."""
+    return Arrangement(a.dim, tuple(a.hyperplanes[j] for j in set_bits(build_flats(a).masks[i])))
+
+
+def deletion_summands(a):
+    """The two summands of P(a) = (z-1) P(restriction to hyperplane 0) +
+    sum of P(localization) over the rank-1 flats off hyperplane 0."""
+    lattice = build_flats(a)
+    f = ZM1 * primitive_eulerian_mobius(restriction(a, flat_of(a, [a.normals[0]])))
+    g = sum((primitive_eulerian_mobius(localization(a, x))
+             for x in lattice.covers_above[lattice.bottom_index] if not lattice.masks[x] & 1),
+            IntPoly())
+    return f, g
 
 
 def test_hyperplane_normalization():
@@ -52,7 +88,7 @@ def test_duplicate_hyperplanes_rejected():
 def test_negative_dimension_rejected():
     with pytest.raises(ValueError, match="dimension"):
         Arrangement(-1, ())
-    assert Arrangement(0, ()).rank() == 0
+    assert build_flats(Arrangement(0, ())).rank == 0
 
 
 def test_non_canonical_normal_rejected():
@@ -65,7 +101,7 @@ def test_non_canonical_normal_rejected():
 def test_single_hyperplane_lattice():
     a = Arrangement.from_normals([(1, 0)], 2)
     lattice = build_flats(a)
-    assert len(lattice.flats) == 2
+    assert len(lattice) == 2
     assert lattice.rank == 1
     assert lattice.mobius_bottom[lattice.bottom_index] == 1
 
@@ -107,12 +143,11 @@ def _oracle_chi(a, keys, containing):
 def _check_against_oracle(a):
     lattice = build_flats(a)
     keys, containing, mobius, bottom_dim = _oracle_lattice(a)
-    assert [f.subspace.normals for f in lattice.flats] == keys, a
-    assert [f.containing for f in lattice.flats] == containing, a
+    assert list(lattice.keys) == keys, a
+    assert [frozenset(set_bits(mask)) for mask in lattice.masks] == containing, a
     assert list(lattice.mobius_bottom) == mobius, a
     assert lattice.bottom_dim == bottom_dim, a
-    assert [lattice.grade(i) for i in range(len(keys))] == \
-           [a.dim - len(k) - bottom_dim for k in keys], a
+    assert list(lattice.dims) == [a.dim - len(k) for k in keys], a
     below = [tuple(j for j, kj in enumerate(keys) if len(kj) == len(k) + 1
                    and containing[j] > containing[i])
              for i, k in enumerate(keys)]
@@ -183,9 +218,10 @@ def test_four_cycle_mobius():
 def test_mobius_sums_vanish():
     for a in (type_b(3), braid(4), FOUR_CYCLE):
         lattice = build_flats(a)
-        for i in range(1, len(lattice.flats)):
-            total = sum(lattice.mobius_bottom[j]
-                        for j in range(len(lattice.flats)) if lattice.leq(j, i))
+        masks = lattice.masks
+        for i in range(1, len(masks)):
+            total = sum(lattice.mobius_bottom[j]  # flat j lies in flat i
+                        for j in range(len(masks)) if masks[j] & masks[i] == masks[i])
             assert total == 0
 
 
@@ -200,61 +236,40 @@ def test_restriction_braid3():
 def test_restriction_to_top_and_bottom():
     a = type_b(2)
     lattice = build_flats(a)
-    top = lattice.flats[lattice.top_index]
-    assert restriction(a, top) == a
-    bottom = lattice.flats[lattice.bottom_index]
-    sub = restriction(a, bottom)
+    assert restriction(a, lattice.top_index) == a
+    sub = restriction(a, lattice.bottom_index)
     assert sub.hyperplanes == () and sub.dim == 0
 
 
 def test_restriction_rank_is_interval_rank():
     a = type_b(3)
     lattice = build_flats(a)
-    for i, flat in enumerate(lattice.flats):
-        assert restriction(a, flat).rank() == lattice.grade(i)
+    for i, dim in enumerate(lattice.dims):
+        assert build_flats(restriction(a, i)).rank == dim - lattice.bottom_dim
 
 
 def test_localization():
     a = type_b(3)
     lattice = build_flats(a)
-    assert localization(a, lattice.flats[lattice.bottom_index]) == a
-    assert localization(a, lattice.flats[lattice.top_index]).hyperplanes == ()
+    assert localization(a, lattice.bottom_index) == a
+    assert localization(a, lattice.top_index).hyperplanes == ()
     # at the line x1 = x2 = x3: exactly the three braid hyperplanes
-    x = flat_of(a, [(1, -1, 0), (0, 1, -1)])
-    loc = localization(a, x)
+    loc = localization(a, flat_of(a, [(1, -1, 0), (0, 1, -1)]))
     assert len(loc.hyperplanes) == 3
-    assert loc.rank() == 2
+    assert build_flats(loc).rank == 2
 
 
 def test_localization_rank_is_corank():
     a = type_b(3)
     lattice = build_flats(a)
-    for i, flat in enumerate(lattice.flats):
-        assert localization(a, flat).rank() == lattice.rank - lattice.grade(i)
-
-
-def test_not_a_flat_rejected():
-    a = braid(3)
-    fake = flat_of(type_b(3), [(1, 0, 0)])
-    with pytest.raises(ValueError):
-        restriction(a, fake)
-
-
-def test_flat_of_another_arrangement_rejected():
-    # Same subspace as a flat of ``a``, but another containing set.
-    a = Arrangement.from_normals([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0)], 3)
-    b = Arrangement.from_normals([(0, 1, 0), (1, 0, 0), (0, 0, 1)], 3)
-    x = next(f for f in build_flats(b).flats if f.containing == {0})
-    with pytest.raises(ValueError, match="not a flat"):
-        localization(a, x)
-    with pytest.raises(ValueError, match="not a flat"):
-        restriction(a, x)
+    for i, dim in enumerate(lattice.dims):
+        assert build_flats(localization(a, i)).rank == a.dim - dim
 
 
 def test_essentialize():
     a = braid(4)
     ess = essentialize(a)
-    assert ess.dim == 3 and ess.rank() == 3
+    assert ess.dim == 3 and build_flats(ess).rank == 3
     assert len(ess.hyperplanes) == 6
     # lattice preserved: equal graded Mobius multisets
     la, le = build_flats(a), build_flats(ess)
@@ -263,7 +278,7 @@ def test_essentialize():
                sorted(le.mobius_bottom[i] for i in ge)
     essential = type_b(2)
     again = essentialize(essential)
-    assert again.rank() == essential.rank()
+    assert build_flats(again).rank == build_flats(essential).rank
     assert len(again.hyperplanes) == len(essential.hyperplanes)
     empty = essentialize(Arrangement(3, ()))
     assert empty.dim == 0 and empty.hyperplanes == ()
@@ -275,7 +290,7 @@ def test_product():
     assert product(one, empty0).dim == 1
     assert len(product(one, one).hyperplanes) == 2
     p = product(rank2(3), one)
-    assert p.dim == 3 and p.rank() == 3
+    assert p.dim == 3 and build_flats(p).rank == 3
 
 
 def test_characteristic_polynomial():
@@ -316,18 +331,18 @@ def test_very_generic_against_row_reduction(a, data):
     # the span of the normals.
     v = data.draw(st.tuples(*[st.integers(-2, 2)] * a.dim))
     lattice = build_flats(a)
-    atoms = [lattice.flats[i] for i in lattice.covers_above[lattice.bottom_index]]
+    atoms = [lattice.keys[i] for i in lattice.covers_above[lattice.bottom_index]]
     # Oracle: v is orthogonal to ⊥ iff it is in the row space of the
     # normals; then v^⊥ contains a rank-1 flat iff it holds its whole basis.
     generic_halfspace = in_rowspace(v, rref_int(a.normals, a.dim), a.dim) and all(
-        any(dot(b, v) for b in x.subspace.basis()) for x in atoms)
+        any(dot(b, v) for b in nullspace(key, a.dim)) for key in atoms)
     assert (halfspace_failure(a, v) is None) == generic_halfspace
     assert (very_generic_failure(a, v) is None) == (
         generic_halfspace and all(dot(n, v) for n in a.normals))
     assert len(lattice.atom_directions) == len(atoms)
-    for d, x in zip(lattice.atom_directions, atoms):
+    for d, key in zip(lattice.atom_directions, atoms):
         assert any(d) and gcd(*d) == 1
-        assert x.subspace.contains_vector(d)
+        assert not any(dot(n, d) for n in key)
         assert not any(dot(d, b) for b in lattice.bottom_basis)
 
 
@@ -335,12 +350,9 @@ def _unit(n, i):
     return tuple(int(j == i) for j in range(n))
 
 
-def _partition_shape(flat, n):
+def _partition_shape(span, n):
     """Recover (zero coordinate count, block pair count, non-singleton pair
-    count) from a flat of a signed-permutation arrangement."""
-    from primeul.linalg import in_rowspace
-
-    span = flat.subspace.normals
+    count) from the key of a flat of a signed-permutation arrangement."""
     zeros = {i for i in range(n) if in_rowspace(_unit(n, i), span, n)}
     live = [i for i in range(n) if i not in zeros]
     parent = {i: i for i in live}
@@ -382,13 +394,13 @@ def test_type_d_mobius_closed_form():
     for n in range(2, 6):
         a = type_d(n)
         lattice = build_flats(a)
-        for i, flat in enumerate(lattice.flats):
-            nzero, k, r = _partition_shape(flat, n)
+        for i, key in enumerate(lattice.keys):
+            nzero, k, r = _partition_shape(key, n)
             if nzero == 0:
                 want = (-1) ** k * _double_factorial(2 * k - 3) * (k + r - 1)
             else:
                 want = (-1) ** k * _double_factorial(2 * k - 1)
-            assert lattice.mobius_bottom[i] == want, (n, flat.subspace.normals)
+            assert lattice.mobius_bottom[i] == want, (n, key)
 
 
 def test_type_d_flats_are_b_partitions_without_size_two_zero_block():
@@ -401,10 +413,10 @@ def test_type_d_flats_are_b_partitions_without_size_two_zero_block():
         blat = build_flats(_tb(n))
         d_counts = [len(g) for g in dlat.flats_by_grade()]
         b_counts = [0] * (blat.rank + 1)
-        for i, flat in enumerate(blat.flats):
-            nzero, _, _ = _partition_shape(flat, n)
+        for key in blat.keys:
+            nzero, _, _ = _partition_shape(key, n)
             if nzero != 1:
-                b_counts[blat.grade(i)] += 1
+                b_counts[n - len(key) - blat.bottom_dim] += 1
         assert d_counts == b_counts, n
 
 
@@ -425,73 +437,60 @@ def test_lattice_keys_equal_row_reduction(monkeypatch):
     cases = [root_system("E6")] + [parse_family(f) for f in
                                    ("A 6", "B 5", "D 5", "Dnk 5 3", "Gn 8")]
     for a in cases:
-        for flat in build_flats(a).flats:
-            assert flat.subspace.normals == rref_int(
-                [a.normals[j] for j in sorted(flat.containing)], a.dim), (a, flat)
+        lattice = build_flats(a)
+        for key, mask in zip(lattice.keys, lattice.masks):
+            assert key == rref_int([a.normals[j] for j in set_bits(mask)], a.dim), (a, key)
 
     def refuse(*args):
         raise AssertionError("rref_int called while building the lattice")
 
     monkeypatch.setattr("primeul.arrangement.rref_int", refuse)
     for a in cases:
-        assert FlatLattice(a).flats == build_flats(a).flats
-
-
-def test_find_and_position_read_the_ambient_dimension():
-    # The full space of R^7 has the same empty normal space as the top flat
-    # of "A 3", the full space of R^3, but it is no flat of "A 3".
-    lattice = build_flats(parse_family("A 3"))
-    assert lattice.find(Subspace.full(3)) == lattice.top_index
-    assert lattice.position(Subspace.full(3)) == lattice.top_index
-    assert lattice.find(Subspace.full(7)) is None
-    with pytest.raises(KeyError):
-        lattice.position(Subspace.full(7))
+        fresh, cached = FlatLattice(a), build_flats(a)
+        assert (fresh.keys, fresh.masks, fresh.dims) == (cached.keys, cached.masks, cached.dims)
 
 
 def test_routes_leave_the_flat_views_unbuilt(capsys):
-    # Inside the lattice a flat is its mask, dimension and key; the Flat
-    # objects and the index from subspaces to positions are built only when
-    # the API asks for them, so no route, the fan or inspect builds them.
+    # Inside the lattice a flat is its mask, dimension and key, and nothing
+    # else is built on it: after every route, the fan and inspect, the
+    # lattice holds its fields and the values computed on first use only.
     build_flats.cache_clear()
     enumerate_faces.cache_clear()
+    fields = {"arrangement", "keys", "masks", "dims", "bottom_dim", "rank",
+              "covers_below", "covers_above", "mobius_bottom", "bottom_basis",
+              "atom_directions"}
     for a in (type_b(4), parse_family("graphic 4 1-2,2-3")):
         p = primitive_eulerian_mobius(a)
         assert primitive_eulerian_recursive(a) == p
-        assert peul_from_cochar(cochar_via_halfspace(a), a.rank()) == p
+        lattice = build_flats(a)
+        assert peul_from_cochar(cochar_via_halfspace(a), lattice.rank) == p
         assert primitive_eulerian_descents(a) == p
         assert count_regions_zaslavsky(a) == len(enumerate_regions(a))
         characteristic_polynomial(a)
         find_very_generic(a)
         is_simplicial(a)
         is_sharp(a)
-        lattice = build_flats(a)
         assert len(lattice) == sum(map(len, lattice.flats_by_grade()))
-        assert "flats" not in vars(lattice) and "_pos" not in vars(lattice), a
+        assert set(vars(lattice)) == fields, a
     assert main(["inspect", "--family", "B 4"]) == 0
     assert "\nflats: 116\n" in capsys.readouterr().out
-    lattice = build_flats(type_b(4))
-    assert "flats" not in vars(lattice) and "_pos" not in vars(lattice)
-    assert len(lattice.flats) == len(lattice) == 116
+    assert set(vars(build_flats(type_b(4)))) == fields
 
 
 def _check_containing_and_directions(a):
-    # Containing sets are read off the masks, and ⊥'s basis off its key;
-    # both must equal their definitions, the latter a nullspace computed
-    # over Fractions.
+    # Each mask holds exactly the hyperplanes containing its flat, and ⊥'s
+    # basis is read off its key; both must equal their definitions, the
+    # latter a nullspace computed over Fractions.
     lattice = build_flats(a)
-    for flat, mask in zip(lattice.flats, lattice.masks):
-        assert flat.containing == {j for j in range(len(a.hyperplanes))
-                                   if mask >> j & 1}, (a, flat)
-    # The packed fields the routes read agree with the views of the API.
-    for i, flat in enumerate(lattice.flats):
-        assert lattice.dims[i] == flat.dim, (a, i)
-        assert lattice.keys[i] == flat.subspace.normals, (a, i)
-        assert flat.containing == frozenset(set_bits(lattice.masks[i])), (a, i)
-        assert lattice.position(flat.subspace) == i, (a, i)
+    for key, mask, dim in zip(lattice.keys, lattice.masks, lattice.dims):
+        basis = nullspace(key, a.dim)
+        assert set_bits(mask) == [j for j, n in enumerate(a.normals)
+                                  if not any(dot(n, b) for b in basis)], (a, key)
+        assert dim == a.dim - len(key), (a, key)
     bottom = _oracle_nullspace(a.normals, a.dim)
     assert lattice.bottom_basis == bottom, a
     assert lattice.atom_directions == tuple(
-        _oracle_nullspace(lattice.flats[i].subspace.normals + bottom, a.dim)[0]
+        _oracle_nullspace(lattice.keys[i] + bottom, a.dim)[0]
         for i in lattice.covers_above[lattice.bottom_index]), a
 
 

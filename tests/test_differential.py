@@ -7,18 +7,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from primeul.arrangement import (Arrangement, Hyperplane, build_flats,
-                                 essentialize, localization, product,
-                                 restriction)
+from primeul.arrangement import Arrangement, Hyperplane, build_flats, product
 from primeul.eulerpoly import (UpperSetError, base_region_of,
                                cochar_via_halfspace, cocharacteristic,
                                find_very_generic, peul_from_cochar,
                                primitive_eulerian_descents,
                                primitive_eulerian_mobius,
                                primitive_eulerian_recursive)
-from primeul.faces import (enumerate_faces, is_simplicial,
-                           region_in_halfspace, sign_key)
-from primeul.intpoly import ZM1
+from primeul.faces import (enumerate_faces, enumerate_regions, is_simplicial,
+                           region_in_halfspace)
+from primeul.linalg import dot
 from primeul.weakorder import WeakOrder
 
 
@@ -38,22 +36,19 @@ def arrangements(draw):
 @example(Arrangement.from_normals([(1, 0, 0, 0), (0, 0, 1, 0)], 4))
 @example(Arrangement.from_normals([(1, -1, 0), (0, 1, -1), (1, 0, -1)], 3))
 def test_routes_agree(a):
-    lattice = build_flats(a)
+    # test_arrangement imports this module, so its references load here.
+    from test_arrangement import deletion_summands, essentialize
+
     p = primitive_eulerian_mobius(a)
     assert primitive_eulerian_recursive(a) == p
-    assert peul_from_cochar(cocharacteristic(a), lattice.rank) == p
+    assert peul_from_cochar(cocharacteristic(a), build_flats(a).rank) == p
     assert primitive_eulerian_recursive(essentialize(a)) == p
     if not a.hyperplanes:
         return
-    # P = (z-1) P(restriction to hyperplane 0) + sum over the grade-1 flats
+    # P = (z-1) P(restriction to hyperplane 0) + sum over the rank-1 flats
     # off it of P(localization).
-    pivot = next(f for f in lattice.flats
-                 if f.dim == a.dim - 1 and 0 in f.containing)
-    q = ZM1 * primitive_eulerian_mobius(restriction(a, pivot))
-    for i, x in enumerate(lattice.flats):
-        if lattice.grade(i) == 1 and 0 not in x.containing:
-            q = q + primitive_eulerian_mobius(localization(a, x))
-    assert q == p
+    f, g = deletion_summands(a)
+    assert f + g == p
 
 
 @settings(derandomize=True, deadline=None, max_examples=300)
@@ -64,21 +59,37 @@ def test_packed_routes_agree(a):
     p = primitive_eulerian_mobius(a)
     rank = build_flats(a).rank
     assert peul_from_cochar(cochar_via_halfspace(a), rank) == p
+    # A ray d lies in the closure of the region c iff no hyperplane h has
+    # <n_h, d> of the sign opposite to c[h].
     fan = enumerate_faces(a)
-    assert len(fan) == len(fan.faces)
-    assert list(fan.faces) == sorted(fan.faces, key=sign_key)
-    assert is_simplicial(a) == all(len(fan.rays_of(c)) == fan.rank
-                                   for c in fan.regions())
+    assert is_simplicial(a) == all(
+        sum(all(s * dot(n, d) >= 0 for s, n in zip(c, a.normals))
+            for d in fan.directions) == fan.rank
+        for c in enumerate_regions(a))
     if not is_simplicial(a):
         return
     try:
         assert primitive_eulerian_descents(a) == p
     except UpperSetError as exc:
-        # the witness is a cover pair leaving the halfspace
-        c, d = exc.witness
+        # the witness is the first cover pair leaving the halfspace
         v = find_very_generic(a)
+        assert exc.witness == _first_cover_leaving(a, v)
+        c, d = exc.witness
         assert d in WeakOrder(a, base_region_of(a, v)).covers_above(c)
-        assert region_in_halfspace(a, c, v) and not region_in_halfspace(a, d, v)
+
+
+def _first_cover_leaving(a, v):
+    """The first region c in fan order inside the halfspace of v, with the
+    first hyperplane h where c agrees with the base region and c flipped at
+    h is a region outside it: the first failing cover pair, on sign tuples."""
+    base, regions = base_region_of(a, v), enumerate_regions(a)
+    for c in regions:
+        if region_in_halfspace(a, c, v):
+            for h, s in enumerate(c):
+                d = c[:h] + (-s,) + c[h + 1:]
+                if s == base[h] and d in regions and not region_in_halfspace(a, d, v):
+                    return c, d
+    return None
 
 
 @st.composite

@@ -2,9 +2,8 @@ import random
 
 import pytest
 
-from primeul.arrangement import (Arrangement, build_flats, essentialize,
-                                 halfspace_failure, product,
-                                 very_generic_failure)
+from primeul.arrangement import (Arrangement, build_flats, halfspace_failure,
+                                 product, very_generic_failure)
 from primeul.eulerpoly import (UpperSetError, base_region_of,
                                cochar_via_halfspace, cocharacteristic,
                                eulerian_poly, find_very_generic,
@@ -12,12 +11,14 @@ from primeul.eulerpoly import (UpperSetError, base_region_of,
                                primitive_eulerian_descents,
                                primitive_eulerian_mobius,
                                primitive_eulerian_recursive)
-from primeul.faces import (enumerate_faces, enumerate_regions,
-                           faces_in_halfspace, is_sharp, region_in_halfspace)
+from primeul.faces import (enumerate_faces, enumerate_regions, is_sharp,
+                           region_in_halfspace)
 from primeul.families import (braid, generic_gn, graphic, rank2, type_b,
                               type_d, type_dnk)
 from primeul.intpoly import IntPoly, Z, ZM1
+from primeul.linalg import primitive_signed, rref_int
 from primeul.roots import interlaces, is_real_rooted
+from test_arrangement import deletion_summands, essentialize
 from test_faces import _random_very_generic
 
 FOUR_CYCLE = graphic(4, [(1, 2), (2, 3), (3, 4), (4, 1)])
@@ -150,13 +151,11 @@ def test_cochar_rejects_non_generic_v():
     very_generic_failure, halfspace_failure, cochar_via_halfspace,
     primitive_eulerian_descents, h_poly_relation_check,
     lambda a, v: region_in_halfspace(a, enumerate_regions(a)[0], v),
-    lambda a, v: faces_in_halfspace(enumerate_faces(a), v),
-    lambda a, v: enumerate_faces(a).halfspace_test(v),
+    lambda a, v: enumerate_faces(a).halfspace_mask(v),
     base_region_of,
 ], ids=["very_generic_failure", "halfspace_failure", "cochar_via_halfspace",
         "primitive_eulerian_descents", "h_poly_relation_check",
-        "region_in_halfspace", "faces_in_halfspace", "halfspace_test",
-        "base_region_of"])
+        "region_in_halfspace", "halfspace_mask", "base_region_of"])
 @pytest.mark.parametrize("v", [(1, 2), (1, 2, 4, 8)], ids=["short", "long"])
 def test_wrong_length_v_is_refused(entry, v):
     # dot products zip, so a v of the wrong length would get an answer.
@@ -172,7 +171,6 @@ def test_nonsharp_negative_witness():
     assert not is_sharp(skew)
     v = (1, 3)
     from primeul.arrangement import is_very_generic_vector
-    from primeul.faces import region_in_halfspace
 
     assert is_very_generic_vector(skew, v)
     with pytest.raises(UpperSetError) as exc:
@@ -183,21 +181,20 @@ def test_nonsharp_negative_witness():
     # descent sum over the contained regions misses P
     from primeul.weakorder import WeakOrder
 
-    base = base_region_of(skew, v)
-    order = WeakOrder(skew, base)
-    contained = [c for c in order.regions if region_in_halfspace(skew, c, v)]
-    dist = sorted(order.descents(c) for c in contained)
-    assert dist == [1]
+    order = WeakOrder(skew, base_region_of(skew, v))
+    fan = enumerate_faces(skew)
+    contained = [c for c in fan.packed_regions if region_in_halfspace(skew, fan.unpack(c), v)]
+    assert sorted(map(order.packed_descents, contained)) == [1]
     assert primitive_eulerian_mobius(skew) == Z ** 2
 
 
 @pytest.mark.parametrize("normals, v, witness", [
     ([(1, 0), (1, 1)], (1, 3), ((1, -1), (-1, -1))),
     # several contained regions leave the halfspace here; the witness is
-    # the first met in the order of the set of contained sign vectors, not
-    # the first in fan order, ((1, 1, -1, 1), (1, 1, 1, 1))
+    # the first contained region in fan order, flipped across its first
+    # wall that leaves the halfspace
     ([(0, 1, -1), (2, -1, -1), (2, -1, 2), (1, -2, 1)], (-1, 95, 8),
-     ((-1, 1, -1, 1), (-1, 1, 1, 1))),
+     ((1, 1, -1, 1), (1, 1, 1, 1))),
 ])
 def test_upper_set_witness_is_pinned(normals, v, witness):
     a = Arrangement.from_normals(normals)
@@ -207,14 +204,15 @@ def test_upper_set_witness_is_pinned(normals, v, witness):
 
 
 def test_routes_leave_the_sign_vector_views_unbuilt():
-    # The geometric routes read the packed fan; the sign-vector tuples and
-    # their index are built only when the API asks for them.
+    # The geometric routes read the packed fan; the sign tuples of the
+    # regions are built only when enumerate_regions asks for them.
     enumerate_faces.cache_clear()
     a = type_b(4)
     assert peul_from_cochar(cochar_via_halfspace(a), 4) == primitive_eulerian_descents(a)
+    assert eulerian_poly(a)(1) == 384
     fan = enumerate_faces(a)
-    assert "faces" not in vars(fan) and "index" not in vars(fan)
-    assert len(fan.faces) == len(fan) == 1697
+    assert "_regions" not in vars(fan)
+    assert len(fan) == 1697 and len(enumerate_regions(a)) == 384
 
 
 def test_product_law():
@@ -266,8 +264,6 @@ def test_rank3_real_rooted_and_interlacing():
 
 
 def random_rank3(rng: random.Random) -> Arrangement:
-    from primeul.linalg import primitive_signed, rank
-
     while True:
         count = rng.randint(3, 6)
         normals = set()
@@ -276,7 +272,7 @@ def random_rank3(rng: random.Random) -> Arrangement:
             if any(v):
                 normals.add(primitive_signed(v))
         normals = sorted(normals)
-        if rank(normals, 3) == 3:
+        if len(rref_int(normals, 3)) == 3:
             return Arrangement.from_normals(normals, 3)
 
 
@@ -290,21 +286,11 @@ def test_random_rank3_real_rooted():
 def test_rank3_recursion_interlacing():
     # P = (z-1) P_restriction + sum of localizations; the second summand
     # interlaces the first, certifying real-rootedness in rank 3.
-    from primeul.arrangement import localization, restriction
-    from primeul.linalg import Subspace
-
     rng = random.Random(77)
     done = 0
     while done < 10:
         a = random_rank3(rng)
-        lattice = build_flats(a)
-        pivot = lattice.flats[lattice.position(
-            Subspace.from_normals([a.hyperplanes[0].normal], 3))]
-        f = ZM1 * primitive_eulerian_mobius(restriction(a, pivot))
-        g = IntPoly()
-        for i in range(len(lattice.flats)):
-            if lattice.grade(i) == 1 and 0 not in lattice.flats[i].containing:
-                g = g + primitive_eulerian_mobius(localization(a, lattice.flats[i]))
+        f, g = deletion_summands(a)
         if g.is_zero():
             continue
         assert interlaces(g, f)

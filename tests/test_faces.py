@@ -4,20 +4,57 @@ import pytest
 from hypothesis import example, given, settings
 
 from primeul.arrangement import (Arrangement, build_flats, count_regions_zaslavsky,
-                                 essentialize, is_very_generic_vector)
+                                 is_very_generic_vector, set_bits)
 from primeul.cli import _PATH_BUILTINS
-from primeul.faces import (FanIndex, enumerate_faces, enumerate_regions, face_leq,
-                           faces_in_halfspace, is_sharp, is_simplicial,
-                           opposite, rays_of_region, region_in_halfspace,
-                           separation_set, sign_key, tits_product)
+from primeul.faces import (FanIndex, enumerate_faces, enumerate_regions,
+                           is_sharp, is_simplicial, region_in_halfspace)
 from primeul.families import (braid, generic_gn, graphic, parse_family, rank2,
                               type_b, type_d, type_dnk)
 from primeul.linalg import dot, rref_int
+from test_arrangement import essentialize, restriction
 from test_differential import arrangements
 
 FOUR_CYCLE = graphic(4, [(1, 2), (2, 3), (3, 4), (4, 1)])
 COORD2 = Arrangement.from_normals([(1, 0), (0, 1)], 2)
 SKEW2 = Arrangement.from_normals([(1, 0), (1, 1)], 2)
+
+# References on the fan's packed sign vectors plus | minus << m.  A face f
+# lies in the closure of g iff f & ~g == 0: every sign of f is one of g.
+
+
+def sign_key(signs):
+    """The fan order on sign tuples: entry by entry, with 0 < + < -."""
+    return tuple({0: 0, 1: 1, -1: 2}[s] for s in signs)
+
+
+def sorted_faces(fan):
+    """The faces as sign tuples, in fan order."""
+    return sorted(map(fan.unpack, fan.packed_faces), key=sign_key)
+
+
+def opposite(fan, f):
+    """-f: the + and - halves swapped."""
+    return f >> fan.m | (f & (1 << fan.m) - 1) << fan.m
+
+
+def tits_product(fan, f, g):
+    """The Tits product, first nonzero wins: f, with g's signs where f is 0;
+    always a face."""
+    zero = (1 << fan.m) - 1 & ~(f | f >> fan.m)
+    fg = f | g & (zero | zero << fan.m)
+    assert fg in fan.packed_faces, "Tits product missing from the fan"
+    return fg
+
+
+def faces_in_halfspace(fan, v):
+    """The faces whose closed cone lies in {x : <v, x> <= 0}."""
+    up = fan.halfspace_mask(v)
+    return {f for f in fan.packed_faces if not fan.ray_mask(f) & up}
+
+
+def rays_of(fan, c):
+    """The directions of the rays in the closure of the packed face c."""
+    return [d for i, d in enumerate(fan.directions) if fan.ray_mask(c) >> i & 1]
 
 
 def test_region_counts():
@@ -41,7 +78,7 @@ def test_regions_sorted_deterministically():
 def test_face_counts_rank1():
     a = Arrangement.from_normals([(1, 0)], 2)
     fan = enumerate_faces(a)
-    assert sorted(fan.faces, key=sign_key) == [(0,), (1,), (-1,)]
+    assert sorted_faces(fan) == [(0,), (1,), (-1,)]
 
 
 def test_face_counts_braid4():
@@ -49,10 +86,8 @@ def test_face_counts_braid4():
     assert fan.f_vector() == (1, 14, 36, 24)
     # grade-by-grade totals equal region counts of the restrictions
     lattice = build_flats(essentialize(braid(4)))
-    from primeul.arrangement import restriction
-
     for g, flats in enumerate(lattice.flats_by_grade()):
-        total = sum(len(enumerate_regions(restriction(lattice.arrangement, lattice.flats[i])))
+        total = sum(len(enumerate_regions(restriction(lattice.arrangement, i)))
                     for i in flats)
         assert fan.f_vector()[g] == total
 
@@ -65,10 +100,9 @@ def test_face_counts_i23():
 
 def test_tits_identity_properties():
     fan = enumerate_faces(rank2(3))
-    center = fan.center
-    for f in fan.faces:
-        assert tits_product(fan, center, f) == f
-        assert tits_product(fan, f, center) == f
+    for f in fan.packed_faces:
+        assert tits_product(fan, 0, f) == f  # 0 is the central face
+        assert tits_product(fan, f, 0) == f
         assert tits_product(fan, f, f) == f
 
 
@@ -77,42 +111,52 @@ def test_tits_left_regular_band_exhaustive():
     for a in (rank2(2), rank2(4), essentialize(braid(4)), type_b(3)):
         fan = enumerate_faces(a)
         assert len(fan) <= 200
-        for f in fan.faces:
-            for g in fan.faces:
+        for f in fan.packed_faces:
+            for g in fan.packed_faces:
                 fg = tits_product(fan, f, g)
-                assert face_leq(f, fg)
+                assert not f & ~fg
                 assert tits_product(fan, fg, f) == fg
                 assert tits_product(fan, f, fg) == fg
 
 
 def test_tits_rank2_example():
     fan = enumerate_faces(COORD2)
+
+    def tits(f, g):
+        return fan.unpack(tits_product(fan, fan.pack(f), fan.pack(g)))
+
     # first nonzero wins entrywise: (+,0) * (0,-) lands in the region (+,-)
-    assert tits_product(fan, (1, 0), (0, -1)) == (1, -1)
+    assert tits((1, 0), (0, -1)) == (1, -1)
     # opposite rays on the same line absorb: (+,0) * (-,0) stays (+,0)
-    assert tits_product(fan, (1, 0), (-1, 0)) == (1, 0)
+    assert tits((1, 0), (-1, 0)) == (1, 0)
 
 
 def test_opposite():
+    # The fan is centrally symmetric: -f is a face for every face f.
     fan = enumerate_faces(type_b(2))
-    assert opposite(fan.center) == fan.center
-    for f in fan.faces:
-        assert opposite(opposite(f)) == f
-    region = (1,) * 4
-    assert opposite(region) == (-1,) * 4
+    assert opposite(fan, 0) == 0
+    for f in fan.packed_faces:
+        assert opposite(fan, f) in fan.packed_faces
+        assert fan.unpack(opposite(fan, f)) == tuple(-x for x in fan.unpack(f))
+        assert opposite(fan, opposite(fan, f)) == f
+    assert opposite(fan, fan.pack((1,) * 4)) == fan.pack((-1,) * 4)
 
 
 def test_separation():
-    regions = enumerate_regions(braid(3))
+    # The hyperplanes separating two packed regions are the bits where the
+    # - masks differ; adjacent regions differ at the flipped hyperplane only.
+    fan = enumerate_faces(braid(3))
+    regions = fan.packed_regions
     c = regions[0]
-    assert separation_set(c, c) == frozenset()
-    assert separation_set(c, opposite(c)) == frozenset(range(3))
-    # adjacent regions are separated by exactly the flipped hyperplane
+    assert set_bits((c ^ c) >> 3) == []
+    assert set_bits((c ^ opposite(fan, c)) >> 3) == [0, 1, 2]
     for c in regions:
         for h in range(3):
-            d = c[:h] + (-c[h],) + c[h + 1:]
+            d = c ^ (1 << h | 1 << h + 3)
             if d in regions:
-                assert separation_set(c, d) == {h}
+                assert set_bits((c ^ d) >> 3) == [h]
+                assert fan.unpack(d) == tuple(-x if j == h else x
+                                              for j, x in enumerate(fan.unpack(c)))
 
 
 def test_adjacent_regions_share_facet():
@@ -122,30 +166,22 @@ def test_adjacent_regions_share_facet():
         for h in range(4):
             d = c[:h] + (-c[h],) + c[h + 1:]
             if d in regions:
-                wall = c[:h] + (0,) + c[h + 1:]
-                assert wall in fan.index
-                assert fan.grade(wall) == fan.rank - 1
+                wall = fan.key(c[:h] + (0,) + c[h + 1:])
+                assert fan.packed_grade(wall) == fan.rank - 1
 
 
 def test_rays_first_quadrant():
     fan = enumerate_faces(COORD2)
-    rays = rays_of_region(fan, (1, 1))
-    assert sorted(rays) == [(0, 1), (1, 0)]
+    assert sorted(rays_of(fan, fan.pack((1, 1)))) == [(0, 1), (1, 0)]
 
 
 def test_rays_counts():
     fan = enumerate_faces(rank2(3))
-    for c in enumerate_regions(rank2(3)):
-        assert len(rays_of_region(fan, c)) == 2
+    for c in fan.packed_regions:
+        assert len(rays_of(fan, c)) == 2
     fan4 = enumerate_faces(essentialize(braid(4)))
-    for c in enumerate_regions(essentialize(braid(4))):
-        assert len(rays_of_region(fan4, c)) == 3
-
-
-def test_rays_need_essential():
-    fan = enumerate_faces(braid(3))
-    with pytest.raises(ValueError):
-        rays_of_region(fan, enumerate_regions(braid(3))[0])
+    for c in fan4.packed_regions:
+        assert len(rays_of(fan4, c)) == 3
 
 
 def test_simplicial():
@@ -172,7 +208,7 @@ def test_region_in_halfspace():
     base = tuple(1 if sum(n * x for n, x in zip(h.normal, v)) > 0 else -1
                  for h in b3.hyperplanes)
     assert not region_in_halfspace(b3, base, v)  # contains v itself
-    assert region_in_halfspace(b3, opposite(base), v)
+    assert region_in_halfspace(b3, tuple(-x for x in base), v)
     contained = [c for c in regions if region_in_halfspace(b3, c, v)]
     assert len(contained) == 15  # Greene-Zaslavsky: |mu(bot, top)|
     # a ray on the bounding hyperplane keeps the closed quadrant inside
@@ -184,7 +220,7 @@ def test_faces_in_halfspace_rank1():
     a = Arrangement.from_normals([(1, 0)], 2)
     fan = enumerate_faces(a)
     inside = faces_in_halfspace(fan, (1, 0))
-    assert sorted(inside, key=sign_key) == [(0,), (-1,)]
+    assert sorted(map(fan.unpack, inside), key=sign_key) == [(0,), (-1,)]
 
 
 def test_faces_in_halfspace_graded_counts():
@@ -195,16 +231,10 @@ def test_faces_in_halfspace_graded_counts():
     inside = faces_in_halfspace(fan, v)
     counts = [0, 0, 0, 0]
     for f in inside:
-        counts[fan.grade(f)] += 1
+        counts[fan.packed_grade(f)] += 1
     assert counts == [1, 7, 12, 6]
-    full = [f for f in inside if fan.grade(f) == 3]
+    full = [f for f in inside if fan.packed_grade(f) == 3]
     assert len(full) == 6  # |mu(bot, top)| of the rank-3 braid lattice
-
-
-def test_faces_in_halfspace_requires_very_generic():
-    fan = enumerate_faces(type_b(2))
-    with pytest.raises(ValueError):
-        faces_in_halfspace(fan, (1, 1))
 
 
 def _signed(a, signs):
@@ -249,22 +279,22 @@ def test_regions_against_brute_force():
                 brute.append(signs)
         brute.sort(key=sign_key)
         fan = enumerate_faces(a)
-        assert fan.faces == tuple(brute)
-        assert fan.dims == tuple(
-            a.dim - len(rref_int(_zero_normals(a, f), a.dim)) for f in brute)
+        assert sorted_faces(fan) == brute
+        assert [fan.packed_grade(fan.pack(f)) + fan.bottom_dim for f in brute] == [
+            a.dim - len(rref_int(_zero_normals(a, f), a.dim)) for f in brute]
         assert enumerate_regions(a) == tuple(f for f in brute if 0 not in f)
 
     # the vector the routes pick by default, and two random ones
     rng = random.Random(3)
     for family in _PATH_BUILTINS:
         a = parse_family(family)
-        assert a.rank() <= 4
         fan = enumerate_faces(a)
+        assert fan.rank <= 4
         for v in (find_very_generic(a), _random_very_generic(a, rng),
                   _random_very_generic(a, rng)):
-            certified = tuple(
-                f for f in fan.faces
-                if not strict_feasible(_signed(a, f) + [v], _zero_normals(a, f), a.dim))
+            certified = {
+                fan.pack(f) for f in sorted_faces(fan)
+                if not strict_feasible(_signed(a, f) + [v], _zero_normals(a, f), a.dim)}
             assert faces_in_halfspace(fan, v) == certified, (family, v)
 
     # v not orthogonal to the minimum flat: no closed region fits in the
@@ -277,9 +307,9 @@ def test_regions_against_brute_force():
 
 def test_empty_arrangement_fan():
     fan = enumerate_faces(Arrangement(3, ()))
-    assert fan.faces == ((),)
+    assert sorted_faces(fan) == [()]
     assert fan.f_vector() == (1,)
-    assert fan.regions() == ((),)
+    assert enumerate_regions(Arrangement(3, ())) == ((),)
 
 
 def _compositions(cocircuits, m: int) -> set[int]:

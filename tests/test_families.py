@@ -9,18 +9,18 @@ from primeul.families import (braid, generic_gn, graphic,
 
 def test_braid():
     a = braid(3)
-    assert len(a.hyperplanes) == 3 and a.rank() == 2
+    assert len(a.hyperplanes) == 3 and build_flats(a).rank == 2
     assert braid(1).hyperplanes == ()
 
 
 def test_type_b():
     a = type_b(3)
-    assert len(a.hyperplanes) == 9 and a.rank() == 3
+    assert len(a.hyperplanes) == 9 and build_flats(a).rank == 3
 
 
 def test_type_d():
     a = type_d(3)
-    assert len(a.hyperplanes) == 6 and a.rank() == 3
+    assert len(a.hyperplanes) == 6 and build_flats(a).rank == 3
     with pytest.raises(ValueError):
         type_d(1)
 
@@ -36,7 +36,7 @@ def test_dnk_boundaries():
 
 def test_rank2():
     a = rank2(6)
-    assert len(a.hyperplanes) == 6 and a.rank() == 2
+    assert len(a.hyperplanes) == 6 and build_flats(a).rank == 2
     assert [len(g) for g in build_flats(a).flats_by_grade()] == [1, 6, 1]
     with pytest.raises(ValueError):
         rank2(1)
@@ -44,23 +44,23 @@ def test_rank2():
 
 def test_graphic():
     a = graphic(4, [(1, 2), (2, 3), (3, 4), (4, 1)])
-    assert len(a.hyperplanes) == 4 and a.rank() == 3
+    assert len(a.hyperplanes) == 4 and build_flats(a).rank == 3
     with pytest.raises(ValueError):
         graphic(3, [(1, 1)])
 
 
 def test_generic_gn():
     a = generic_gn(4)
-    assert len(a.hyperplanes) == 5 and a.rank() == 4
+    assert len(a.hyperplanes) == 5 and build_flats(a).rank == 4
     with pytest.raises(ValueError):
         generic_gn(1)
 
 
 def test_root_system_counts():
     assert len(root_system("F4").hyperplanes) == 24
-    assert root_system("F4").rank() == 4
+    assert build_flats(root_system("F4")).rank == 4
     assert len(root_system("E6").hyperplanes) == 36
-    assert root_system("E6").rank() == 6
+    assert build_flats(root_system("E6")).rank == 6
     assert len(root_system("E7").hyperplanes) == 63
     assert len(root_system("E8").hyperplanes) == 120
     with pytest.raises(ValueError):
@@ -70,8 +70,8 @@ def test_root_system_counts():
 def test_parse_family():
     assert parse_family("A 4").normals == braid(4).normals
     assert parse_family("Dnk 3 2").normals == type_dnk(3, 2).normals
-    assert parse_family("graphic 4 1-2,2-3,3-4,4-1").rank() == 3
-    assert parse_family("F4").rank() == 4
+    assert build_flats(parse_family("graphic 4 1-2,2-3,3-4,4-1")).rank == 3
+    assert build_flats(parse_family("F4")).rank == 4
     for bad in ("", "Q 3", "A", "B x", "I2"):
         with pytest.raises(ValueError):
             parse_family(bad)

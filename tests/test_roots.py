@@ -9,8 +9,13 @@ import pytest
 
 from primeul.coxstats import peul_b_rec, peul_d_rec
 from primeul.intpoly import IntPoly, ONE, Z, ZM1
-from primeul.roots import (distinct_real_roots, interlaces, is_real_rooted,
+from primeul.roots import (_index, _sturm_chain, interlaces, is_real_rooted,
                            real_root_count)
+
+
+def distinct_real_roots(p: IntPoly) -> int:
+    """Number of distinct real roots: the Cauchy index of p'/p."""
+    return _index(_sturm_chain(p.coeffs))
 
 
 def poly_from_roots(roots, lead=1):

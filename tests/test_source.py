@@ -18,6 +18,39 @@ def test_no_assert_in_package():
     assert offenders == []
 
 
+def _imported_from(path):
+    """(module, name) for each ``from primeul.module import name`` and
+    ``from .module import name`` in the file."""
+    out = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and node.module:
+            package, _, module = node.module.rpartition(".")
+            if node.level == 1 or package == "primeul":
+                out.update((module, alias.name) for alias in node.names)
+    return out
+
+
+def test_every_public_name_is_used():
+    # A public module-level function or class of the package must be
+    # exported by ``__init__``, imported by another module of the package
+    # or of perfbench, or read by name in its own module.  Names are matched
+    # by ``ast``, so ``lattice.rank`` is no use of a function ``rank``.
+    package = Path(primeul.__file__).parent
+    sources = sorted(package.glob("*.py"))
+    imported = set()
+    for path in sources + sorted((Path(__file__).parents[1] / "perfbench").glob("*.py")):
+        imported |= _imported_from(path)
+    unused = []
+    for path in sources:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.stem}.{node.name}" for node in tree.body
+                   if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                   and not node.name.startswith("_") and node.name not in read
+                   and (path.stem, node.name) not in imported]
+    assert unused == []
+
+
 def test_import_leaves_out_dataclasses():
     # ``dataclasses`` pulls in ``inspect``, ``ast``, ``dis`` and
     # ``tokenize``: about 12 ms of every process's start.  Module names,

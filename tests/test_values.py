@@ -1,7 +1,6 @@
 """The value types: construction, equality, hash, repr and immutability.
 
-``Hyperplane``, ``Arrangement``, ``Flat``, ``Subspace``, ``IntPoly`` and
-``TruncatedEgf`` behave as frozen records of their fields; their reprs are
+``Hyperplane``, ``Arrangement``, ``IntPoly`` and ``TruncatedEgf`` behave as frozen records of their fields; their reprs are
 pinned as exact strings.
 """
 
@@ -11,31 +10,22 @@ from fractions import Fraction
 
 import pytest
 
-from primeul.arrangement import Arrangement, Flat, Hyperplane, build_flats
+from primeul.arrangement import Arrangement, Hyperplane, build_flats
 from primeul.egf import TruncatedEgf
 from primeul.families import braid
 from primeul.intpoly import IntPoly
-from primeul.linalg import Subspace
 
 FIELDS = {Hyperplane: ("normal",), Arrangement: ("dim", "hyperplanes"),
-          Flat: ("subspace", "containing"), Subspace: ("ambient", "normals"),
           IntPoly: ("coeffs",), TruncatedEgf: ("order", "coeffs")}
 
 
 def samples():
     a = Arrangement.from_normals([(1, 0), (0, 1), (1, -1)])
-    flats = build_flats(a).flats
     return [
         (Hyperplane((1, -1)), "Hyperplane(normal=(1, -1))"),
         (a, "Arrangement(dim=2, hyperplanes=(Hyperplane(normal=(1, 0)), "
             "Hyperplane(normal=(0, 1)), Hyperplane(normal=(1, -1))))"),
         (Arrangement(3, ()), "Arrangement(dim=3, hyperplanes=())"),
-        (flats[1], "Flat(subspace=Subspace(ambient=2, normals=((0, 1),)), "
-                   "containing=frozenset({1}))"),
-        (flats[0], "Flat(subspace=Subspace(ambient=2, normals=((1, 0), (0, 1))), "
-                   "containing=frozenset({0, 1, 2}))"),
-        (Subspace(3, ((1, 0, -1),)), "Subspace(ambient=3, normals=((1, 0, -1),))"),
-        (Subspace.full(2), "Subspace(ambient=2, normals=())"),
         (IntPoly((0, 4, 1, 0)), "IntPoly(coeffs=(0, 4, 1))"),
         (IntPoly(), "IntPoly(coeffs=())"),
         (TruncatedEgf(1, ((), (Fraction(1, 2), 3, Fraction(0)))),
@@ -57,7 +47,6 @@ def test_equality_within_one_class_only():
         for other in values:
             if type(other) is not type(value):
                 assert value != other and value.__eq__(other) is NotImplemented
-    assert Subspace(2, ()) != Flat(Subspace(2, ()), frozenset())
     assert IntPoly((1,)) != 1 and IntPoly((1,)) != (1,)
 
 
@@ -80,9 +69,6 @@ def test_keyword_construction():
     h = Hyperplane(normal=(1, 0))
     assert h == Hyperplane((1, 0))
     assert Arrangement(dim=2, hyperplanes=(h,)) == Arrangement(2, (h,))
-    s = Subspace(ambient=2, normals=((1, 0),))
-    assert s == Subspace(2, ((1, 0),))
-    assert Flat(subspace=s, containing=frozenset({0})) == Flat(s, frozenset({0}))
     assert IntPoly(coeffs=(1, 2)) == IntPoly((1, 2))
     assert IntPoly() == IntPoly(()) and not IntPoly()
     assert TruncatedEgf(order=0, coeffs=((1,),)) == TruncatedEgf(0, ((1,),))

@@ -1,33 +1,68 @@
+from collections import Counter
+
 import pytest
 
-from primeul.arrangement import Arrangement
-from primeul.faces import (enumerate_faces, enumerate_regions, face_leq,
-                           opposite, region_in_halfspace, tits_product)
+from primeul.arrangement import Arrangement, set_bits
+from primeul.faces import enumerate_faces, enumerate_regions, region_in_halfspace
 from primeul.families import braid, type_b
-from primeul.weakorder import WeakOrder, descent_set, top_star
+from primeul.weakorder import WeakOrder
+from test_faces import faces_in_halfspace, opposite, tits_product
 
 
 def hexagon():
     return braid(3)
 
 
+def sep(c, d):
+    """The hyperplanes separating the regions c and d, given as sign tuples."""
+    return {h for h, (x, y) in enumerate(zip(c, d)) if x != y}
+
+
+def ranks(w):
+    """Each region's rank in the graded weak order: its distance from the
+    base region along covers_above."""
+    rank, level, r = {}, {w.base}, 0
+    while level:
+        rank.update(dict.fromkeys(level, r))
+        level = {d for c in level for d in w.covers_above(c)}
+        r += 1
+    return rank
+
+
+def top_star(fan, f, w):
+    """The packed regions whose closure holds the face f, with the minimum
+    f * B and the maximum f * -B of that interval of the weak order."""
+    b = fan.pack(w.base)
+    regions = [c for c in fan.packed_regions if not f & ~c]
+    lo, hi = tits_product(fan, f, b), tits_product(fan, f, opposite(fan, b))
+    for c in regions:  # sep(B, lo) <= sep(B, c) <= sep(B, hi)
+        assert not (lo ^ b) & ~(c ^ b) and not (c ^ b) & ~(hi ^ b), "top-star bounds"
+    return regions, lo, hi
+
+
+def descent_set(fan, delta, b):
+    """The packed faces F of the subcomplex delta with F * -B in delta."""
+    return {f for f in delta if tits_product(fan, f, opposite(fan, b)) in delta}
+
+
 def test_min_max():
+    # The base region is the unique minimum and its opposite the unique
+    # maximum: every region lies above the base along covers, and only the
+    # opposite has no cover above it.
     a = hexagon()
-    base = enumerate_regions(a)[0]
-    w = WeakOrder(a, base)
-    assert w.minimum() == base
-    assert w.maximum() == opposite(base)
-    assert all(w.leq(base, c) for c in w.regions)
-    assert all(w.leq(c, opposite(base)) for c in w.regions)
+    regions = enumerate_regions(a)
+    w = WeakOrder(a, regions[0])
+    assert set(ranks(w)) == set(regions)
+    assert [c for c in regions if not w.covers_above(c)] == [tuple(-x for x in w.base)]
 
 
 def test_hexagon_rank_profile():
     a = hexagon()
     base = enumerate_regions(a)[0]
     w = WeakOrder(a, base)
-    sizes = sorted(len(w.sep[w.position(c)]) for c in w.regions)
-    assert sizes == [0, 1, 1, 2, 2, 3]
-    assert len(w.sep[w.position(opposite(base))]) == 3
+    rank = ranks(w)
+    assert sorted(rank.values()) == [0, 1, 1, 2, 2, 3]
+    assert all(r == len(sep(base, c)) for c, r in rank.items())
 
 
 def test_base_must_be_region():
@@ -37,44 +72,47 @@ def test_base_must_be_region():
 
 def test_descents():
     a = hexagon()
-    base = enumerate_regions(a)[0]
-    w = WeakOrder(a, base)
-    assert w.descents(base) == 0
-    assert w.descents(opposite(base)) == 2  # hexagon top covers two regions
+    fan = enumerate_faces(a)
+    regions = enumerate_regions(a)
+    w = WeakOrder(a, regions[0])
+    b = fan.pack(regions[0])
+    assert w.packed_descents(b) == 0
+    assert w.packed_descents(opposite(fan, b)) == 2  # hexagon top covers two regions
+    # a descent count is the number of regions covered
+    for c in regions:
+        assert w.packed_descents(fan.pack(c)) == sum(c in w.covers_above(d) for d in regions)
     # total distribution is the Eulerian polynomial of the symmetric group
-    from collections import Counter
-
-    dist = Counter(w.descents(c) for c in w.regions)
+    dist = Counter(map(w.packed_descents, fan.packed_regions))
     assert dist == {0: 1, 1: 4, 2: 1}
 
 
 def test_descents_empty_arrangement():
     a = Arrangement(2, ())
     w = WeakOrder(a, ())
-    assert w.descents(()) == 0
+    assert w.packed_descents(0) == 0
 
 
 def test_covers_grow_by_one_wall():
     a = type_b(2)
     base = enumerate_regions(a)[0]
     w = WeakOrder(a, base)
-    for c in w.regions:
+    for c in enumerate_regions(a):
         for d in w.covers_above(c):
-            grown = w.sep[w.position(d)] - w.sep[w.position(c)]
-            assert len(grown) == 1
+            assert sep(base, c) < sep(base, d)
+            assert len(sep(base, d) - sep(base, c)) == 1
 
 
 def test_upper_sets():
     a = hexagon()
+    fan = enumerate_faces(a)
     base = enumerate_regions(a)[0]
     w = WeakOrder(a, base)
-    assert w.is_upper_set([opposite(base)])
-    assert w.is_upper_set(list(w.regions))
-    assert w.is_upper_set([])
-    lower = [base]
-    assert not w.is_upper_set(lower)
-    witness = w.upper_set_failure(lower)
-    assert witness is not None and witness[0] == base
+    b = fan.pack(base)
+    assert w.packed_failure([opposite(fan, b)]) is None
+    assert w.packed_failure(list(fan.packed_regions)) is None
+    assert w.packed_failure([]) is None
+    c, d = w.packed_failure([b])
+    assert c == b and fan.unpack(d) in w.covers_above(base)
 
 
 def test_upper_set_halfspace_b3():
@@ -83,8 +121,10 @@ def test_upper_set_halfspace_b3():
     base = tuple(1 if sum(n * x for n, x in zip(h.normal, v)) > 0 else -1
                  for h in b3.hyperplanes)
     w = WeakOrder(b3, base)
-    contained = [c for c in w.regions if region_in_halfspace(b3, c, v)]
-    assert w.is_upper_set(contained)
+    fan = enumerate_faces(b3)
+    contained = [c for c in fan.packed_regions if region_in_halfspace(b3, fan.unpack(c), v)]
+    assert len(contained) == 15
+    assert w.packed_failure(contained) is None
 
 
 def test_top_star():
@@ -92,15 +132,15 @@ def test_top_star():
     fan = enumerate_faces(a)
     base = enumerate_regions(a)[0]
     w = WeakOrder(a, base)
-    regions, lo, hi = top_star(fan, fan.center, w)
-    assert set(regions) == set(w.regions)
-    assert lo == base and hi == opposite(base)
+    b = fan.pack(base)
+    regions, lo, hi = top_star(fan, 0, w)  # 0 is the central face
+    assert regions == list(fan.packed_regions)
+    assert lo == b and hi == opposite(fan, b)
     # a region's own top-star is itself
-    c = w.regions[2]
-    regions, lo, hi = top_star(fan, c, w)
-    assert regions == (c,) and lo == c and hi == c
+    c = fan.packed_regions[2]
+    assert top_star(fan, c, w) == ([c], c, c)
     # a facet-dimension face has exactly its two adjacent regions
-    facet = next(f for f in fan.faces if fan.grade(f) == fan.rank - 1)
+    facet = next(f for f in fan.packed_faces if fan.packed_grade(f) == fan.rank - 1)
     regions, lo, hi = top_star(fan, facet, w)
     assert len(regions) == 2 and lo != hi
 
@@ -111,30 +151,29 @@ def test_boolean_interval_of_descents():
         fan = enumerate_faces(a)
         base = enumerate_regions(a)[0]
         w = WeakOrder(a, base)
-        opp = opposite(base)
-        for c in w.regions:
-            count = sum(1 for g in fan.faces
-                        if face_leq(g, c) and tits_product(fan, g, opp) == c)
-            assert count == 2 ** w.descents(c)
+        opp = opposite(fan, fan.pack(base))
+        for c in fan.packed_regions:
+            count = sum(1 for g in fan.packed_faces
+                        if not g & ~c and tits_product(fan, g, opp) == c)
+            assert count == 2 ** w.packed_descents(c)
 
 
 def test_descent_set_fixed_point_characterization():
     # Des(Delta) = Delta holds for the halfspace complex of a sharp
     # arrangement, and fails after puncturing the complex.
     from primeul.eulerpoly import find_very_generic
-    from primeul.faces import faces_in_halfspace
 
     b3 = type_b(3)
     v = find_very_generic(b3)
     fan = enumerate_faces(b3)
-    base = tuple(1 if sum(n * x for n, x in zip(h.normal, v)) > 0 else -1
-                 for h in b3.hyperplanes)
+    b = fan.pack(tuple(1 if sum(n * x for n, x in zip(h.normal, v)) > 0 else -1
+                       for h in b3.hyperplanes))
     delta = faces_in_halfspace(fan, v)
-    assert set(descent_set(fan, delta, base)) == set(delta)
+    assert descent_set(fan, delta, b) == delta
     # puncture: drop one full-dimensional member but keep its boundary
-    region = next(f for f in delta if fan.grade(f) == fan.rank)
-    punctured = tuple(f for f in delta if f != region)
-    assert set(descent_set(fan, punctured, base)) != set(punctured)
+    region = next(f for f in delta if fan.packed_grade(f) == fan.rank)
+    punctured = delta - {region}
+    assert descent_set(fan, punctured, b) != punctured
 
 
 def test_walls_against_flip_rule():
@@ -147,10 +186,9 @@ def test_walls_against_flip_rule():
     arrangements = [parse_family(f) for f in _PATH_BUILTINS + ("B 4", "F4")]
     for a in arrangements + [braid(3), Arrangement(2, ())]:
         fan = enumerate_faces(a)
-        regions = fan.regions()
+        regions = enumerate_regions(a)
         inside = set(regions)
-        assert len(fan.walls) == len(regions)
-        for c, walls in zip(regions, fan.walls):
-            assert walls == tuple(h for h in range(len(c))
-                                  if c[:h] + (-c[h],) + c[h + 1:] in inside)
-        assert WeakOrder(a, regions[0]).walls == fan.walls
+        assert len(fan.wall_masks) == len(regions)
+        for c, walls in zip(regions, fan.wall_masks):
+            assert set_bits(walls) == [h for h in range(len(c))
+                                       if c[:h] + (-c[h],) + c[h + 1:] in inside]
