@@ -8,9 +8,11 @@ that set, containment of flats is containment of masks in reverse.  The
 flats just below a flat X are the classes of the hyperplanes off X, grouped
 by their restriction to X: a line, kept as a normal reduced modulo the key
 of X (the canonical RREF of its normal space), which is the one new row of
-its cover's key.  Mobius values come from the covers.  A flat is its
-position in the lattice, which holds its mask, dimension and key; there is
-no separate flat object.  The lattice also owns a basis of the minimum flat
+its cover's key.  The image of a line or key row under a cover's line, its
+pivot line, depends on the two alone and recurs across many flats, so each
+is computed once per build.  Mobius values come from the covers.  A flat is
+its position in the lattice, which holds its mask, dimension and key; there
+is no separate flat object.  The lattice also owns a basis of the minimum flat
 ⊥ and the direction of each rank-1 flat inside the span of the normals; the
 very generic test and the fan read them.
 """
@@ -89,9 +91,15 @@ class FlatLattice:
         # are the normals.  The hyperplanes on one line of a flat make one
         # cover; ``down`` keeps them all.  ``keys`` maps every mask found to
         # its flat's key: the parent's rows with column c eliminated by the
-        # line d of pivot c, plus d, in pivot order (descending tuples).
+        # line d of pivot c, plus d, in pivot order (descending tuples).  The
+        # cover's lines are the parent's other lines reduced the same way,
+        # those landing on one image joining their masks.  One pair (r, d)
+        # meets many flats, so ``images[d]`` holds d's pivot c and the image
+        # of every row or line r with r[c] != 0 met so far: each is reduced
+        # once per build.
         keys = {0: ()}
         down: dict[int, list[int]] = {}
+        images: dict[tuple[int, ...], tuple[int, dict]] = {}
         level = {0: {v: 1 << j for j, v in enumerate(normals)}}
         while level:
             below = {}
@@ -100,11 +108,18 @@ class FlatLattice:
                 for d, group in lines.items():
                     cover = mask | group
                     covers.append(cover)
-                    if cover not in below:
-                        c = next(i for i, x in enumerate(d) if x)
-                        keys[cover] = tuple(sorted([_reduce(r, d, c) if r[c] else r
-                                                    for r in keys[mask]] + [d], reverse=True))
-                        below[cover] = _cut(lines, d, c)
+                    if cover in below:
+                        continue
+                    c, image = images.get(d) or images.setdefault(
+                        d, (next(i for i, x in enumerate(d) if x), {}))
+                    keys[cover] = tuple(sorted([
+                        image.get(r) or image.setdefault(r, _reduce(r, d, c)) if r[c] else r
+                        for r in keys[mask]] + [d], reverse=True))
+                    cut = below[cover] = {}
+                    for r, m in lines.items():
+                        if r is not d:
+                            v = image.get(r) or image.setdefault(r, _reduce(r, d, c)) if r[c] else r
+                            cut[v] = cut.get(v, 0) | m
             level = below
 
         # Bit j of a flat's mask is set iff hyperplane j contains the flat;
@@ -177,17 +192,6 @@ def set_bits(mask: int) -> list[int]:
     while mask:
         out.append((mask & -mask).bit_length() - 1)
         mask &= mask - 1
-    return out
-
-
-def _cut(lines, d, c):
-    """The lines of the cover cut out by the line d with pivot c, reduced
-    modulo the cover's key; lines landing on one image join their masks."""
-    out: dict[tuple[int, ...], int] = {}
-    for r, m in lines.items():
-        if r != d:
-            v = _reduce(r, d, c) if r[c] else r
-            out[v] = out.get(v, 0) | m
     return out
 
 
