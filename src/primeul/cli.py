@@ -18,7 +18,7 @@ from .arrangement import (Arrangement, build_flats, characteristic_polynomial,
                           count_regions_zaslavsky, halfspace_failure,
                           very_generic_failure)
 from .coxstats import (all_signed, binomial_identity_checks, bw_a, cuspidal_sn,
-                       des_a, des_b, generating_function_check, half_eulerian,
+                       des_a, fexc, generating_function_check, half_eulerian,
                        peul_a, peul_a_des, peul_a_exc, peul_b_des,
                        peul_b_diffrec, peul_b_excb, peul_b_rec, peul_d_des,
                        peul_d_rec, peul_dnk)
@@ -29,7 +29,7 @@ from .eulerpoly import (UpperSetError, cochar_via_halfspace, cocharacteristic,
 from .faces import enumerate_faces, is_sharp, is_simplicial
 from .families import (DimensionError, parse_arrangement_file, parse_family,
                        parse_vector, root_system)
-from .intpoly import Z
+from .intpoly import IntPoly, Z
 from .roots import is_real_rooted
 from .tables import EXCEPTIONAL, GOLDEN_ONLY, LONG_RUNNING, TYPE_B, TYPE_D
 
@@ -267,9 +267,10 @@ def _verify_statistics(args, failures):
     _check("statistics/A/cardinality",
            all(sum(1 for _ in cuspidal_sn(m)) == sum(1 for _ in bw_a(m))
                for m in range(1, min(n, 6) + 1)), failures)
-    ok = all(des_b(w) == (des_a(w) + des_b(w) + 1) // 2
-             for m in range(1, min(n, 5) + 1) for w in all_signed(m))
-    _check("statistics/B/flag-descent-halving", ok, failures)
+    # Adin-Brenti-Roichman: fexc and fdes = 2 des_a + [w_1 < 0] are equidistributed.
+    ok = all(IntPoly.from_counts(map(fexc, all_signed(m))) == IntPoly.from_counts(
+        2 * des_a(w) + (w[0] < 0) for w in all_signed(m)) for m in range(1, min(n, 5) + 1))
+    _check("statistics/B/fexc-vs-fdes", ok, failures)
 
 
 def _verify_egf(args, failures):

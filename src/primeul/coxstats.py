@@ -9,7 +9,9 @@ the polynomial of the braid arrangement in R^m for m >= 2.
 
 The six recursive sequences, eulerian_a to peul_d_rec, share one memo
 helper, _sequence: each keeps its terms and extends them in order of n, so
-every term is computed once.
+every term is computed once.  bw_b and bw_d share one right-to-left-maxima
+predicate, _negative_rtl_maxima, and every distribution is an
+``IntPoly.from_counts`` of a statistic over its elements.
 """
 
 from __future__ import annotations
@@ -23,10 +25,6 @@ from .intpoly import IntPoly, ONE, Z, ZERO, ZM1
 
 # ---------------------------------------------------------------------------
 # element generation
-
-def all_permutations(n: int):
-    return permutations(range(1, n + 1))
-
 
 def all_signed(n: int):
     for p in permutations(range(1, n + 1)):
@@ -69,7 +67,7 @@ def is_balanced_cycle(orbit: frozenset) -> bool:
 
 def cuspidal_sn(n: int):
     """Long cycles of the symmetric group: (n-1)! of them."""
-    for w in all_permutations(n):
+    for w in permutations(range(1, n + 1)):
         seen = [False] * (n + 1)
         i, length = 1, 0
         while not seen[i]:
@@ -125,15 +123,16 @@ def exc_b(w) -> int:
     return (fexc(w) + 1) // 2
 
 
-def _rtl_max_positions(absw) -> list[int]:
-    """Positions of the right-to-left maxima of a word of distinct values."""
-    out = []
+def _negative_rtl_maxima(w) -> bool:
+    """True iff every right-to-left maximum of |w| is a negative entry of w;
+    stops at the first positive one."""
     best = 0
-    for i in range(len(absw) - 1, -1, -1):
-        if absw[i] > best:
-            best = absw[i]
-            out.append(i)
-    return out
+    for x in reversed(w):
+        if abs(x) > best:
+            if x > 0:
+                return False
+            best = -x
+    return True
 
 
 def bw_a(n: int):
@@ -144,10 +143,7 @@ def bw_a(n: int):
 
 def bw_b(n: int):
     """Signed permutations whose right-to-left maxima (of |w|) are negative."""
-    for w in all_signed(n):
-        absw = tuple(abs(x) for x in w)
-        if all(w[i] < 0 for i in _rtl_max_positions(absw)):
-            yield w
+    return filter(_negative_rtl_maxima, all_signed(n))
 
 
 def bw_d(n: int):
@@ -155,35 +151,28 @@ def bw_d(n: int):
     if n < 2:
         raise ValueError("type D needs n >= 2")
     for w in all_even_signed(n):
-        if abs(w[0]) == n:
-            continue
-        absw = tuple(abs(x) for x in w)
-        if all(w[i] < 0 for i in _rtl_max_positions(absw)):
+        if abs(w[0]) != n and _negative_rtl_maxima(w):
             yield w
 
 
-def _distribution(stat, elements) -> IntPoly:
-    return IntPoly.from_counts(map(stat, elements))
-
-
 def peul_a_exc(n: int) -> IntPoly:
-    return _distribution(exc, cuspidal_sn(n))
+    return IntPoly.from_counts(map(exc, cuspidal_sn(n)))
 
 
 def peul_b_excb(n: int) -> IntPoly:
-    return _distribution(exc_b, cuspidal_bn(n))
+    return IntPoly.from_counts(map(exc_b, cuspidal_bn(n)))
 
 
 def peul_a_des(n: int) -> IntPoly:
-    return _distribution(des_a, bw_a(n))
+    return IntPoly.from_counts(map(des_a, bw_a(n)))
 
 
 def peul_b_des(n: int) -> IntPoly:
-    return _distribution(des_b, bw_b(n))
+    return IntPoly.from_counts(map(des_b, bw_b(n)))
 
 
 def peul_d_des(n: int) -> IntPoly:
-    return _distribution(des_d, bw_d(n))
+    return IntPoly.from_counts(map(des_d, bw_d(n)))
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +295,7 @@ def half_eulerian(n: int) -> IntPoly:
     """Ascent distribution over all (2n-1)!! 2-inversion sequences."""
     if n < 0:
         raise ValueError("n >= 0 required")
-    return _distribution(asc_2, inversion_sequences_2(n))
+    return IntPoly.from_counts(map(asc_2, inversion_sequences_2(n)))
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,9 @@ A series sum_{n<=N} c_n(z) x^n / n! is stored as the tuple of coefficient
 polynomials c_0..c_N, each a tuple of Fractions in z (low degree first).
 Arithmetic is exact and truncated at the fixed order N.  exp, log and sqrt
 are coefficient recurrences (exp from E' = f' E, log as the integral of
-f'/f, sqrt as exp(log(f) / 2)), so all coefficients stay polynomial.
+f'/f, sqrt as exp(log(f) / 2)), so all coefficients stay polynomial.  The
+coefficient polynomials are added, multiplied and trimmed by ``intpoly``'s
+kernels ``_add``, ``_mul`` and ``_trim``.
 """
 
 from __future__ import annotations
@@ -12,41 +14,16 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb
 
-from .intpoly import Frozen, IntPoly
+from .intpoly import Frozen, IntPoly, _add, _mul, _trim
 
 QPoly = tuple  # polynomial in z over Fraction, low degree first
 
 DEFAULT_ORDER = 8
 
 
-def _ptrim(c) -> QPoly:
-    c = list(c)
-    while c and c[-1] == 0:
-        c.pop()
-    return tuple(c)
-
-
-def _padd(a, b) -> QPoly:
-    n = max(len(a), len(b))
-    a = tuple(a) + (Fraction(0),) * (n - len(a))
-    b = tuple(b) + (Fraction(0),) * (n - len(b))
-    return _ptrim(x + y for x, y in zip(a, b))
-
-
-def _pmul(a, b) -> QPoly:
-    if not a or not b:
-        return ()
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return _ptrim(out)
-
-
 def _pscale(a, s) -> QPoly:
     s = Fraction(s)
-    return _ptrim(x * s for x in a)
+    return _trim([x * s for x in a])
 
 
 def _product_coeff(a, b, n: int) -> QPoly:
@@ -54,14 +31,14 @@ def _product_coeff(a, b, n: int) -> QPoly:
     sum_k C(n, k) a_k b_{n-k}."""
     acc: QPoly = ()
     for k in range(n + 1):
-        acc = _padd(acc, _pscale(_pmul(a[k], b[n - k]), comb(n, k)))
+        acc = _add(acc, _pscale(_mul(a[k], b[n - k]), comb(n, k)))
     return acc
 
 
 def _qpoly(p) -> QPoly:
     if isinstance(p, IntPoly):
         return tuple(Fraction(c) for c in p.coeffs)
-    return _ptrim(Fraction(c) for c in p)
+    return _trim([Fraction(c) for c in p])
 
 
 class TruncatedEgf(Frozen):
@@ -74,7 +51,7 @@ class TruncatedEgf(Frozen):
             raise ValueError("order must be >= 0")
         if len(coeffs) != order + 1:
             raise ValueError("need exactly order + 1 coefficients")
-        self._set(order, tuple(_ptrim(c) for c in coeffs))
+        self._set(order, tuple(_trim(c) for c in coeffs))
 
     @classmethod
     def from_polys(cls, polys, order: int = DEFAULT_ORDER) -> TruncatedEgf:
@@ -102,12 +79,12 @@ class TruncatedEgf(Frozen):
     def __add__(self, other: TruncatedEgf) -> TruncatedEgf:
         self._check(other)
         return TruncatedEgf(self.order, tuple(
-            _padd(a, b) for a, b in zip(self.coeffs, other.coeffs)))
+            _add(a, b) for a, b in zip(self.coeffs, other.coeffs)))
 
     def __sub__(self, other: TruncatedEgf) -> TruncatedEgf:
         self._check(other)
         return TruncatedEgf(self.order, tuple(
-            _padd(a, _pscale(b, -1)) for a, b in zip(self.coeffs, other.coeffs)))
+            _add(a, _pscale(b, -1)) for a, b in zip(self.coeffs, other.coeffs)))
 
     def __mul__(self, other: TruncatedEgf) -> TruncatedEgf:
         self._check(other)
@@ -172,5 +149,5 @@ def egf_div(f: TruncatedEgf, g: TruncatedEgf) -> TruncatedEgf:
     for n in range(f.order + 1):
         # (f/g * g)_n = f_n, with the unknown (f/g)_n put as 0 in the product
         rest = _product_coeff(out + [()], g.coeffs, n)
-        out.append(_pscale(_padd(f.coeffs[n], _pscale(rest, -1)), inv))
+        out.append(_pscale(_add(f.coeffs[n], _pscale(rest, -1)), inv))
     return TruncatedEgf(f.order, tuple(out))

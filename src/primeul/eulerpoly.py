@@ -23,14 +23,6 @@ from .intpoly import IntPoly, Z, ZM1
 from .linalg import dot
 from .weakorder import WeakOrder
 
-__all__ = [
-    "primitive_eulerian_mobius", "cocharacteristic", "peul_from_cochar",
-    "primitive_eulerian_recursive", "cochar_via_halfspace",
-    "primitive_eulerian_descents", "h_poly_relation_check", "eulerian_poly",
-    "find_very_generic", "base_region_of",
-]
-
-
 def primitive_eulerian_mobius(a: Arrangement) -> IntPoly:
     """sum_X |mu(bot, X)| (z-1)^{corank of X}; monic of degree rank(a)."""
     return peul_from_cochar(cocharacteristic(a), build_flats(a).rank)

@@ -171,9 +171,10 @@ def enumerate_regions(a: Arrangement) -> tuple[SignVector, ...]:
 
 
 def is_simplicial(a: Arrangement) -> bool:
-    """True iff every region has exactly rank(a) rays."""
+    """True iff every region has exactly rank(a) walls: a pointed cone of
+    rank r has at least r facets, and exactly r when it is simplicial."""
     fan = enumerate_faces(a)
-    return all(fan.ray_mask(c).bit_count() == fan.rank for c in fan.packed_regions)
+    return all(w.bit_count() == fan.rank for w in fan.wall_masks)
 
 
 def is_sharp(a: Arrangement) -> bool:

@@ -13,17 +13,22 @@ def _unit(n: int, i: int) -> tuple[int, ...]:
     return tuple(int(j == i) for j in range(n))
 
 
+def _signed_graph(n: int, edges, k: int) -> Arrangement:
+    """The first k coordinate hyperplanes x_i = 0, then x_i = s x_j for each
+    signed edge (i, j, s) in order, 0-based: the normals e_i - s e_j, in R^n."""
+    normals = [_unit(n, i) for i in range(k)]
+    for i, j, s in edges:
+        v = [0] * n
+        v[i], v[j] = 1, -s
+        normals.append(tuple(v))
+    return Arrangement.from_normals(normals, n)
+
+
 def braid(n: int) -> Arrangement:
     """Hyperplanes x_i = x_j for 1 <= i < j <= n, in R^n."""
     if n < 1:
         raise ValueError("braid needs n >= 1")
-    normals = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            v = [0] * n
-            v[i], v[j] = 1, -1
-            normals.append(tuple(v))
-    return Arrangement.from_normals(normals, n)
+    return _signed_graph(n, ((i, j, 1) for i in range(n) for j in range(i + 1, n)), 0)
 
 
 def type_b(n: int) -> Arrangement:
@@ -44,16 +49,8 @@ def type_dnk(n: int, k: int) -> Arrangement:
     """type_d(n) plus the first k coordinate hyperplanes; D_{n,n} = B_n."""
     if n < 1 or not 0 <= k <= n:
         raise ValueError("type_dnk needs n >= 1 and 0 <= k <= n")
-    normals = [_unit(n, i) for i in range(k)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            v = [0] * n
-            v[i], v[j] = 1, -1
-            normals.append(tuple(v))
-            w = [0] * n
-            w[i], w[j] = 1, 1
-            normals.append(tuple(w))
-    return Arrangement.from_normals(normals, n)
+    return _signed_graph(n, ((i, j, s) for i in range(n) for j in range(i + 1, n)
+                             for s in (1, -1)), k)
 
 
 def rank2(k: int) -> Arrangement:
@@ -75,15 +72,11 @@ def graphic(n: int, edges) -> Arrangement:
     """Graphic arrangement: x_i = x_j for each edge (i, j), 1-based."""
     if n < 1:
         raise ValueError("graphic needs n >= 1")
-    normals = []
+    edges = list(edges)  # read twice: checked, then built
     for i, j in edges:
         if not (1 <= i <= n and 1 <= j <= n) or i == j:
             raise ValueError(f"bad edge ({i}, {j})")
-        a, b = min(i, j) - 1, max(i, j) - 1
-        v = [0] * n
-        v[a], v[b] = 1, -1
-        normals.append(tuple(v))
-    return Arrangement.from_normals(normals, n)
+    return _signed_graph(n, ((min(i, j) - 1, max(i, j) - 1, 1) for i, j in edges), 0)
 
 
 def generic_gn(n: int) -> Arrangement:

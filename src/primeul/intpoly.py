@@ -3,6 +3,11 @@
 Coefficients are stored low degree first, e.g. ``IntPoly((0, 4, 1))`` is
 ``z**2 + 4*z``.  The trailing (highest-index) coefficient is nonzero unless
 the polynomial is zero, so equal polynomials have equal coefficient tuples.
+
+The arithmetic is written once, as kernels on such coefficient tuples that
+serve ints and Fractions alike: ``_trim``, ``_add``, ``_mul`` and
+``_deriv``.  ``IntPoly`` wraps them, ``egf`` runs them on its Fraction
+coefficients and ``roots`` on its primitive integer ones.
 """
 
 from __future__ import annotations
@@ -41,11 +46,33 @@ class Frozen:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
-def _trim(coeffs) -> tuple[int, ...]:
-    c = list(coeffs)
-    while c and c[-1] == 0:
-        c.pop()
-    return tuple(c)
+def _trim(c) -> tuple:
+    n = len(c)
+    while n and c[n - 1] == 0:
+        n -= 1
+    return tuple(c[:n])
+
+
+def _add(a, b) -> tuple:
+    if len(a) < len(b):
+        a, b = b, a
+    return _trim([x + y for x, y in zip(a, b)] + list(a[len(b):]))
+
+
+def _mul(a, b) -> tuple:
+    if not a or not b:
+        return ()
+    # A zero of the coefficients' type, so a slot the skipped zeros miss stays a Fraction.
+    out = [a[-1] * b[-1] * 0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return _trim(out)
+
+
+def _deriv(c) -> tuple:
+    return tuple(i * x for i, x in enumerate(c) if i)
 
 
 class IntPoly(Frozen):
@@ -93,11 +120,7 @@ class IntPoly(Frozen):
         return bool(self.coeffs)
 
     def __add__(self, other) -> IntPoly:
-        other = _coerce(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = self.coeffs + (0,) * (n - len(self.coeffs))
-        b = other.coeffs + (0,) * (n - len(other.coeffs))
-        return IntPoly(tuple(x + y for x, y in zip(a, b)))
+        return IntPoly(_add(self.coeffs, _coerce(other).coeffs))
 
     __radd__ = __add__
 
@@ -111,15 +134,7 @@ class IntPoly(Frozen):
         return _coerce(other) + (-self)
 
     def __mul__(self, other) -> IntPoly:
-        other = _coerce(other)
-        if not self.coeffs or not other.coeffs:
-            return IntPoly()
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return IntPoly(tuple(out))
+        return IntPoly(_mul(self.coeffs, _coerce(other).coeffs))
 
     __rmul__ = __mul__
 
@@ -143,7 +158,7 @@ class IntPoly(Frozen):
         return acc
 
     def derivative(self) -> IntPoly:
-        return IntPoly(tuple(i * c for i, c in enumerate(self.coeffs) if i))
+        return IntPoly(_deriv(self.coeffs))
 
     def reverse(self, degree: int | None = None) -> IntPoly:
         """Coefficient reversal z**d * p(1/z) at the given degree d.

@@ -7,30 +7,23 @@ counts are exact.  The sequence of (f, g) has Cauchy index
 V(-inf) - V(+inf) equal to Ind(g/f), read off the leading coefficients
 alone; with g = f' it counts the distinct real roots of f.  Root
 multiplicity is recovered by repeated gcd with the derivative.  Nothing is
-evaluated at a point: every answer is read off an index.
+evaluated at a point: every answer is read off an index.  Trimming and the
+derivative are ``intpoly``'s coefficient kernels ``_trim`` and ``_deriv``.
 """
 
 from __future__ import annotations
 
 from math import gcd
 
-from .intpoly import IntPoly
+from .intpoly import IntPoly, _deriv, _trim
 
 Coeffs = tuple  # integer coefficients, low degree first, trailing nonzero
 
 
 def _prim(c) -> Coeffs:
-    c = list(c)
-    while c and c[-1] == 0:
-        c.pop()
+    c = _trim(c)
     g = gcd(*c)
-    if g > 1:
-        c = [x // g for x in c]
-    return tuple(c)
-
-
-def _deriv(c) -> Coeffs:
-    return tuple(i * x for i, x in enumerate(c) if i)
+    return tuple(x // g for x in c) if g > 1 else c
 
 
 def _neg(c) -> Coeffs:

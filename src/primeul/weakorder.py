@@ -13,7 +13,7 @@ class WeakOrder:
     The unique minimum is the base region B and the unique maximum is its
     opposite.  Covers are realized by wall crossings: D covers C exactly when
     they share a facet and the crossed hyperplane separates D from B.  The
-    walls of each region are read from the fan.  Regions are the fan's
+    walls are the fan's, kept in one dict by region.  Regions are the fan's
     packed sign vectors: a separation set is the mask minus ^ base_minus, a
     descent count the popcount of walls & sep, and a cover the flip of one
     wall h, f ^ (1 << h | 1 << h + m).  The base and ``covers_above`` take
@@ -22,20 +22,18 @@ class WeakOrder:
 
     def __init__(self, arrangement: Arrangement, base: SignVector):
         fan = enumerate_faces(arrangement)
-        self._pos = {c: i for i, c in enumerate(fan.packed_regions)}
-        b = fan.pack(base)
-        if b not in self._pos or fan.unpack(b) != base:
+        self._walls = dict(zip(fan.packed_regions, fan.wall_masks))
+        self._b = b = fan.pack(base)
+        if b not in self._walls or fan.unpack(b) != base:
             raise ValueError("base is not a region of the arrangement")
         self.arrangement = arrangement
         self.base = base
         self._fan = fan
-        self._sep = tuple((c ^ b) >> fan.m for c in fan.packed_regions)
 
     def packed_descents(self, c: int) -> int:
         """Number of walls of the packed region c separating it from the
         base region."""
-        i = self._pos[c]
-        return (self._fan.wall_masks[i] & self._sep[i]).bit_count()
+        return (self._walls[c] & (c ^ self._b) >> self._fan.m).bit_count()
 
     # perfbench checks a declined route's witness with it; no route calls it.
     def covers_above(self, c: SignVector) -> list[SignVector]:
@@ -45,9 +43,9 @@ class WeakOrder:
     def _flips_up(self, c: int) -> list[int]:
         """The packed region c flipped across each wall that does not
         separate it from the base region."""
-        i, m = self._pos[c], self._fan.m
+        m = self._fan.m
         return [c ^ (1 << h | 1 << h + m)
-                for h in set_bits(self._fan.wall_masks[i] & ~self._sep[i])]
+                for h in set_bits(self._walls[c] & ~((c ^ self._b) >> m))]
 
     def packed_failure(self, inside: list[int]):
         """None if the packed regions inside are upward closed under

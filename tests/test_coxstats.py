@@ -158,6 +158,14 @@ def test_flag_descent_halving():
             assert des_b(w) == (fdes + 1) // 2
 
 
+def test_fexc_equidistributed_with_fdes():
+    # Adin-Brenti-Roichman: over signed permutations, the flag excedance
+    # 2 exc + fneg has the distribution of fdes = 2 des_a + [w_1 < 0].
+    for n in range(1, 6):
+        fdes = IntPoly.from_counts(2 * des_a(w) + (w[0] < 0) for w in all_signed(n))
+        assert IntPoly.from_counts(map(fexc, all_signed(n))) == fdes, n
+
+
 def test_dnk_boundaries():
     for n in range(1, 9):
         assert peul_dnk(n, n) == peul_b_rec(n)

@@ -5,7 +5,7 @@ from math import factorial
 import pytest
 
 from primeul.egf import TruncatedEgf, egf_exp, egf_log, egf_mul, egf_sqrt
-from primeul.intpoly import IntPoly, ONE, Z, ZM1
+from primeul.intpoly import IntPoly, ONE, Z, ZM1, _mul
 
 
 def _power_sum(f: TruncatedEgf, coef) -> TruncatedEgf:
@@ -45,6 +45,29 @@ def test_exp_log_sqrt_against_power_sums():
         assert egf_log(g) == _power_sum(
             g, lambda j: Fraction((-1) ** (j + 1), j) if j else Fraction(0))
         assert egf_sqrt(g) == _power_sum(g, _binomial_half)
+
+
+def test_coefficients_stay_fractions():
+    # The polynomial kernels are shared with IntPoly, whose zero is int 0.
+    from primeul.egf import egf_div
+
+    def fractions_only(s):
+        return all(type(c) is Fraction for p in s.coeffs for c in p)
+
+    rng = random.Random(2023)
+    one = (Fraction(1),)
+    for trial in range(60):
+        order = trial % 10
+        f = _random_series(rng, order, ())
+        g = _random_series(rng, order, one)
+        for s in (f + g, f - g, g - f, f * g, g * g, f.scale_x(3),
+                  g.scale_x(Fraction(-1, 2)), egf_exp(f), egf_log(g), egf_sqrt(g),
+                  egf_div(f, g)):
+            assert fractions_only(s), (trial, s)
+    # The series scale every product, which would hide an int zero; the
+    # kernel alone must not make one.  Only the skipped zero reaches z^1.
+    half, zero = Fraction(1, 2), Fraction(0)
+    assert [type(c) for c in _mul((half, zero, half), (half,))] == [Fraction] * 3
 
 
 def test_exp_of_monomial():

@@ -34,6 +34,45 @@ def test_dnk_boundaries():
         type_dnk(3, 4)
 
 
+def _pairs(n, signs):
+    """Plain-loop normals e_i - s e_j for i < j, each pair in order of signs."""
+    out = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            for s in signs:
+                v = [0] * n
+                v[i], v[j] = 1, -s
+                out.append(tuple(v))
+    return out
+
+
+def _units(n, k):
+    return [tuple(int(j == i) for j in range(n)) for i in range(k)]
+
+
+def test_normals_against_plain_loops():
+    # Every hyperplane order is part of the output: the fan order and the
+    # regions' packed bits follow it.
+    for n in range(1, 7):
+        assert braid(n).normals == tuple(_pairs(n, (1,)))
+        assert type_b(n).normals == tuple(_units(n, n) + _pairs(n, (1, -1)))
+        if n >= 2:
+            assert type_d(n).normals == tuple(_pairs(n, (1, -1)))
+        for k in range(n + 1):
+            assert type_dnk(n, k).normals == tuple(_units(n, k) + _pairs(n, (1, -1)))
+    edges = [(1, 2), (3, 2), (4, 1), (2, 4), (5, 3)]
+    want = [(1, -1, 0, 0, 0), (0, 1, -1, 0, 0), (1, 0, 0, -1, 0),
+            (0, 1, 0, -1, 0), (0, 0, 1, 0, -1)]
+    assert graphic(5, edges).normals == tuple(want)
+
+
+def test_graphic_takes_a_one_pass_iterable():
+    edges = [(1, 2), (2, 3), (3, 4), (4, 1)]
+    assert graphic(4, (e for e in edges)) == graphic(4, edges)
+    with pytest.raises(ValueError, match=r"bad edge \(2, 5\)"):
+        graphic(4, (e for e in [(1, 2), (2, 5)]))
+
+
 def test_rank2():
     a = rank2(6)
     assert len(a.hyperplanes) == 6 and build_flats(a).rank == 2

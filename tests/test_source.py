@@ -18,6 +18,20 @@ def test_no_assert_in_package():
     assert offenders == []
 
 
+def test_no_all_outside_init():
+    # The names exported from ``__init__`` are the API contract; a module's
+    # own ``__all__`` would be a second list to keep in step with it.
+    offenders = []
+    for path in sorted(Path(primeul.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        offenders += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                      if isinstance(node, ast.Name) and node.id == "__all__"
+                      and isinstance(node.ctx, ast.Store)]
+    assert offenders == []
+
+
 def _imported_from(path):
     """(module, name) for each ``from primeul.module import name`` and
     ``from .module import name`` in the file."""
