@@ -10,7 +10,8 @@ by their restriction to X: a line, kept as a normal reduced modulo the key
 of X (the canonical RREF of its normal space), which is the one new row of
 its cover's key.  The image of a line or key row under a cover's line, its
 pivot line, depends on the two alone and recurs across many flats, so each
-is computed once per build.  Mobius values come from the covers.  A flat is
+is computed once per build, by ``linalg``'s elimination step ``_reduce``,
+the one ``rref_int`` runs on.  Mobius values come from the covers.  A flat is
 its position in the lattice, which holds its mask, dimension and key; there
 is no separate flat object.  The lattice also owns a basis of the minimum flat
 ⊥ and the direction of each rank-1 flat inside the span of the normals; the
@@ -20,11 +21,10 @@ very generic test and the fan read them.
 from __future__ import annotations
 
 from functools import cached_property, lru_cache, reduce
-from math import gcd
 from operator import or_
 
 from .intpoly import Frozen, IntPoly
-from .linalg import dot, free_solutions, nullspace, primitive_signed, rref_int
+from .linalg import _reduce, dot, free_solutions, nullspace, primitive_signed, rref_int
 
 
 class Hyperplane(Frozen):
@@ -175,15 +175,6 @@ class FlatLattice:
         if bottom := self.bottom_basis:
             keys = [rref_int(k + bottom, n) for k in keys]
         return tuple(primitive_signed(free_solutions(k, n)[0]) for k in keys)
-
-
-def _reduce(r, d, c):
-    """r with column c eliminated by d, whose pivot is c; primitive_signed.
-    r is off the line of d, so the result is nonzero."""
-    a, b = d[c], r[c]
-    v = [a * x - b * y for x, y in zip(r, d)]
-    g = gcd(*v) if next(filter(None, v)) > 0 else -gcd(*v)
-    return tuple([x // g for x in v]) if g != 1 else tuple(v)
 
 
 def set_bits(mask: int) -> list[int]:

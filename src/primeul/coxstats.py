@@ -66,7 +66,10 @@ def is_balanced_cycle(orbit: frozenset) -> bool:
 
 
 def cuspidal_sn(n: int):
-    """Long cycles of the symmetric group: (n-1)! of them."""
+    """Long cycles of the symmetric group: (n-1)! of them; () when n = 0."""
+    if not n:
+        yield ()
+        return
     for w in permutations(range(1, n + 1)):
         seen = [False] * (n + 1)
         i, length = 1, 0
@@ -95,7 +98,7 @@ def des_a(w) -> int:
 
 def des_b(w) -> int:
     """Coxeter descents of a signed permutation: prepend w(0) = 0."""
-    return des_a(w) + (1 if w[0] < 0 else 0)
+    return des_a((0, *w))
 
 
 def des_d(w) -> int:
@@ -136,9 +139,8 @@ def _negative_rtl_maxima(w) -> bool:
 
 
 def bw_a(n: int):
-    """Permutations with first letter n."""
-    for rest in permutations(range(1, n)):
-        yield (n,) + rest
+    """Permutations with first letter n; () when n = 0."""
+    return ((n,) + rest for rest in permutations(range(1, n))) if n else iter([()])
 
 
 def bw_b(n: int):

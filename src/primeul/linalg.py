@@ -5,7 +5,8 @@ canonical primitive-integer reduced row echelon form of its *orthogonal
 complement* (the "normal space"), a plain tuple of rows: flats of an
 arrangement are intersections of hyperplanes, so accumulating normals keeps
 every operation a single integer row reduction, and two subspaces are equal
-iff their keys are identical tuples.
+iff their keys are identical tuples.  ``rref_int`` and the lattice build
+share one elimination step, ``_reduce``; no other module takes a gcd.
 """
 
 from __future__ import annotations
@@ -36,6 +37,16 @@ def primitive_signed(vec) -> tuple[int, ...]:
     return tuple(-x for x in p) if next(filter(None, p), 0) < 0 else p
 
 
+def _reduce(r, d, c) -> tuple[int, ...]:
+    """r with column c eliminated by d, whose pivot is c; primitive_signed.
+    () when r is a multiple of d."""
+    a, b = d[c], r[c]
+    v = [a * x - b * y for x, y in zip(r, d)]
+    if g := gcd(*v) if next(filter(None, v), 0) > 0 else -gcd(*v):
+        return tuple([x // g for x in v]) if g != 1 else tuple(v)
+    return ()
+
+
 def rref_int(rows, ncols: int) -> tuple[tuple[int, ...], ...]:
     """Canonical reduced row echelon form over the integers.
 
@@ -43,34 +54,17 @@ def rref_int(rows, ncols: int) -> tuple[tuple[int, ...], ...]:
     a positive pivot, pivot columns increase, and entries above and below
     every pivot are zero.  Unique for a given row space.
     """
-    mat = [list(primitive(r)) for r in rows if any(r)]
-    if not mat:
-        return ()
-    nrows = len(mat)
-    r = 0
+    todo = [primitive_signed(r) for r in rows if any(r)]
+    done = []
     for c in range(ncols):
-        pr = next((i for i in range(r, nrows) if mat[i][c]), None)
-        if pr is None:
+        # Rows to place are zero left of c: the first with column c is the pivot.
+        i = next((i for i, r in enumerate(todo) if r[c]), None)
+        if i is None:
             continue
-        mat[r], mat[pr] = mat[pr], mat[r]
-        prow = mat[r]
-        pval = prow[c]
-        for i in range(nrows):
-            if i != r and mat[i][c]:
-                v = mat[i][c]
-                row = [pval * a - v * b for a, b in zip(mat[i], prow)]
-                g = gcd(*row)
-                mat[i] = [x // g for x in row] if g > 1 else row
-        r += 1
-        if r == nrows:
-            break
-    # Rows changed by the elimination were divided by their gcd, so every
-    # row is primitive already; only the pivot's sign is left to fix.
-    out = []
-    for row in mat[:r]:
-        lead = next(c for c in row if c)
-        out.append(tuple(row) if lead > 0 else tuple(-x for x in row))
-    return tuple(out)
+        d = todo[i]
+        done = [_reduce(r, d, c) if r[c] else r for r in done] + [d]
+        todo = todo[:i] + [v for r in todo[i + 1:] if (v := _reduce(r, d, c) if r[c] else r)]
+    return tuple(done)
 
 
 def nullspace(rows, ncols: int) -> tuple[tuple[int, ...], ...]:

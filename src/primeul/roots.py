@@ -7,23 +7,20 @@ counts are exact.  The sequence of (f, g) has Cauchy index
 V(-inf) - V(+inf) equal to Ind(g/f), read off the leading coefficients
 alone; with g = f' it counts the distinct real roots of f.  Root
 multiplicity is recovered by repeated gcd with the derivative.  Nothing is
-evaluated at a point: every answer is read off an index.  Trimming and the
-derivative are ``intpoly``'s coefficient kernels ``_trim`` and ``_deriv``.
+evaluated at a point: every answer is read off an index.  The kernels are
+shared: ``_trim`` and ``_deriv`` from ``intpoly``, ``primitive`` from ``linalg``.
 """
 
 from __future__ import annotations
 
-from math import gcd
-
 from .intpoly import IntPoly, _deriv, _trim
+from .linalg import primitive
 
 Coeffs = tuple  # integer coefficients, low degree first, trailing nonzero
 
 
 def _prim(c) -> Coeffs:
-    c = _trim(c)
-    g = gcd(*c)
-    return tuple(x // g for x in c) if g > 1 else c
+    return primitive(_trim(c))
 
 
 def _neg(c) -> Coeffs:

@@ -47,6 +47,8 @@ def test_cuspidal_counts():
     assert sum(1 for _ in cuspidal_sn(4)) == 6
     assert sum(1 for _ in cuspidal_bn(3)) == 15
     assert list(cuspidal_bn(1)) == [(-1,)]
+    # n = 0: the one (empty) element, as in all_signed(0)
+    assert list(cuspidal_sn(0)) == list(cuspidal_bn(0)) == list(all_signed(0)) == [()]
     for n in range(1, 6):
         assert sum(1 for _ in cuspidal_sn(n)) == factorial(n - 1)
 
@@ -55,6 +57,7 @@ def test_bw_counts():
     assert sum(1 for _ in bw_a(4)) == 6
     assert sum(1 for _ in bw_b(3)) == 15
     assert sum(1 for _ in bw_d(3)) == 6
+    assert list(bw_a(0)) == list(bw_b(0)) == [()]
     for n in range(1, 6):
         assert sum(1 for _ in bw_a(n)) == factorial(n - 1)
     for n in range(1, 5):
@@ -65,13 +68,13 @@ def test_type_a_distributions():
     assert peul_a_exc(4) == IntPoly((0, 1, 4, 1))
     assert peul_a_des(4) == IntPoly((0, 1, 4, 1))
     assert peul_a_exc(1) == ONE
-    for n in range(1, 8):
+    for n in range(8):
         assert peul_a_exc(n) == peul_a_des(n) == peul_a(n)
 
 
 def test_type_b_distributions():
     assert peul_b_excb(3) == IntPoly((0, 4, 10, 1))
-    for n in range(1, 7):
+    for n in range(7):
         assert peul_b_excb(n) == peul_b_des(n) == peul_b_rec(n)
 
 
@@ -98,11 +101,11 @@ def test_type_d_table():
 def test_eulerian_polynomials():
     assert eulerian_a(3) == IntPoly((1, 4, 1))
     assert eulerian_b(2) == IntPoly((1, 6, 1))
-    # direct descent counts over the eight signed permutations of two letters
+    # direct descent counts over the signed permutations of up to five letters
     from collections import Counter
 
-    dist = Counter(des_b(w) for w in all_signed(2))
-    assert eulerian_b(2) == IntPoly(tuple(dist[k] for k in range(3)))
+    for n in range(6):
+        assert IntPoly.from_counts(map(des_b, all_signed(n))) == eulerian_b(n), n
     dist_a = Counter(des_a(w) for w in __import__("itertools").permutations((1, 2, 3)))
     assert eulerian_a(3) == IntPoly(tuple(dist_a[k] for k in range(3)))
 
@@ -149,13 +152,6 @@ def test_sequence_terms_do_not_depend_on_order_asked(name):
     assert down[::-1] == [ascending(n) for n in range(top + 1)]
     with pytest.raises(ValueError, match="n >= 0 required"):
         descending(-1)
-
-
-def test_flag_descent_halving():
-    for n in range(1, 6):
-        for w in all_signed(n):
-            fdes = des_a(w) + des_b(w)
-            assert des_b(w) == (fdes + 1) // 2
 
 
 def test_fexc_equidistributed_with_fdes():

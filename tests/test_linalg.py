@@ -126,3 +126,24 @@ def test_rref_and_nullspace_against_reference():
         rows = [tuple(entry() for _ in range(ncols)) for _ in range(rng.randint(0, 5))]
         assert rref_int(rows, ncols) == _oracle_rref(rows, ncols), rows
         assert nullspace(rows, ncols) == _oracle_nullspace(rows, ncols), rows
+
+
+def test_rref_is_canonical():
+    # FlatLattice uses rref_int's rows as dict keys, so the output must
+    # depend on the row space alone: not on row order, on a nonzero scale of
+    # each row, or on zero and repeated rows.  Same draws as the oracle test.
+    rng, edit = random.Random(11), random.Random(12)
+    for trial in range(3000):
+        ncols = rng.randint(1, 5)
+
+        def entry():
+            x = rng.randint(-6, 6)
+            return Fraction(x, rng.randint(1, 4)) if trial % 2 else x
+
+        rows = [tuple(entry() for _ in range(ncols)) for _ in range(rng.randint(0, 5))]
+        scales = [edit.choice((-3, -2, -1, 1, 2, 5)) for _ in rows]
+        variant = [tuple(k * x for x in r) for k, r in zip(scales, rows)]
+        variant += [(0,) * ncols] * edit.randint(0, 2)
+        variant += edit.sample(rows, min(len(rows), edit.randint(0, 2)))
+        edit.shuffle(variant)
+        assert rref_int(variant, ncols) == rref_int(rows, ncols), (rows, variant)

@@ -32,6 +32,27 @@ def test_no_all_outside_init():
     assert offenders == []
 
 
+def test_only_linalg_takes_a_gcd():
+    # Making an integer vector primitive is written once, in ``linalg``
+    # (``primitive``, ``primitive_signed`` and the elimination step
+    # ``_reduce``); every other module calls those.
+    offenders = []
+    for path in sorted(Path(primeul.__file__).parent.glob("*.py")):
+        if path.name == "linalg.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.module == "math":
+                names = {alias.name for alias in node.names}
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id == "math"):
+                names = {node.attr}
+            else:
+                continue
+            offenders += [f"{path.name}:{node.lineno}:{name}"
+                          for name in sorted(names & {"gcd", "lcm"})]
+    assert offenders == []
+
+
 def _imported_from(path):
     """(module, name) for each ``from primeul.module import name`` and
     ``from .module import name`` in the file."""
