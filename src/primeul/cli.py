@@ -2,8 +2,10 @@
 
 Subcommands: poly, verify, table, inspect.  Exit codes: 0 success, 1 failed
 check (verify, or a recomputed table row off its golden data), 2 parse
-failure, 3 precondition failure (the message names the failed check).
-Machine output (--json) carries the coefficient list low degree first.
+failure (a ParseError, or an OSError reading --file), 3 precondition failure
+(a DimensionError, or any ValueError a command raises; the message names the
+failed check).  ``main`` is the one place that maps an exception to an exit
+code.  Machine output (--json) carries the coefficient list low degree first.
 """
 
 from __future__ import annotations
@@ -42,17 +44,11 @@ class ParseError(Exception):
     pass
 
 
-class PreconditionError(Exception):
-    pass
-
-
 def _load_arrangement(args) -> tuple[Arrangement, str]:
     try:
         if args.family:
             return parse_family(args.family), args.family
         return parse_arrangement_file(Path(args.file).read_text()), args.file
-    except DimensionError as exc:
-        raise PreconditionError(str(exc)) from None
     except ValueError as exc:
         raise ParseError(str(exc)) from None
 
@@ -69,24 +65,25 @@ def _parse_v(args, arrangement):
     return v
 
 
-# The routes to each polynomial, as fn(arrangement, v); "auto" names the
-# route it takes.  A method not listed is refused with exit 3.
+# The routes to each polynomial, as fn(arrangement, v); "auto", last, names
+# the route it takes.  The peul keys are the --method choices; a method not
+# listed for a polynomial is refused.
 _ROUTES = {
     "peul": {
-        "auto": "mobius",
         "mobius": lambda a, v: primitive_eulerian_mobius(a),
         "recursive": lambda a, v: primitive_eulerian_recursive(a),
         "halfspace": lambda a, v: peul_from_cochar(
             cochar_via_halfspace(a, v), build_flats(a).rank),
         "descents": primitive_eulerian_descents,
+        "auto": "mobius",
     },
     "cochar": {
-        "auto": "mobius",
         "mobius": lambda a, v: cocharacteristic(a),
         "halfspace": cochar_via_halfspace,
+        "auto": "mobius",
     },
-    "char": {"auto": "mobius", "mobius": lambda a, v: characteristic_polynomial(a)},
-    "eulerian": {"auto": "descents", "descents": lambda a, v: eulerian_poly(a)},
+    "char": {"mobius": lambda a, v: characteristic_polynomial(a), "auto": "mobius"},
+    "eulerian": {"descents": lambda a, v: eulerian_poly(a), "auto": "descents"},
 }
 
 
@@ -96,12 +93,9 @@ def cmd_poly(args) -> int:
     t0 = time.perf_counter()
     which, routes = args.which, _ROUTES[args.which]
     if args.method not in routes:
-        raise PreconditionError(f"method {args.method!r} does not apply to {which}")
+        raise ValueError(f"method {args.method!r} does not apply to {which}")
     method = routes["auto"] if args.method == "auto" else args.method
-    try:
-        poly = routes[method](a, v)
-    except ValueError as exc:
-        raise PreconditionError(str(exc)) from None
+    poly = routes[method](a, v)
     elapsed_ms = int((time.perf_counter() - t0) * 1000)
     if args.json:
         print(json.dumps({
@@ -190,12 +184,6 @@ def cmd_table(args) -> int:
     return 0
 
 
-def _check(name: str, ok: bool, failures: list[str]):
-    print(f"{'PASS' if ok else 'FAIL'} {name}")
-    if not ok:
-        failures.append(name)
-
-
 _PATH_BUILTINS = (
     "I2 2", "I2 3", "I2 5", "A 3", "A 4", "A 5", "B 2", "B 3", "B 4",
     "D 3", "D 4", "Dnk 3 1", "Dnk 4 2", "Gn 2", "Gn 3", "Gn 4",
@@ -203,118 +191,109 @@ _PATH_BUILTINS = (
 )
 
 
-def _verify_paths(args, failures):
+def _verify_paths(args):
     for family in _PATH_BUILTINS:
         a = parse_family(family)
         lattice = build_flats(a)
         if lattice.rank > args.max_rank:
             continue
         p = primitive_eulerian_mobius(a)
-        _check(f"paths/{family}/recursive",
-               primitive_eulerian_recursive(a) == p, failures)
+        yield f"paths/{family}/recursive", primitive_eulerian_recursive(a) == p
         psi = cocharacteristic(a)
-        _check(f"paths/{family}/cochar-reparam",
-               peul_from_cochar(psi, lattice.rank) == p, failures)
+        yield f"paths/{family}/cochar-reparam", peul_from_cochar(psi, lattice.rank) == p
         v = find_very_generic(a)
-        _check(f"paths/{family}/halfspace",
-               cochar_via_halfspace(a, v) == psi, failures)
+        yield f"paths/{family}/halfspace", cochar_via_halfspace(a, v) == psi
         if is_simplicial(a):
             try:
-                got = primitive_eulerian_descents(a, v)
-                _check(f"paths/{family}/descents", got == p, failures)
+                check = f"paths/{family}/descents", primitive_eulerian_descents(a, v) == p
             except UpperSetError as exc:
-                _check(f"paths/{family}/descents ({exc})", False, failures)
-            _check(f"paths/{family}/h-transform",
-                   h_poly_relation_check(a, v), failures)
-        _check(f"paths/{family}/zaslavsky",
-               count_regions_zaslavsky(a) == len(enumerate_faces(a).packed_regions),
-               failures)
+                check = f"paths/{family}/descents ({exc})", False
+            yield check
+            yield f"paths/{family}/h-transform", h_poly_relation_check(a, v)
+        yield (f"paths/{family}/zaslavsky",
+               count_regions_zaslavsky(a) == len(enumerate_faces(a).packed_regions))
     if args.long:
         b5 = parse_family("B 5")
-        _check("paths/B 5/mobius (long)",
-               primitive_eulerian_mobius(b5) == TYPE_B[5], failures)
-        _check("paths/B 5/descents (long)",
-               primitive_eulerian_descents(b5, (1, 2, 4, 8, 16)) == TYPE_B[5],
-               failures)
+        yield "paths/B 5/mobius (long)", primitive_eulerian_mobius(b5) == TYPE_B[5]
+        yield ("paths/B 5/descents (long)",
+               primitive_eulerian_descents(b5, (1, 2, 4, 8, 16)) == TYPE_B[5])
 
 
-def _verify_recursions(args, failures):
+def _verify_recursions(args):
     n = args.nmax
-    _check("recursions/B/quadratic-vs-differential",
-           all(peul_b_rec(m) == peul_b_diffrec(m) for m in range(n + 1)), failures)
-    _check("recursions/B/half-eulerian-reversal",
+    yield ("recursions/B/quadratic-vs-differential",
+           all(peul_b_rec(m) == peul_b_diffrec(m) for m in range(n + 1)))
+    yield ("recursions/B/half-eulerian-reversal",
            all(peul_b_rec(m) == half_eulerian(m).reverse(m - 1) * Z if m else
-               peul_b_rec(0) == half_eulerian(0) for m in range(n + 1)), failures)
-    _check("recursions/B/table",
-           all(peul_b_rec(m) == TYPE_B[m] for m in range(min(n, 5) + 1)), failures)
-    _check("recursions/D/table",
-           all(peul_d_rec(m) == TYPE_D[m] for m in range(2, min(n + 1, 7) + 1)), failures)
-    _check("recursions/D/bw-descents",
-           all(peul_d_des(m) == peul_d_rec(m) for m in range(2, min(n, 6) + 1)), failures)
-    _check("recursions/Dnk/boundary",
+               peul_b_rec(0) == half_eulerian(0) for m in range(n + 1)))
+    yield ("recursions/B/table",
+           all(peul_b_rec(m) == TYPE_B[m] for m in range(min(n, 5) + 1)))
+    yield ("recursions/D/table",
+           all(peul_d_rec(m) == TYPE_D[m] for m in range(2, min(n + 1, 7) + 1)))
+    yield ("recursions/D/bw-descents",
+           all(peul_d_des(m) == peul_d_rec(m) for m in range(2, min(n, 6) + 1)))
+    yield ("recursions/Dnk/boundary",
            all(peul_dnk(m, 0) == peul_d_rec(m) and peul_dnk(m, m) == peul_b_rec(m)
-               for m in range(2, n + 1)), failures)
+               for m in range(2, n + 1)))
 
 
-def _verify_statistics(args, failures):
+def _verify_statistics(args):
     n = args.nmax
     for m in range(1, min(n, 7) + 1):
-        _check(f"statistics/A/exc-vs-des/{m}",
-               peul_a_exc(m) == peul_a_des(m) == peul_a(m), failures)
+        yield f"statistics/A/exc-vs-des/{m}", peul_a_exc(m) == peul_a_des(m) == peul_a(m)
     for m in range(1, min(n, 6) + 1):
-        _check(f"statistics/B/excb-vs-des/{m}",
-               peul_b_excb(m) == peul_b_des(m) == peul_b_rec(m), failures)
-    _check("statistics/A/cardinality",
+        yield (f"statistics/B/excb-vs-des/{m}",
+               peul_b_excb(m) == peul_b_des(m) == peul_b_rec(m))
+    yield ("statistics/A/cardinality",
            all(sum(1 for _ in cuspidal_sn(m)) == sum(1 for _ in bw_a(m))
-               for m in range(1, min(n, 6) + 1)), failures)
+               for m in range(1, min(n, 6) + 1)))
     # Adin-Brenti-Roichman: fexc and fdes = 2 des_a + [w_1 < 0] are equidistributed.
-    ok = all(IntPoly.from_counts(map(fexc, all_signed(m))) == IntPoly.from_counts(
-        2 * des_a(w) + (w[0] < 0) for w in all_signed(m)) for m in range(1, min(n, 5) + 1))
-    _check("statistics/B/fexc-vs-fdes", ok, failures)
+    yield "statistics/B/fexc-vs-fdes", all(
+        IntPoly.from_counts(map(fexc, all_signed(m))) == IntPoly.from_counts(
+            2 * des_a(w) + (w[0] < 0) for w in all_signed(m))
+        for m in range(1, min(n, 5) + 1))
 
 
-def _verify_egf(args, failures):
-    _check(f"egf/generating-functions/order{args.order}",
-           generating_function_check(args.order), failures)
-    _check(f"egf/binomial-identities/order{args.order}",
-           binomial_identity_checks(args.order), failures)
+def _verify_egf(args):
+    yield (f"egf/generating-functions/order{args.order}",
+           generating_function_check(args.order))
+    yield f"egf/binomial-identities/order{args.order}", binomial_identity_checks(args.order)
 
 
-def _verify_roots(args, failures):
+def _verify_roots(args):
     rank3 = ("I2 2", "I2 5", "A 3", "A 4", "B 2", "B 3", "D 3", "Gn 2", "Gn 3",
              "graphic 4 1-2,2-3,3-4,4-1")
-    ok = all(is_real_rooted(primitive_eulerian_mobius(parse_family(s))) for s in rank3)
-    _check("roots/rank3-builtins", ok, failures)
+    yield "roots/rank3-builtins", all(
+        is_real_rooted(primitive_eulerian_mobius(parse_family(s))) for s in rank3)
     nmax = args.dn_max
-    _check(f"roots/B-rec/{nmax}",
-           all(is_real_rooted(peul_b_rec(m)) for m in range(1, nmax + 1)), failures)
-    _check(f"roots/D-rec/{nmax}",
-           all(is_real_rooted(peul_d_rec(m)) for m in range(2, nmax + 1)), failures)
-    _check(f"roots/Dnk/{nmax}",
-           all(is_real_rooted(peul_dnk(m, k))
-               for m in range(2, nmax + 1) for k in range(m + 1)), failures)
-    _check("roots/exceptional-golden",
-           all(is_real_rooted(p) for p in EXCEPTIONAL.values()), failures)
+    yield f"roots/B-rec/{nmax}", all(is_real_rooted(peul_b_rec(m)) for m in range(1, nmax + 1))
+    yield f"roots/D-rec/{nmax}", all(is_real_rooted(peul_d_rec(m)) for m in range(2, nmax + 1))
+    yield f"roots/Dnk/{nmax}", all(is_real_rooted(peul_dnk(m, k))
+                                   for m in range(2, nmax + 1) for k in range(m + 1))
+    yield "roots/exceptional-golden", all(is_real_rooted(p) for p in EXCEPTIONAL.values())
     g4 = primitive_eulerian_recursive(parse_family("Gn 4"))
-    _check("roots/G4-not-real-rooted", not is_real_rooted(g4), failures)
+    yield "roots/G4-not-real-rooted", not is_real_rooted(g4)
+
+
+# The verify suites, in the order "all" runs them.  Each yields (name, ok) for
+# its checks in turn; cmd_verify prints them and counts the failures.
+_SUITES = {
+    "paths": _verify_paths,
+    "recursions": _verify_recursions,
+    "statistics": _verify_statistics,
+    "egf": _verify_egf,
+    "roots": _verify_roots,
+}
 
 
 def cmd_verify(args) -> int:
-    failures: list[str] = []
-    suites = {
-        "paths": _verify_paths,
-        "recursions": _verify_recursions,
-        "statistics": _verify_statistics,
-        "egf": _verify_egf,
-        "roots": _verify_roots,
-    }
-    if args.suite == "all":
-        for fn in suites.values():
-            fn(args, failures)
-    else:
-        suites[args.suite](args, failures)
+    failures = 0
+    for suite in _SUITES if args.suite == "all" else (args.suite,):
+        for name, ok in _SUITES[suite](args):
+            print(f"{'PASS' if ok else 'FAIL'} {name}")
+            failures += not ok
     if failures:
-        print(f"FAILED: {len(failures)} failing check(s)")
+        print(f"FAILED: {failures} failing check(s)")
         return EXIT_CHECK
     print("OK: all checks passed")
     return 0
@@ -344,17 +323,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_poly = sub.add_parser("poly", help="compute a polynomial")
     add_source(p_poly)
     p_poly.add_argument("--which", choices=tuple(_ROUTES), default="peul")
-    p_poly.add_argument("--method",
-                        choices=("mobius", "recursive", "halfspace", "descents", "auto"),
-                        default="auto")
+    p_poly.add_argument("--method", choices=tuple(_ROUTES["peul"]), default="auto")
     p_poly.add_argument("--v", help="comma-separated rational vector")
     p_poly.add_argument("--json", action="store_true")
     p_poly.set_defaults(fn=cmd_poly)
 
     p_verify = sub.add_parser("verify", help="run invariant suites")
-    p_verify.add_argument("suite",
-                          choices=("paths", "recursions", "statistics", "egf",
-                                   "roots", "all"))
+    p_verify.add_argument("suite", choices=(*_SUITES, "all"))
     p_verify.add_argument("--max-rank", type=_nonnegative_int, default=3, dest="max_rank")
     p_verify.add_argument("--nmax", type=_nonnegative_int, default=6)
     p_verify.add_argument("--order", type=_nonnegative_int, default=6)
@@ -389,7 +364,7 @@ def main(argv=None) -> int:
     except (ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (PreconditionError, UpperSetError, ValueError) as exc:
+    except (DimensionError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
 

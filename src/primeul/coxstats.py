@@ -26,7 +26,13 @@ from .intpoly import IntPoly, ONE, Z, ZERO, ZM1
 # ---------------------------------------------------------------------------
 # element generation
 
+def _require_nonnegative(n: int):
+    if n < 0:
+        raise ValueError("n >= 0 required")
+
+
 def all_signed(n: int):
+    _require_nonnegative(n)
     for p in permutations(range(1, n + 1)):
         for signs in product((1, -1), repeat=n):
             yield tuple(s * x for s, x in zip(signs, p))
@@ -67,6 +73,7 @@ def is_balanced_cycle(orbit: frozenset) -> bool:
 
 def cuspidal_sn(n: int):
     """Long cycles of the symmetric group: (n-1)! of them; () when n = 0."""
+    _require_nonnegative(n)
     if not n:
         yield ()
         return
@@ -140,6 +147,7 @@ def _negative_rtl_maxima(w) -> bool:
 
 def bw_a(n: int):
     """Permutations with first letter n; () when n = 0."""
+    _require_nonnegative(n)
     return ((n,) + rest for rest in permutations(range(1, n))) if n else iter([()])
 
 
@@ -295,8 +303,7 @@ def asc_2(e) -> int:
 
 def half_eulerian(n: int) -> IntPoly:
     """Ascent distribution over all (2n-1)!! 2-inversion sequences."""
-    if n < 0:
-        raise ValueError("n >= 0 required")
+    _require_nonnegative(n)
     return IntPoly.from_counts(map(asc_2, inversion_sequences_2(n)))
 
 

@@ -69,10 +69,6 @@ class TruncatedEgf(Frozen):
         """The series poly(z) * x."""
         return cls.from_polys([(), _qpoly(poly)], order)
 
-    def coeff(self, n: int) -> QPoly:
-        """Coefficient polynomial c_n of x^n / n!."""
-        return self.coeffs[n]
-
     def coeff_intpoly(self, n: int) -> IntPoly:
         return IntPoly.from_fractions(self.coeffs[n])
 

@@ -111,11 +111,6 @@ class IntPoly(Frozen):
         """Degree of the polynomial; -1 for the zero polynomial."""
         return len(self.coeffs) - 1
 
-    @property
-    def lc(self) -> int:
-        """Leading coefficient (0 for the zero polynomial)."""
-        return self.coeffs[-1] if self.coeffs else 0
-
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import re
@@ -281,6 +282,61 @@ def test_verify_roots_small(capsys):
     code, out, _ = run(capsys, "verify", "roots", "--dn-max", "6")
     assert code == 0
     assert "PASS roots/G4-not-real-rooted" in out
+
+
+def test_verify_failing_check_exit_1(capsys, monkeypatch):
+    # A failing check prints FAIL, the suite runs on, and the count decides.
+    from primeul import tables
+    monkeypatch.setitem(tables.TYPE_B, 3, IntPoly((0, 1)))
+    code, out, err = run(capsys, "verify", "recursions", "--nmax", "4")
+    assert code == 1
+    assert out.splitlines() == [
+        "PASS recursions/B/quadratic-vs-differential",
+        "PASS recursions/B/half-eulerian-reversal",
+        "FAIL recursions/B/table",
+        "PASS recursions/D/table",
+        "PASS recursions/D/bw-descents",
+        "PASS recursions/Dnk/boundary",
+        "FAILED: 1 failing check(s)",
+    ]
+    assert "Traceback" not in err
+
+
+def test_verify_paths_reports_upper_set_failure(capsys, monkeypatch):
+    from primeul import cli
+    from primeul.eulerpoly import UpperSetError
+
+    def refuse(a, v):
+        raise UpperSetError((0, 1))
+
+    monkeypatch.setattr(cli, "primitive_eulerian_descents", refuse)
+    code, out, err = run(capsys, "verify", "paths", "--max-rank", "2")
+    assert code == 1 and "Traceback" not in err
+    # Every simplicial family fails its descents check and runs on.
+    lines = out.splitlines()
+    simplicial = [line.split("/")[1] for line in lines if line.endswith("/h-transform")]
+    assert "B 2" in simplicial
+    assert [line for line in lines if line.startswith("FAIL ")] == [
+        f"FAIL paths/{family}/descents (regions in the halfspace are not an upper "
+        f"set: region 0 is inside but its cover 1 is not)" for family in simplicial]
+    assert lines[-1] == f"FAILED: {len(simplicial)} failing check(s)"
+
+
+def test_verify_all_is_the_suite_table(capsys):
+    from primeul.cli import _SUITES, build_parser
+    options = ("--max-rank", "2", "--nmax", "3", "--order", "3", "--dn-max", "4")
+
+    def passed(suite):
+        code, out, _ = run(capsys, "verify", suite, *options)
+        assert code == 0
+        return [line for line in out.splitlines() if line.startswith("PASS ")]
+
+    assert passed("all") == [line for suite in _SUITES for line in passed(suite)]
+    (sub,) = [action for action in build_parser()._actions
+              if isinstance(action, argparse._SubParsersAction)]
+    (suite,) = [action for action in sub.choices["verify"]._actions
+                if action.dest == "suite"]
+    assert suite.choices == (*_SUITES, "all")
 
 
 def test_negative_bounds_exit_2(capsys):

@@ -1,8 +1,10 @@
 """Golden CLI transcript: the fast README commands, the recursive route on
 the lattice families, the halfspace and descents routes on A 5, B 4 and D 4,
-the Eulerian polynomial of B 4 and ``inspect`` on D 5 and F4, run through
-``cli.main`` and compared byte for byte with ``data/cli_transcript.txt``
-(``runtime_ms`` masked).
+the Eulerian polynomial of B 4, ``inspect`` on D 5 and F4, the four fast
+``verify`` suites and one refusal of each kind (exit 3 from a route, exit 3
+from the size check, exit 2 from a bad range), run through ``cli.main`` and
+compared byte for byte with ``data/cli_transcript.txt`` (``runtime_ms``
+masked).
 
 Re-record after an intended output change with
 ``PYTHONPATH=src python tests/test_cli_transcript.py > tests/data/cli_transcript.txt``.
@@ -40,6 +42,13 @@ COMMANDS = (
     ("poly", "--which", "eulerian", "--family", "B 4"),
     ("inspect", "--family", "D 5"),
     ("inspect", "--family", "F4"),
+    ("verify", "recursions", "--nmax", "4"),
+    ("verify", "statistics", "--nmax", "4"),
+    ("verify", "egf", "--order", "4"),
+    ("verify", "roots", "--dn-max", "6"),
+    ("poly", "--family", "A 3", "--which", "char", "--method", "descents"),
+    ("poly", "--family", "B 1200"),
+    ("table", "B", "0..9"),
 )
 
 

@@ -154,6 +154,13 @@ def test_sequence_terms_do_not_depend_on_order_asked(name):
         descending(-1)
 
 
+@pytest.mark.parametrize("distribution",
+                         (peul_a_exc, peul_a_des, peul_b_excb, peul_b_des))
+def test_statistic_distributions_refuse_negative_n(distribution):
+    with pytest.raises(ValueError, match="n >= 0 required"):
+        distribution(-1)
+
+
 def test_fexc_equidistributed_with_fdes():
     # Adin-Brenti-Roichman: over signed permutations, the flag excedance
     # 2 exc + fneg has the distribution of fdes = 2 des_a + [w_1 < 0].

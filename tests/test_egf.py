@@ -101,9 +101,8 @@ def test_mul_binomial_weights():
 def test_scale_x():
     f = TruncatedEgf.from_polys([ONE, Z, Z], 4)
     g = f.scale_x(2)
-    assert g.coeff(0) == (Fraction(1),)
-    assert g.coeff(1) == (Fraction(0), Fraction(2))
-    assert g.coeff(2) == (Fraction(0), Fraction(4))
+    assert g.coeffs[:3] == ((Fraction(1),), (Fraction(0), Fraction(2)),
+                            (Fraction(0), Fraction(4)))
 
 
 def test_preconditions():

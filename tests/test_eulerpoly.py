@@ -40,7 +40,7 @@ def test_mobius_examples():
 def test_mobius_monic_and_zero_constant():
     for a in ALL_BUILTINS:
         p = primitive_eulerian_mobius(a)
-        assert p.lc == 1
+        assert p.coeffs[-1] == 1
         assert p.degree() == build_flats(a).rank
         if a.hyperplanes:
             assert p.coefficient(0) == 0
