@@ -4,8 +4,11 @@
 2. recursive: deletion-style recursion over a pivot hyperplane, run on
               intervals of the one lattice of flats, with each interval's
               polynomial kept as a tuple of integer coefficients;
-3. halfspace: graded face count of a very generic halfspace, reparametrized;
-4. descents:  descent statistic over the regions inside such a halfspace.
+3. halfspace: graded face count of a very generic halfspace, reparametrized:
+              the fan's faces by flat minus the closure of the rays
+              outside the halfspace;
+4. descents:  descent statistic over the regions inside such a halfspace,
+              read off each region's ray mask.
 
 Also the cocharacteristic polynomial, the f-to-h transform check, and the
 descent polynomial over all regions (the Eulerian polynomial of the
@@ -119,12 +122,11 @@ def _very_generic(a: Arrangement, v):
 
 
 def cochar_via_halfspace(a: Arrangement, v=None) -> IntPoly:
-    """Graded count of the faces inside the halfspace {<v, x> <= 0}."""
+    """Graded count of the faces inside the halfspace {<v, x> <= 0}: each
+    grade's faces less those with a ray outside it (``FanIndex.f_vector_inside``)."""
     v = _very_generic(a, v)
     fan = enumerate_faces(a)
-    up = fan.halfspace_mask(v)
-    return IntPoly.from_counts(fan.packed_grade(f) for f in fan.packed_faces
-                               if not fan.ray_mask(f) & up)
+    return IntPoly(fan.f_vector_inside(fan.halfspace_mask(v)))
 
 
 class UpperSetError(ValueError):

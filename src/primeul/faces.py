@@ -4,25 +4,33 @@ walls, simpliciality and sharpness tests.
 A sign vector assigns -1, 0 or +1 to every hyperplane in arrangement order.
 The fan, the weak order and the geometric routes hold it packed into one
 int, plus | minus << m, from its masks of + and - hyperplanes.  The faces
-are built grade by grade along the covers of the lattice of flats.  A face
-f with flat X is 0 exactly on mask(X) (zz, both halves); the faces just
-above it are f | ±c & zz, one pair per flat Y covering X, for the cocircuit
-c of a ray (± a rank-1 flat's direction) below Y and not below X, whose
-zero set is mask(X ∨ ray) = mask(Y).  Near f the hyperplanes through X cut
-Y in two, and the lattice is graded by dimension, so these are all the
-faces above f and each face is reached once per facet.  A ray c lies in
-the closure of f iff c & ~f == 0, so ray masks are read from tables over
-8-bit chunks of f.  The regions are the top grade; a face one grade down is
-0 at one h only and is the wall at h of the two regions beside it.  No
-linear program is solved.  The fan order sorts sign vectors by entry with
-0 < + < -.  Sign tuples remain only at the edge that perfbench reads:
-``enumerate_regions``, ``region_in_halfspace`` and ``FanIndex.pack``,
-``unpack`` and ``key``.
+are grouped by flat: a face with flat X is 0 exactly on mask(X) (zz, both
+halves).  The faces just above it are f | ±c & zz, one pair per flat Y
+covering X, for the cocircuit c of a ray (± a rank-1 flat's direction)
+below Y and not below X, whose zero set is mask(X ∨ ray) = mask(Y).  Near
+f the hyperplanes through X cut Y in two, and the lattice is graded by
+dimension, so these are all the faces above f and each face is reached
+once per facet.  One sweep of the flats in lattice order closes the fan:
+each flat's whole set of faces is composed with each cover's two steps at
+once, and frozen to a tuple once every flat below it is done.  A closed
+face lies in a halfspace iff all its facets do, since every ray of a
+pointed cone lies in a facet, so the faces outside are the closure of the
+rays outside under the same steps, and the halfspace route counts the
+faces by flat minus that closure.  The regions are the top flat's faces; a
+face of a hyperplane's flat is 0 at that h only and is the wall at h of
+the two regions beside it.  A ray c lies in the closure of f iff
+c & ~f == 0, so ray masks are read from tables over 8-bit chunks of f.
+The walls and the ray tables are built on first use: the halfspace route
+needs neither.  No linear program is solved.  The fan order sorts sign
+vectors by entry with 0 < + < -.  Sign tuples remain only at the edge that
+perfbench reads: ``enumerate_regions``, ``region_in_halfspace`` and
+``FanIndex.pack``, ``unpack`` and ``key``.
 """
 
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
+from operator import sub
 
 from .arrangement import Arrangement, build_flats, set_bits
 from .linalg import dot
@@ -31,12 +39,13 @@ SignVector = tuple  # entries in {-1, 0, +1}, one per hyperplane
 
 
 class FanIndex:
-    """Complete list of faces of an arrangement as packed sign vectors, with
-    the rays in the closure of each face as a bitmask over ``directions`` and
-    the walls of each region.
+    """Complete list of faces of an arrangement as packed sign vectors,
+    grouped by flat, with the rays in the closure of each face as a bitmask
+    over ``directions`` and the walls of each region.
 
     ``packed_faces`` is the closure, ``packed_regions`` its regions in fan
-    order and ``wall_masks`` their walls as masks of hyperplanes.
+    order and ``wall_masks`` their walls as masks of hyperplanes; all three
+    are built on first use.
     """
 
     def __init__(self, arrangement: Arrangement):
@@ -48,58 +57,58 @@ class FanIndex:
         self.bottom_basis = lattice.bottom_basis
         self.bottom_dim = lattice.bottom_dim
         self.rank = lattice.rank
-        self._dim_of = dict(zip(lattice.masks, lattice.dims))
+        self._grades = tuple(d - lattice.bottom_dim for d in lattice.dims)
+        self._grade_of = dict(zip(lattice.masks, self._grades))
         # The rays of a rank-1 flat are ±d; negating swaps a packed vector's halves.
-        atom_rays = [self.pack([dot(n, d) for n in normals]) for d in lattice.atom_directions]
-        directions = {}
-        for c, d in zip(atom_rays, lattice.atom_directions):
-            directions[c], directions[c >> m | (c & full) << m] = d, tuple(-x for x in d)
-        cocircuits = sorted(directions, key=self._order)
-        self.directions = tuple(map(directions.get, cocircuits))
-        # A ray c lies in the closure of f iff c & ~f == 0.  _chunks[k][x]:
-        # the rays with no bit among the sign bits 8k..8k+7 outside x; a
-        # face's ray mask is the AND of its chunks' entries.
-        self._rays = (1 << len(cocircuits)) - 1
-        on = [sum(1 << i for i, c in enumerate(cocircuits) if c >> b & 1)
-              for b in range(2 * m)]
-        self._chunks = []
-        for k in range(0, 2 * m, 8):
-            hit = [0]  # hit[x]: the rays with a bit of the chunk in x
-            for rays in on[k:k + 8]:
-                hit += [h | rays for h in hit]
-            self._chunks.append((k, [self._rays ^ hit[x ^ len(hit) - 1]
-                                     for x in range(len(hit))]))
+        atom_rays, rays = [], []
+        for i, d in zip(lattice.covers_above[0], lattice.atom_directions):
+            c = 0
+            for h, n in enumerate(normals):
+                if s := dot(n, d):
+                    c |= 1 << h + (s < 0) * m
+            atom_rays.append(c)
+            rays += (c, d, i), (c >> m | (c & full) << m, tuple(-x for x in d), i)
+        rays.sort(key=lambda ray: self._order(ray[0]))
+        self.directions = tuple(d for _, d, _ in rays)
+        self._cocircuits = tuple((i, c) for c, _, i in rays)
+        self._rays = (1 << len(rays)) - 1
         below = [0] * len(lattice.masks)  # the rank-1 flats below each flat, over the atoms
         for k, i in enumerate(lattice.covers_above[0]):
             below[i] = 1 << k
         for i, covers in enumerate(lattice.covers_below):
             for j in covers:
                 below[i] |= below[j]
-        # steps[mask(X)]: ±c & zz_X, c a ray below each Y covering X, not below X.
-        steps = {}
-        for x, up, low in zip(lattice.masks, lattice.covers_above, below):
-            cs = [atom_rays[((t := below[y] & ~low) & -t).bit_length() - 1] & (x | x << m)
-                  for y in up]
-            steps[x] = cs + [c >> m | (c & full) << m for c in cs]
-        found = self.packed_faces = {0}
-        facets, regions = set(), {0}
-        for _ in range(self.rank):
-            facets, regions = regions, set()
-            for f in facets:
-                regions.update(map(f.__or__, steps[full & ~(f | f >> m)]))
-            found |= regions
-        walls = dict.fromkeys(regions, 0)
-        for f in facets:  # z = 1 << h: f is the wall at h of f | z and f | z << m
-            z = full & ~(f | f >> m)
-            walls[f | z] |= z
-            walls[f | z << m] |= z
-        # On regions, the fan order is the order of the bit-reversed - mask.
-        self.packed_regions: tuple[int, ...] = tuple(sorted(
-            regions, key=lambda f, digits=f"0{m}b": int(format(f >> m, digits)[::-1], 2)))
-        self.wall_masks: tuple[int, ...] = tuple(map(walls.get, self.packed_regions))
+        # _steps[i]: c & zz for each flat j in _covers[i] (the flats
+        # covering flat i), c a ray below j and not below i.
+        self._covers = lattice.covers_above
+        self._last = [covers[-1] if covers else 0 for covers in lattice.covers_below]
+        self._steps = tuple(
+            tuple(atom_rays[((t := below[y] & ~low) & -t).bit_length() - 1] & (x | x << m)
+                  for y in up)
+            for x, up, low in zip(lattice.masks, lattice.covers_above, below))
+        # _faces[i]: the faces whose zero mask is mask(flat i).
+        self._faces = [group for _, group in self._sweep({0: {0}})]
+
+    def _sweep(self, found: dict[int, set[int]]):
+        """Close the sets of faces in found, keyed by flat, under the
+        steps: one pass over the flats in lattice order, which ascends by
+        grade, so a flat's set is whole when the pass reaches it.  A set is
+        frozen to a tuple once the last flat below it is done, and yielded
+        with its flat and forgotten when the pass reaches it."""
+        m, full, last = self.m, self._full, self._last
+        for i, (up, steps) in enumerate(zip(self._covers, self._steps)):
+            group = tuple(found.pop(i, ()))
+            if group:
+                for j, c in zip(up, steps):
+                    faces = found.setdefault(j, set())
+                    faces.update(map(c.__or__, group),
+                                 map((c >> m | (c & full) << m).__or__, group))
+                    if last[j] == i:  # the last flat below j
+                        found[j] = tuple(faces)
+            yield i, group
 
     def __len__(self) -> int:
-        return len(self.packed_faces)
+        return sum(map(len, self._faces))
 
     def _order(self, f: int) -> int:
         """The fan order on packed sign vectors: the decimal digit for
@@ -113,8 +122,36 @@ class FanIndex:
         return sum(1 << h + (s < 0) * self.m for h, s in enumerate(f) if s)
 
     def unpack(self, f: int) -> SignVector:
-        m = self.m
-        return tuple([(f >> h & 1) - (f >> h + m & 1) for h in range(m)])
+        """Entry h is bit h of the + half minus bit h of the - half, as
+        ASCII digits of their binary forms, lowest bit first; bit m is set
+        in both so that each form is m + 1 digits wide."""
+        top = 1 << self.m
+        return tuple(map(sub, format(f & self._full | top, "b").encode()[:0:-1],
+                         format(f >> self.m | top, "b").encode()[:0:-1]))
+
+    @cached_property
+    def packed_faces(self) -> frozenset[int]:
+        return frozenset().union(*self._faces)
+
+    @cached_property
+    def packed_regions(self) -> tuple[int, ...]:
+        """The top flat's faces in fan order, which on regions is the order
+        of the - mask's binary digits read lowest bit first."""
+        return tuple(sorted(self._faces[-1], key=lambda f, digits=f"0{self.m}b":
+                            format(f >> self.m, digits)[::-1]))
+
+    @cached_property
+    def wall_masks(self) -> tuple[int, ...]:
+        """The walls of each region: a face of the flat of hyperplane h is 0
+        at h only, and the wall at h of f | z and f | z << m, z = 1 << h."""
+        walls = dict.fromkeys(self.packed_regions, 0)
+        lattice = build_flats(self.arrangement)
+        for i in lattice.covers_below[lattice.top_index]:
+            z = lattice.masks[i]
+            for f in self._faces[i]:
+                walls[f | z] |= z
+                walls[f | z << self.m] |= z
+        return tuple(map(walls.get, self.packed_regions))
 
     # key and _regions serve only the sign-tuple edge that perfbench reads.
     def key(self, f: SignVector) -> int:
@@ -128,6 +165,21 @@ class FanIndex:
     def _regions(self) -> tuple[SignVector, ...]:
         return tuple(map(self.unpack, self.packed_regions))
 
+    @cached_property
+    def _chunks(self) -> list[tuple[int, list[int]]]:
+        """_chunks[k][x]: the rays with no bit among the sign bits 8k..8k+7
+        outside x; a face's ray mask is the AND of its chunks' entries."""
+        on = [sum(1 << i for i, (_, c) in enumerate(self._cocircuits) if c >> b & 1)
+              for b in range(2 * self.m)]
+        chunks = []
+        for k in range(0, 2 * self.m, 8):
+            hit = [0]  # hit[x]: the rays with a bit of the chunk in x
+            for rays in on[k:k + 8]:
+                hit += [h | rays for h in hit]
+            # x's complement in the chunk is len(hit) - 1 - x
+            chunks.append((k, [self._rays ^ h for h in reversed(hit)]))
+        return chunks
+
     def ray_mask(self, f: int) -> int:
         """The rays in the closure of the packed face f."""
         rays = self._rays
@@ -136,13 +188,13 @@ class FanIndex:
         return rays
 
     def packed_grade(self, f: int) -> int:
-        return self._dim_of[self._full & ~(f | f >> self.m)] - self.bottom_dim
+        return self._grade_of[self._full & ~(f | f >> self.m)]
 
     def f_vector(self) -> tuple[int, ...]:
         """Face counts by lattice grade, grade 0 (the central face) first."""
         out = [0] * (self.rank + 1)
-        for f in self.packed_faces:
-            out[self.packed_grade(f)] += 1
+        for group, grade in zip(self._faces, self._grades):
+            out[grade] += len(group)
         return tuple(out)
 
     def halfspace_mask(self, v) -> int | None:
@@ -158,6 +210,20 @@ class FanIndex:
             return None
         return sum(1 << i for i, d in enumerate(self.directions) if dot(v, d) > 0)
 
+    def f_vector_inside(self, up: int) -> tuple[int, ...]:
+        """Face counts by grade, as ``f_vector``, of the faces whose ray
+        mask misses up.  A face of grade >= 2 has a ray in up iff one of its
+        facets has, so the faces outside are the rays in up closed under
+        the steps of the fan, one flat's set at a time."""
+        outside: dict[int, set[int]] = {}
+        for k, (i, c) in enumerate(self._cocircuits):
+            if up >> k & 1:
+                outside.setdefault(i, set()).add(c)
+        out = list(self.f_vector())
+        for i, gone in self._sweep(outside):
+            out[self._grades[i]] -= len(gone)
+        return tuple(out)
+
 
 @lru_cache(maxsize=None)
 def enumerate_faces(a: Arrangement) -> FanIndex:
@@ -172,9 +238,12 @@ def enumerate_regions(a: Arrangement) -> tuple[SignVector, ...]:
 
 def is_simplicial(a: Arrangement) -> bool:
     """True iff every region has exactly rank(a) walls: a pointed cone of
-    rank r has at least r facets, and exactly r when it is simplicial."""
+    rank r has at least r facets, and exactly r when it is simplicial.
+    Each face of grade r - 1 is a wall of exactly two regions, so the
+    regions have 2 f_{r-1} walls in all, which is r f_r iff each has r."""
     fan = enumerate_faces(a)
-    return all(w.bit_count() == fan.rank for w in fan.wall_masks)
+    f = fan.f_vector()
+    return fan.rank == 0 or 2 * f[-2] == fan.rank * f[-1]
 
 
 def is_sharp(a: Arrangement) -> bool:
@@ -184,7 +253,9 @@ def is_sharp(a: Arrangement) -> bool:
     (<n_i, r_j> = delta_ij), the angle condition is <n_i, n_j> <= 0 off the
     diagonal.  n_i is a positive multiple of the inward normal c[h] v_h of
     the wall h of c opposite r_i (walls come from the fan); normals lie in
-    the span of the rays, so no essentializing is needed.
+    the span of the rays, so no essentializing is needed.  The signs of
+    <v_h, v_k> are read once into masks: c[h] c[k] <v_h, v_k> > 0 iff c has
+    equal signs at h and k and <v_h, v_k> > 0, or opposite signs and < 0.
     """
     fan = enumerate_faces(a)
     if fan.rank <= 1:
@@ -192,14 +263,17 @@ def is_sharp(a: Arrangement) -> bool:
     if not is_simplicial(a):
         return False
     normals = a.normals
-    for c, wall_mask in zip(fan.packed_regions, fan.wall_masks):
-        walls = set_bits(wall_mask)
-        for x, h in enumerate(walls):
-            for k in walls[x + 1:]:
-                # c[h] * c[k] is -1 iff the plus bits of c differ at h and k
-                sign = 1 - 2 * ((c >> h ^ c >> k) & 1)
-                if sign * dot(normals[h], normals[k]) > 0:
-                    return False
+    acute, obtuse = [], []  # the k != h with <v_h, v_k> > 0, < 0
+    for h, n in enumerate(normals):
+        signs = [dot(n, v) for v in normals]
+        acute.append(sum(1 << k for k, s in enumerate(signs) if s > 0 and k != h))
+        obtuse.append(sum(1 << k for k, s in enumerate(signs) if s < 0))
+    for c, walls in zip(fan.packed_regions, fan.wall_masks):
+        plus, minus = walls & c, walls & ~c
+        for h in set_bits(walls):
+            same, other = (plus, minus) if c >> h & 1 else (minus, plus)
+            if acute[h] & same or obtuse[h] & other:
+                return False
     return True
 
 

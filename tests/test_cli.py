@@ -255,6 +255,20 @@ def test_table_exceptional_long_within_a_minute():
     assert peak_kb < 600 * 1024, peak_kb
 
 
+@pytest.mark.long
+@pytest.mark.parametrize("method, bound_mb", [("descents", 450), ("halfspace", 500)])
+def test_poly_d7_geometric_within_memory(method, bound_mb):
+    # D7's fan has 4,364,979 faces; both geometric routes give the golden
+    # row within their peak resident size.
+    from primeul.tables import TYPE_D
+
+    done = python("-c", _MAIN_WITH_PEAK, "poly", "--family", "D 7", "--method", method)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == TYPE_D[7].format("z") + "\n"
+    peak_kb = int(re.search(r"VmHWM:\s*(\d+) kB", done.stderr).group(1))
+    assert peak_kb < bound_mb * 1024, peak_kb
+
+
 def test_table_exceptional_golden_mismatch_exit_1(capsys, monkeypatch):
     from primeul import tables
     monkeypatch.setitem(tables.EXCEPTIONAL, "F4", IntPoly((0, 1)))

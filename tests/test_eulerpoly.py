@@ -205,12 +205,16 @@ def test_upper_set_witness_is_pinned(normals, v, witness):
 
 def test_routes_leave_the_sign_vector_views_unbuilt():
     # The geometric routes read the packed fan; the sign tuples of the
-    # regions are built only when enumerate_regions asks for them.
+    # regions are built only when enumerate_regions asks for them.  The
+    # halfspace route reads the faces by flat alone: no ray tables, walls
+    # or set of all faces.
     enumerate_faces.cache_clear()
     a = type_b(4)
-    assert peul_from_cochar(cochar_via_halfspace(a), 4) == primitive_eulerian_descents(a)
-    assert eulerian_poly(a)(1) == 384
+    psi = cochar_via_halfspace(a)
     fan = enumerate_faces(a)
+    assert not {"_chunks", "wall_masks", "packed_faces"} & set(vars(fan))
+    assert peul_from_cochar(psi, 4) == primitive_eulerian_descents(a)
+    assert eulerian_poly(a)(1) == 384
     assert "_regions" not in vars(fan)
     assert len(fan) == 1697 and len(enumerate_regions(a)) == 384
 

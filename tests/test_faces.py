@@ -1,11 +1,13 @@
 import random
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, find, given, settings
+from hypothesis import strategies as st
 
 from primeul.arrangement import (Arrangement, build_flats, count_regions_zaslavsky,
                                  is_very_generic_vector, set_bits)
 from primeul.cli import _PATH_BUILTINS
+from primeul.eulerpoly import find_very_generic
 from primeul.faces import (FanIndex, enumerate_faces, enumerate_regions,
                            is_sharp, is_simplicial, region_in_halfspace)
 from primeul.families import (braid, generic_gn, graphic, parse_family, rank2,
@@ -201,6 +203,54 @@ def test_sharp():
     assert not is_sharp(SKEW2)  # combinatorially the coordinate fan, metrically not
 
 
+def sharp_by_pairs(a):
+    """is_sharp by its definition, one dot product per pair of walls of
+    each region: c[h] c[k] <v_h, v_k> <= 0 for walls h != k of c."""
+    fan = enumerate_faces(a)
+    if fan.rank <= 1:
+        return True
+    if not is_simplicial(a):
+        return False
+    normals = a.normals
+    for c, wall_mask in zip(fan.packed_regions, fan.wall_masks):
+        walls = set_bits(wall_mask)
+        for x, h in enumerate(walls):
+            for k in walls[x + 1:]:
+                # c[h] * c[k] is -1 iff the plus bits of c differ at h and k
+                sign = 1 - 2 * ((c >> h ^ c >> k) & 1)
+                if sign * dot(normals[h], normals[k]) > 0:
+                    return False
+    return True
+
+
+@st.composite
+def simplicial_images(draw):
+    """A reflection arrangement of rank <= 3 under an invertible integer
+    map: simplicial like the original, sharp or not."""
+    a = draw(st.sampled_from([COORD2, rank2(3), rank2(4), braid(3), type_b(2),
+                              type_b(3), type_d(3),
+                              Arrangement.from_normals([(1, 0, 0), (0, 1, 0), (0, 0, 1)])]))
+    n = a.dim
+    rows = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * n), min_size=n, max_size=n)
+                .filter(lambda rows: len(rref_int(rows, n)) == n))
+    return Arrangement.from_normals(
+        [tuple(dot(v, [row[j] for row in rows]) for j in range(n)) for v in a.normals], n)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(st.one_of(simplicial_images(), arrangements()))
+@example(SKEW2)
+@example(Arrangement.from_normals([(1, 0, 0), (1, 1, 0), (1, 1, 1)]))
+def test_sharp_against_pairs(a):
+    assert is_sharp(a) == sharp_by_pairs(a)
+
+
+def test_simplicial_images_draw_non_sharp():
+    a = find(simplicial_images(), lambda a: not sharp_by_pairs(a),
+             settings=settings(derandomize=True, database=None))
+    assert is_simplicial(a) and not is_sharp(a)
+
+
 def test_region_in_halfspace():
     b3 = type_b(3)
     v = (1, 2, 4)
@@ -225,8 +275,6 @@ def test_faces_in_halfspace_rank1():
 
 def test_faces_in_halfspace_graded_counts():
     fan = enumerate_faces(essentialize(braid(4)))
-    from primeul.eulerpoly import find_very_generic
-
     v = find_very_generic(essentialize(braid(4)))
     inside = faces_in_halfspace(fan, v)
     counts = [0, 0, 0, 0]
@@ -263,7 +311,6 @@ def test_regions_against_brute_force():
     from itertools import product as iproduct
 
     from primeul.cli import _PATH_BUILTINS
-    from primeul.eulerpoly import find_very_generic
     from primeul.families import parse_family
     from primeul.feasibility import strict_feasible
 
@@ -365,6 +412,39 @@ def _cover_fan_equals_oracle(a):
     fan = FanIndex(a)
     got = (fan.packed_faces, fan.packed_regions, fan.wall_masks, fan.directions)
     assert got == _oracle_fan(a), a
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(arrangements(), st.randoms(use_true_random=False))
+@example(Arrangement(3, ()), random.Random(0))
+@example(Arrangement.from_normals([(1, 0, 0, 0), (0, 0, 1, 0)], 4), random.Random(0))
+@example(Arrangement.from_normals([(1, -1, 0), (0, 1, -1), (1, 0, -1)], 3), random.Random(0))
+@example(Arrangement.from_normals([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)], 3),
+         random.Random(0))
+def test_faces_grouped_by_flat(a, rng):
+    # Each flat's group holds exactly the faces whose zero mask is the
+    # flat's; the groups are disjoint, and the counts inside a halfspace,
+    # or off any set of rays, are those of the ray-mask reference.
+    fan = enumerate_faces(a)
+    lattice = build_flats(a)
+    full = (1 << fan.m) - 1
+    assert len(fan._faces) == len(lattice)
+    for group, mask in zip(fan._faces, lattice.masks):
+        assert {full & ~(f | f >> fan.m) for f in group} == {mask}
+    assert sum(map(len, fan._faces)) == len(fan.packed_faces) == len(fan)
+
+    def by_grade(faces):
+        counts = [0] * (fan.rank + 1)
+        for f in faces:
+            counts[fan.packed_grade(f)] += 1
+        return tuple(counts)
+
+    for v in (find_very_generic(a), _random_very_generic(a, rng)):
+        up = fan.halfspace_mask(v)
+        assert fan.f_vector_inside(up) == by_grade(faces_in_halfspace(fan, v)), v
+    up = rng.getrandbits(len(fan.directions))
+    assert fan.f_vector_inside(up) == by_grade(
+        f for f in fan.packed_faces if not fan.ray_mask(f) & up)
 
 
 @pytest.mark.parametrize("family", _PATH_BUILTINS + ("A 6", "B 5", "D 5", "Dnk 5 3", "F4"))
