@@ -8,7 +8,7 @@ statistics for the classical reflection families, exact real-rootedness and
 interlacing tests, and truncated exponential generating series.
 """
 
-from .arrangement import (Arrangement, FlatLattice, Hyperplane, build_flats,
+from .arrangement import (Arrangement, FlatLattice, build_flats,
                           characteristic_polynomial, count_regions_zaslavsky,
                           is_very_generic_vector, product)
 from .egf import (TruncatedEgf, egf_div, egf_exp, egf_log, egf_mul,

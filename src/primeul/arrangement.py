@@ -1,21 +1,22 @@
 """Central hyperplane arrangements and their lattices of flats.
 
-A hyperplane is stored as a primitive integer normal with its first nonzero
+A hyperplane is its normal, a primitive integer tuple with its first nonzero
 entry positive, which fixes the orientation of the two halfspaces and makes
-duplicates detectable.  Flats are keyed by the int bitmask of the
-hyperplanes containing them; since a flat equals the intersection of exactly
-that set, containment of flats is containment of masks in reverse.  The
-flats just below a flat X are the classes of the hyperplanes off X, grouped
-by their restriction to X: a line, kept as a normal reduced modulo the key
-of X (the canonical RREF of its normal space), which is the one new row of
-its cover's key.  The image of a line or key row under a cover's line, its
-pivot line, depends on the two alone and recurs across many flats, so each
-is computed once per build, by ``linalg``'s elimination step ``_reduce``,
-the one ``rref_int`` runs on.  Mobius values come from the covers.  A flat is
-its position in the lattice, which holds its mask, dimension and key; there
-is no separate flat object.  The lattice also owns a basis of the minimum flat
-⊥ and the direction of each rank-1 flat inside the span of the normals; the
-very generic test and the fan read them.
+duplicates detectable; an arrangement is its dimension and its normals.
+Flats are keyed by the int bitmask of the hyperplanes containing them; since
+a flat equals the intersection of exactly that set, containment of flats is
+containment of masks in reverse.  The flats just below a flat X are the
+classes of the hyperplanes off X, grouped by their restriction to X: a line,
+kept as a normal reduced modulo the key of X (the canonical RREF of its
+normal space), which is the one new row of its cover's key.  The image of a
+line or key row under a cover's line, its pivot line, depends on the two
+alone and recurs across many flats, so each is computed once per build, by
+``linalg``'s elimination step ``_reduce``, the one ``rref_int`` runs on.
+Mobius values come from the covers.  A flat is its position in the lattice,
+which holds its mask, dimension and key; there is no separate flat object.
+The lattice also owns a basis of the minimum flat ⊥ and the direction of
+each rank-1 flat inside the span of the normals; the very generic test and
+the fan read them.
 """
 
 from __future__ import annotations
@@ -27,37 +28,24 @@ from .intpoly import Frozen, IntPoly
 from .linalg import _reduce, dot, free_solutions, nullspace, primitive_signed, rref_int
 
 
-class Hyperplane(Frozen):
-    _fields = ("normal",)
-
-    def __init__(self, normal: tuple[int, ...]):
-        if not any(normal) or normal != primitive_signed(normal):
-            raise ValueError(f"normal {normal} must be nonzero and primitive_signed")
-        self._set(normal)
-
-    @classmethod
-    def from_vector(cls, vec) -> Hyperplane:
-        return cls(primitive_signed(vec))
-
-    @property
-    def dim(self) -> int:
-        return len(self.normal)
-
-
 class Arrangement(Frozen):
-    _fields = ("dim", "hyperplanes")
+    _fields = ("dim", "normals")
 
-    def __init__(self, dim: int, hyperplanes: tuple[Hyperplane, ...]):
+    def __init__(self, dim: int, normals: tuple[tuple[int, ...], ...]):
+        normals = tuple(normals)
+        for normal in normals:
+            if not any(normal) or normal != primitive_signed(normal):
+                raise ValueError(f"normal {normal} must be nonzero and primitive_signed")
         if dim < 0:
             raise ValueError(f"ambient dimension {dim} must be >= 0")
         seen = set()
-        for h in hyperplanes:
-            if len(h.normal) != dim:
+        for normal in normals:
+            if len(normal) != dim:
                 raise ValueError("hyperplane dimension mismatch")
-            if h.normal in seen:
-                raise ValueError(f"duplicate hyperplane {h.normal}")
-            seen.add(h.normal)
-        self._set(dim, hyperplanes)
+            if normal in seen:
+                raise ValueError(f"duplicate hyperplane {normal}")
+            seen.add(normal)
+        self._set(dim, normals)
 
     @classmethod
     def from_normals(cls, normals, dim: int | None = None) -> Arrangement:
@@ -66,11 +54,7 @@ class Arrangement(Frozen):
             if not normals:
                 raise ValueError("dimension required for an empty arrangement")
             dim = len(normals[0])
-        return cls(dim, tuple(Hyperplane.from_vector(v) for v in normals))
-
-    @property
-    def normals(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(h.normal for h in self.hyperplanes)
+        return cls(dim, tuple(map(primitive_signed, normals)))
 
 
 class FlatLattice:
@@ -210,8 +194,8 @@ def build_flats(a: Arrangement) -> FlatLattice:
 def product(a: Arrangement, b: Arrangement) -> Arrangement:
     """Block-diagonal juxtaposition of the two arrangements."""
     za, zb = (0,) * a.dim, (0,) * b.dim
-    return Arrangement.from_normals([h.normal + zb for h in a.hyperplanes]
-                                    + [za + h.normal for h in b.hyperplanes], a.dim + b.dim)
+    return Arrangement(a.dim + b.dim, tuple([n + zb for n in a.normals]
+                                            + [za + n for n in b.normals]))
 
 
 def is_very_generic_vector(a: Arrangement, v) -> bool:
@@ -225,9 +209,9 @@ def very_generic_failure(a: Arrangement, v):
     v = tuple(v)
     if len(v) != a.dim:
         raise ValueError("vector dimension mismatch")
-    for h in a.hyperplanes:
-        if dot(h.normal, v) == 0:
-            return f"v lies on the hyperplane with normal {h.normal}"
+    for normal in a.normals:
+        if dot(normal, v) == 0:
+            return f"v lies on the hyperplane with normal {normal}"
     return halfspace_failure(a, v)
 
 

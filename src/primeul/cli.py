@@ -117,7 +117,7 @@ def cmd_inspect(args) -> int:
     lines = [
         ("source", source),
         ("ambient_dim", a.dim),
-        ("hyperplanes", len(a.hyperplanes)),
+        ("hyperplanes", len(a.normals)),
         ("rank", lattice.rank),
         ("flats_by_grade", ",".join(str(len(g)) for g in lattice.flats_by_grade())),
         ("flats", len(lattice)),

@@ -10,8 +10,10 @@ the polynomial of the braid arrangement in R^m for m >= 2.
 The six recursive sequences, eulerian_a to peul_d_rec, share one memo
 helper, _sequence: each keeps its terms and extends them in order of n, so
 every term is computed once.  bw_b and bw_d share one right-to-left-maxima
-predicate, _negative_rtl_maxima, and every distribution is an
-``IntPoly.from_counts`` of a statistic over its elements.
+predicate, _negative_rtl_maxima; cuspidal_sn and cuspidal_bn share one
+cycle walk, _cycles, which gives each cycle of |w| with the product of the
+signs of w along it; and every distribution is an ``IntPoly.from_counts``
+of a statistic over its elements.
 """
 
 from __future__ import annotations
@@ -44,31 +46,23 @@ def all_even_signed(n: int):
             yield w
 
 
-def signed_cycles(w):
-    """Orbits of w on {-n..-1, 1..n}, each orbit a frozenset."""
-    n = len(w)
-
-    def image(i: int) -> int:
-        return w[i - 1] if i > 0 else -w[-i - 1]
-
-    seen = set()
-    out = []
-    for start in range(1, n + 1):
-        for s in (start, -start):
-            if s in seen:
-                continue
-            orbit = set()
-            i = s
-            while i not in orbit:
-                orbit.add(i)
-                i = image(i)
-            seen |= orbit
-            out.append(frozenset(orbit))
-    return out
-
-
-def is_balanced_cycle(orbit: frozenset) -> bool:
-    return orbit == frozenset(-x for x in orbit)
+def _cycles(w):
+    """(length, sign product) of each cycle of |w|, in order of its least
+    letter, for a (signed) permutation w.  The cycle's letters and their
+    negatives make one balanced orbit of w iff the sign product is -1, else
+    two orbits, each the other's negative."""
+    seen = [False] * (len(w) + 1)
+    for start in range(1, len(w) + 1):
+        if seen[start]:
+            continue
+        i, length, sign = start, 0, 1
+        while not seen[i]:
+            seen[i] = True
+            length += 1
+            i = w[i - 1]
+            if i < 0:
+                i, sign = -i, -sign
+        yield length, sign
 
 
 def cuspidal_sn(n: int):
@@ -78,20 +72,14 @@ def cuspidal_sn(n: int):
         yield ()
         return
     for w in permutations(range(1, n + 1)):
-        seen = [False] * (n + 1)
-        i, length = 1, 0
-        while not seen[i]:
-            seen[i] = True
-            length += 1
-            i = w[i - 1]
-        if length == n:
+        if next(_cycles(w))[0] == n:
             yield w
 
 
 def cuspidal_bn(n: int):
-    """Signed permutations whose cycle decomposition is all balanced."""
+    """Signed permutations whose cycles are all balanced."""
     for w in all_signed(n):
-        if all(is_balanced_cycle(c) for c in signed_cycles(w)):
+        if all(sign < 0 for _, sign in _cycles(w)):
             yield w
 
 

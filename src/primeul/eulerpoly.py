@@ -103,8 +103,8 @@ def base_region_of(a: Arrangement, v) -> tuple:
     if len(v) != a.dim:
         raise ValueError("vector dimension mismatch")
     signs = []
-    for h in a.hyperplanes:
-        s = dot(h.normal, v)
+    for normal in a.normals:
+        s = dot(normal, v)
         if s == 0:
             raise ValueError("v lies on a hyperplane")
         signs.append(1 if s > 0 else -1)

@@ -18,13 +18,15 @@ pointed cone lies in a facet, so the faces outside are the closure of the
 rays outside under the same steps, and the halfspace route counts the
 faces by flat minus that closure.  The regions are the top flat's faces; a
 face of a hyperplane's flat is 0 at that h only and is the wall at h of
-the two regions beside it.  A ray c lies in the closure of f iff
-c & ~f == 0, so ray masks are read from tables over 8-bit chunks of f.
-The walls and the ray tables are built on first use: the halfspace route
-needs neither.  No linear program is solved.  The fan order sorts sign
-vectors by entry with 0 < + < -.  Sign tuples remain only at the edge that
-perfbench reads: ``enumerate_regions``, ``region_in_halfspace`` and
-``FanIndex.pack``, ``unpack`` and ``key``.
+the two regions beside it, so the walls are one dict from region to mask.
+The rays are the cocircuits in lattice order; a ray c lies in the closure
+of f iff c & ~f == 0, so ray masks are read from tables over 8-bit chunks
+of f.  The walls and the ray tables are built on first use: the halfspace
+route needs neither.  No linear program is solved.  The fan order sorts
+sign vectors by entry with 0 < + < -.  Sign tuples remain only at the edge
+that perfbench reads: ``enumerate_regions``, ``region_in_halfspace`` and
+``FanIndex.pack``, ``unpack`` and ``key``, which finds a face in its own
+flat's group.
 """
 
 from __future__ import annotations
@@ -43,9 +45,9 @@ class FanIndex:
     grouped by flat, with the rays in the closure of each face as a bitmask
     over ``directions`` and the walls of each region.
 
-    ``packed_faces`` is the closure, ``packed_regions`` its regions in fan
-    order and ``wall_masks`` their walls as masks of hyperplanes; all three
-    are built on first use.
+    ``packed_regions`` holds the regions in fan order and ``walls`` maps
+    each region to its walls as a mask of hyperplanes; both are built on
+    first use.
     """
 
     def __init__(self, arrangement: Arrangement):
@@ -58,20 +60,21 @@ class FanIndex:
         self.bottom_dim = lattice.bottom_dim
         self.rank = lattice.rank
         self._grades = tuple(d - lattice.bottom_dim for d in lattice.dims)
-        self._grade_of = dict(zip(lattice.masks, self._grades))
-        # The rays of a rank-1 flat are ±d; negating swaps a packed vector's halves.
-        atom_rays, rays = [], []
+        self._at = {mask: i for i, mask in enumerate(lattice.masks)}
+        # The rays of a rank-1 flat are ±d, in lattice order; negating swaps
+        # a packed vector's halves.
+        atom_rays, directions, cocircuits = [], [], []
         for i, d in zip(lattice.covers_above[0], lattice.atom_directions):
             c = 0
             for h, n in enumerate(normals):
                 if s := dot(n, d):
                     c |= 1 << h + (s < 0) * m
             atom_rays.append(c)
-            rays += (c, d, i), (c >> m | (c & full) << m, tuple(-x for x in d), i)
-        rays.sort(key=lambda ray: self._order(ray[0]))
-        self.directions = tuple(d for _, d, _ in rays)
-        self._cocircuits = tuple((i, c) for c, _, i in rays)
-        self._rays = (1 << len(rays)) - 1
+            directions += d, tuple(-x for x in d)
+            cocircuits += (i, c), (i, c >> m | (c & full) << m)
+        self.directions = tuple(directions)
+        self._cocircuits = tuple(cocircuits)
+        self._rays = (1 << len(directions)) - 1
         below = [0] * len(lattice.masks)  # the rank-1 flats below each flat, over the atoms
         for k, i in enumerate(lattice.covers_above[0]):
             below[i] = 1 << k
@@ -110,13 +113,6 @@ class FanIndex:
     def __len__(self) -> int:
         return sum(map(len, self._faces))
 
-    def _order(self, f: int) -> int:
-        """The fan order on packed sign vectors: the decimal digit for
-        hyperplane h, most significant first, is 0, 1 or 2 for 0, + or -."""
-        digits = f"0{self.m}b"
-        return (int(format(f & self._full, digits)[::-1])
-                + 2 * int(format(f >> self.m, digits)[::-1]))
-
     def pack(self, f) -> int:
         """plus | minus << m for the sign vector f."""
         return sum(1 << h + (s < 0) * self.m for h, s in enumerate(f) if s)
@@ -130,10 +126,6 @@ class FanIndex:
                          format(f >> self.m | top, "b").encode()[:0:-1]))
 
     @cached_property
-    def packed_faces(self) -> frozenset[int]:
-        return frozenset().union(*self._faces)
-
-    @cached_property
     def packed_regions(self) -> tuple[int, ...]:
         """The top flat's faces in fan order, which on regions is the order
         of the - mask's binary digits read lowest bit first."""
@@ -141,23 +133,25 @@ class FanIndex:
                             format(f >> self.m, digits)[::-1]))
 
     @cached_property
-    def wall_masks(self) -> tuple[int, ...]:
-        """The walls of each region: a face of the flat of hyperplane h is 0
-        at h only, and the wall at h of f | z and f | z << m, z = 1 << h."""
-        walls = dict.fromkeys(self.packed_regions, 0)
-        lattice = build_flats(self.arrangement)
-        for i in lattice.covers_below[lattice.top_index]:
-            z = lattice.masks[i]
-            for f in self._faces[i]:
+    def walls(self) -> dict[int, int]:
+        """The walls of each region as a mask of hyperplanes: a face of the
+        flat of hyperplane h is 0 at h only, and the wall at h of f | z and
+        f | z << m, z = 1 << h."""
+        walls = dict.fromkeys(self._faces[-1], 0)
+        for h in range(self.m):
+            z = 1 << h
+            for f in self._faces[self._at[z]]:
                 walls[f | z] |= z
                 walls[f | z << self.m] |= z
-        return tuple(map(walls.get, self.packed_regions))
+        return walls
 
     # key and _regions serve only the sign-tuple edge that perfbench reads.
     def key(self, f: SignVector) -> int:
-        """The packed form of the face f; KeyError if f is not a face."""
+        """The packed form of the face f, found in its flat's group;
+        KeyError if f is not a face."""
         p = self.pack(f)
-        if p not in self.packed_faces or self.unpack(p) != f:
+        i = self._at.get(self._full & ~(p | p >> self.m))
+        if i is None or p not in self._faces[i] or self.unpack(p) != f:
             raise KeyError(f)
         return p
 
@@ -186,9 +180,6 @@ class FanIndex:
         for k, table in self._chunks:
             rays &= table[f >> k & 255]
         return rays
-
-    def packed_grade(self, f: int) -> int:
-        return self._grade_of[self._full & ~(f | f >> self.m)]
 
     def f_vector(self) -> tuple[int, ...]:
         """Face counts by lattice grade, grade 0 (the central face) first."""
@@ -268,7 +259,7 @@ def is_sharp(a: Arrangement) -> bool:
         signs = [dot(n, v) for v in normals]
         acute.append(sum(1 << k for k, s in enumerate(signs) if s > 0 and k != h))
         obtuse.append(sum(1 << k for k, s in enumerate(signs) if s < 0))
-    for c, walls in zip(fan.packed_regions, fan.wall_masks):
+    for c, walls in fan.walls.items():
         plus, minus = walls & c, walls & ~c
         for h in set_bits(walls):
             same, other = (plus, minus) if c >> h & 1 else (minus, plus)

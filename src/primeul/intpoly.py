@@ -169,9 +169,6 @@ class IntPoly(Frozen):
             out[d - i] = c
         return IntPoly(tuple(out))
 
-    def coefficient(self, k: int) -> int:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0
-
     def format(self, var: str = "z") -> str:
         """Human-readable rendering, highest degree first: "z^3 + 10z^2 + 4z"."""
         if not self.coeffs:

@@ -1,5 +1,5 @@
 """Weak order on regions with a base region: descent counts and the
-upper-set test, on packed sign vectors."""
+upper-set test, on packed sign vectors and the fan's dict of walls."""
 
 from __future__ import annotations
 
@@ -13,7 +13,7 @@ class WeakOrder:
     The unique minimum is the base region B and the unique maximum is its
     opposite.  Covers are realized by wall crossings: D covers C exactly when
     they share a facet and the crossed hyperplane separates D from B.  The
-    walls are the fan's, kept in one dict by region.  Regions are the fan's
+    walls are ``FanIndex.walls``, read as they are.  Regions are the fan's
     packed sign vectors: a separation set is the mask minus ^ base_minus, a
     descent count the popcount of walls & sep, and a cover the flip of one
     wall h, f ^ (1 << h | 1 << h + m).  The base and ``covers_above`` take
@@ -22,7 +22,7 @@ class WeakOrder:
 
     def __init__(self, arrangement: Arrangement, base: SignVector):
         fan = enumerate_faces(arrangement)
-        self._walls = dict(zip(fan.packed_regions, fan.wall_masks))
+        self._walls = fan.walls
         self._b = b = fan.pack(base)
         if b not in self._walls or fan.unpack(b) != base:
             raise ValueError("base is not a region of the arrangement")

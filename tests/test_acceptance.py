@@ -31,7 +31,7 @@ from primeul.roots import interlaces, is_real_rooted
 from primeul.tables import EXCEPTIONAL, TYPE_B, TYPE_D
 from primeul.weakorder import WeakOrder
 from test_arrangement import deletion_summands, essentialize
-from test_faces import _random_very_generic, tits_product
+from test_faces import _random_very_generic, packed_faces, tits_product
 
 FOUR_CYCLE = graphic(4, [(1, 2), (2, 3), (3, 4), (4, 1)])
 
@@ -200,10 +200,11 @@ def test_2_tits_monoid_axioms_exhaustive():
     for a in small_fans:
         fan = enumerate_faces(a)
         assert len(fan) <= 200
-        for f in fan.packed_faces:
+        faces = packed_faces(fan)
+        for f in faces:
             assert tits_product(fan, 0, f) == f             # 0 is the central face
             assert tits_product(fan, f, 0) == f
-            for g in fan.packed_faces:
+            for g in faces:
                 fg = tits_product(fan, f, g)
                 assert not f & ~fg                          # F <= FG
                 assert tits_product(fan, f, f) == f         # F F = F

@@ -10,7 +10,7 @@ from primeul.cli import build_parser
 
 EXPORTED = {
     # arrangements and their lattices of flats
-    "Arrangement", "FlatLattice", "Hyperplane", "build_flats",
+    "Arrangement", "FlatLattice", "build_flats",
     "characteristic_polynomial", "count_regions_zaslavsky",
     "is_very_generic_vector", "product",
     # exponential generating series

@@ -6,8 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from primeul import arrangement
-from primeul.arrangement import (Arrangement, FlatLattice, Hyperplane,
-                                 build_flats, characteristic_polynomial,
+from primeul.arrangement import (Arrangement, FlatLattice, build_flats, characteristic_polynomial,
                                  count_regions_zaslavsky, halfspace_failure,
                                  is_very_generic_vector, product, set_bits,
                                  very_generic_failure)
@@ -57,7 +56,7 @@ def restriction(a, i):
 
 def localization(a, i):
     """The hyperplanes containing flat i, in the same space."""
-    return Arrangement(a.dim, tuple(a.hyperplanes[j] for j in set_bits(build_flats(a).masks[i])))
+    return Arrangement(a.dim, tuple(a.normals[j] for j in set_bits(build_flats(a).masks[i])))
 
 
 def deletion_summands(a):
@@ -72,10 +71,10 @@ def deletion_summands(a):
 
 
 def test_hyperplane_normalization():
-    assert Hyperplane.from_vector((-2, 4, 0)).normal == (1, -2, 0)
-    assert Hyperplane.from_vector((Fraction(1, 2), Fraction(-1, 3))).normal == (3, -2)
-    with pytest.raises(ValueError):
-        Hyperplane.from_vector((0, 0))
+    assert Arrangement.from_normals([(-2, 4, 0)]).normals == ((1, -2, 0),)
+    assert Arrangement.from_normals([(Fraction(1, 2), Fraction(-1, 3))]).normals == ((3, -2),)
+    with pytest.raises(ValueError, match=r"^normal \(0, 0\) must be nonzero and primitive_signed$"):
+        Arrangement.from_normals([(0, 0)])
 
 
 def test_duplicate_hyperplanes_rejected():
@@ -83,7 +82,7 @@ def test_duplicate_hyperplanes_rejected():
         Arrangement.from_normals([(1, 0), (2, 0)], 2)
     # (2, 0) is the line of (1, 0): refused before the duplicate test
     with pytest.raises(ValueError, match="primitive"):
-        Arrangement(2, (Hyperplane((2, 0)), Hyperplane((1, 0)), Hyperplane((0, 1))))
+        Arrangement(2, ((2, 0), (1, 0), (0, 1)))
 
 
 def test_negative_dimension_rejected():
@@ -95,8 +94,8 @@ def test_negative_dimension_rejected():
 def test_non_canonical_normal_rejected():
     for normal in ((0, 0), (2, 0), (-1, 1), (0, 3, -6)):
         with pytest.raises(ValueError, match="nonzero"):
-            Hyperplane(normal)
-    assert Hyperplane((0, 1, -2)).normal == (0, 1, -2)
+            Arrangement(len(normal), (normal,))
+    assert Arrangement(3, ((0, 1, -2),)).normals == ((0, 1, -2),)
 
 
 def test_single_hyperplane_lattice():
@@ -231,7 +230,7 @@ def test_restriction_braid3():
     x = flat_of(a, [(1, -1, 0)])
     sub = restriction(a, x)
     assert sub.dim == 2
-    assert len(sub.hyperplanes) == 1  # the two other hyperplanes merge
+    assert len(sub.normals) == 1  # the two other hyperplanes merge
 
 
 def test_restriction_to_top_and_bottom():
@@ -239,7 +238,7 @@ def test_restriction_to_top_and_bottom():
     lattice = build_flats(a)
     assert restriction(a, lattice.top_index) == a
     sub = restriction(a, lattice.bottom_index)
-    assert sub.hyperplanes == () and sub.dim == 0
+    assert sub.normals == () and sub.dim == 0
 
 
 def test_restriction_rank_is_interval_rank():
@@ -253,10 +252,10 @@ def test_localization():
     a = type_b(3)
     lattice = build_flats(a)
     assert localization(a, lattice.bottom_index) == a
-    assert localization(a, lattice.top_index).hyperplanes == ()
+    assert localization(a, lattice.top_index).normals == ()
     # at the line x1 = x2 = x3: exactly the three braid hyperplanes
     loc = localization(a, flat_of(a, [(1, -1, 0), (0, 1, -1)]))
-    assert len(loc.hyperplanes) == 3
+    assert len(loc.normals) == 3
     assert build_flats(loc).rank == 2
 
 
@@ -271,7 +270,7 @@ def test_essentialize():
     a = braid(4)
     ess = essentialize(a)
     assert ess.dim == 3 and build_flats(ess).rank == 3
-    assert len(ess.hyperplanes) == 6
+    assert len(ess.normals) == 6
     # lattice preserved: equal graded Mobius multisets
     la, le = build_flats(a), build_flats(ess)
     for ga, ge in zip(la.flats_by_grade(), le.flats_by_grade()):
@@ -280,16 +279,16 @@ def test_essentialize():
     essential = type_b(2)
     again = essentialize(essential)
     assert build_flats(again).rank == build_flats(essential).rank
-    assert len(again.hyperplanes) == len(essential.hyperplanes)
+    assert len(again.normals) == len(essential.normals)
     empty = essentialize(Arrangement(3, ()))
-    assert empty.dim == 0 and empty.hyperplanes == ()
+    assert empty.dim == 0 and empty.normals == ()
 
 
 def test_product():
     one = Arrangement.from_normals([(1,)], 1)
     empty0 = Arrangement(0, ())
     assert product(one, empty0).dim == 1
-    assert len(product(one, one).hyperplanes) == 2
+    assert len(product(one, one).normals) == 2
     p = product(rank2(3), one)
     assert p.dim == 3 and build_flats(p).rank == 3
 

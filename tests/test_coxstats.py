@@ -4,7 +4,7 @@ from math import factorial
 
 import pytest
 
-from primeul.coxstats import (all_even_signed, all_signed, asc_2,
+from primeul.coxstats import (_cycles, all_even_signed, all_signed, asc_2,
                               binomial_identity_checks, bw_a, bw_b, bw_d,
                               cuspidal_bn, cuspidal_sn, des_a, des_b, des_d,
                               eulerian_a, eulerian_b, exc, exc_b,
@@ -12,8 +12,7 @@ from primeul.coxstats import (all_even_signed, all_signed, asc_2,
                               half_eulerian, inversion_sequences_2, peul_a,
                               peul_a_des, peul_a_exc, peul_b_des,
                               peul_b_diffrec, peul_b_excb, peul_b_rec,
-                              peul_d_des, peul_d_rec, peul_dnk,
-                              signed_cycles, is_balanced_cycle)
+                              peul_d_des, peul_d_rec, peul_dnk)
 from primeul.intpoly import IntPoly, ONE, Z
 from primeul.tables import TYPE_B, TYPE_D
 
@@ -33,6 +32,33 @@ def test_statistics_on_examples():
         des_d((1,))
 
 
+def signed_cycles(w):
+    """Orbits of w on {-n..-1, 1..n}, each orbit a frozenset."""
+    n = len(w)
+
+    def image(i: int) -> int:
+        return w[i - 1] if i > 0 else -w[-i - 1]
+
+    seen = set()
+    out = []
+    for start in range(1, n + 1):
+        for s in (start, -start):
+            if s in seen:
+                continue
+            orbit = set()
+            i = s
+            while i not in orbit:
+                orbit.add(i)
+                i = image(i)
+            seen |= orbit
+            out.append(frozenset(orbit))
+    return out
+
+
+def is_balanced_cycle(orbit: frozenset) -> bool:
+    return orbit == frozenset(-x for x in orbit)
+
+
 def test_cycle_decomposition():
     # window -1 2 -4 -3 -6 -7 -5 decomposes as [1]((2))((3 -4))[5 -6 7]
     w = (-1, 2, -4, -3, -6, -7, -5)
@@ -41,6 +67,19 @@ def test_cycle_decomposition():
     paired = [c for c in cycles if not is_balanced_cycle(c)]
     assert sorted(len(c) for c in balanced) == [2, 6]
     assert sorted(len(c) for c in paired) == [1, 1, 2, 2]
+    assert list(_cycles(w)) == [(1, -1), (1, 1), (2, 1), (3, -1)]
+
+
+def test_cycles_against_signed_orbits():
+    # A cycle of |w| of length L with sign product -1 is one balanced orbit
+    # of size 2L; with +1 it is two orbits of size L, each the other's
+    # negative, counted once here by the one holding its least letter.
+    for n in range(7):
+        for w in all_signed(n):
+            orbits = [(len(o) // 2, -1) if is_balanced_cycle(o) else (len(o), 1)
+                      for o in signed_cycles(w)
+                      if is_balanced_cycle(o) or min(o, key=abs) > 0]
+            assert sorted(_cycles(w)) == sorted(orbits), w
 
 
 def test_cuspidal_counts():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from primeul.arrangement import Arrangement, Hyperplane, build_flats, product
+from primeul.arrangement import Arrangement, build_flats, product
 from primeul.eulerpoly import (UpperSetError, base_region_of,
                                cochar_via_halfspace, cocharacteristic,
                                find_very_generic, peul_from_cochar,
@@ -16,7 +16,7 @@ from primeul.eulerpoly import (UpperSetError, base_region_of,
                                primitive_eulerian_recursive)
 from primeul.faces import (enumerate_faces, enumerate_regions, is_simplicial,
                            region_in_halfspace)
-from primeul.linalg import dot
+from primeul.linalg import dot, primitive_signed
 from primeul.weakorder import WeakOrder
 
 
@@ -24,7 +24,7 @@ from primeul.weakorder import WeakOrder
 def arrangements(draw):
     dim = draw(st.integers(0, 4))
     vectors = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * dim), max_size=10))
-    normals = dict.fromkeys(Hyperplane.from_vector(v).normal for v in vectors if any(v))
+    normals = dict.fromkeys(primitive_signed(v) for v in vectors if any(v))
     return Arrangement.from_normals(list(normals)[:7], dim)
 
 
@@ -43,7 +43,7 @@ def test_routes_agree(a):
     assert primitive_eulerian_recursive(a) == p
     assert peul_from_cochar(cocharacteristic(a), build_flats(a).rank) == p
     assert primitive_eulerian_recursive(essentialize(a)) == p
-    if not a.hyperplanes:
+    if not a.normals:
         return
     # P = (z-1) P(restriction to hyperplane 0) + sum over the rank-1 flats
     # off it of P(localization).
@@ -97,7 +97,7 @@ def relabellings(draw):
     """A generated arrangement with an order of its hyperplanes, an order
     of the coordinates, coordinate sign flips and normal scales."""
     a = draw(arrangements())
-    m, n = len(a.hyperplanes), a.dim
+    m, n = len(a.normals), a.dim
     return (a, draw(st.permutations(range(m))), draw(st.permutations(range(n))),
             draw(st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n)),
             draw(st.lists(st.sampled_from((-3, -2, -1, 1, 2, 3)), min_size=m, max_size=m)))
@@ -154,7 +154,7 @@ def dense_arrangements(draw):
     vectors = draw(st.lists(st.dictionaries(st.integers(0, dim - 1), entry,
                                             min_size=1, max_size=2),
                             min_size=dim + 2, max_size=12))
-    normals = dict.fromkeys(Hyperplane.from_vector([v.get(j, 0) for j in range(dim)]).normal
+    normals = dict.fromkeys(primitive_signed([v.get(j, 0) for j in range(dim)])
                             for v in vectors)
     return Arrangement.from_normals(list(normals), dim)
 

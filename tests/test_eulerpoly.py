@@ -42,8 +42,8 @@ def test_mobius_monic_and_zero_constant():
         p = primitive_eulerian_mobius(a)
         assert p.coeffs[-1] == 1
         assert p.degree() == build_flats(a).rank
-        if a.hyperplanes:
-            assert p.coefficient(0) == 0
+        if a.normals:
+            assert p.coeffs[0] == 0
 
 
 def test_cocharacteristic_examples():
@@ -212,7 +212,7 @@ def test_routes_leave_the_sign_vector_views_unbuilt():
     a = type_b(4)
     psi = cochar_via_halfspace(a)
     fan = enumerate_faces(a)
-    assert not {"_chunks", "wall_masks", "packed_faces"} & set(vars(fan))
+    assert not {"_chunks", "walls"} & set(vars(fan))
     assert peul_from_cochar(psi, 4) == primitive_eulerian_descents(a)
     assert eulerian_poly(a)(1) == 384
     assert "_regions" not in vars(fan)

@@ -14,6 +14,7 @@ from primeul.families import (braid, generic_gn, graphic, parse_family, rank2,
                               type_b, type_d, type_dnk)
 from primeul.linalg import dot, rref_int
 from test_arrangement import essentialize, restriction
+from test_cli import python
 from test_differential import arrangements
 
 FOUR_CYCLE = graphic(4, [(1, 2), (2, 3), (3, 4), (4, 1)])
@@ -29,9 +30,19 @@ def sign_key(signs):
     return tuple({0: 0, 1: 1, -1: 2}[s] for s in signs)
 
 
+def packed_faces(fan):
+    """Every face of the fan, as one set."""
+    return frozenset().union(*fan._faces)
+
+
+def packed_grade(fan, f):
+    """The lattice grade of the flat of the packed face f."""
+    return fan._grades[fan._at[(1 << fan.m) - 1 & ~(f | f >> fan.m)]]
+
+
 def sorted_faces(fan):
     """The faces as sign tuples, in fan order."""
-    return sorted(map(fan.unpack, fan.packed_faces), key=sign_key)
+    return sorted(map(fan.unpack, packed_faces(fan)), key=sign_key)
 
 
 def opposite(fan, f):
@@ -44,14 +55,15 @@ def tits_product(fan, f, g):
     always a face."""
     zero = (1 << fan.m) - 1 & ~(f | f >> fan.m)
     fg = f | g & (zero | zero << fan.m)
-    assert fg in fan.packed_faces, "Tits product missing from the fan"
+    assert fg in fan._faces[fan._at[zero & ~(g | g >> fan.m)]], \
+        "Tits product missing from the fan"
     return fg
 
 
 def faces_in_halfspace(fan, v):
     """The faces whose closed cone lies in {x : <v, x> <= 0}."""
     up = fan.halfspace_mask(v)
-    return {f for f in fan.packed_faces if not fan.ray_mask(f) & up}
+    return {f for f in packed_faces(fan) if not fan.ray_mask(f) & up}
 
 
 def rays_of(fan, c):
@@ -102,7 +114,7 @@ def test_face_counts_i23():
 
 def test_tits_identity_properties():
     fan = enumerate_faces(rank2(3))
-    for f in fan.packed_faces:
+    for f in packed_faces(fan):
         assert tits_product(fan, 0, f) == f  # 0 is the central face
         assert tits_product(fan, f, 0) == f
         assert tits_product(fan, f, f) == f
@@ -113,8 +125,9 @@ def test_tits_left_regular_band_exhaustive():
     for a in (rank2(2), rank2(4), essentialize(braid(4)), type_b(3)):
         fan = enumerate_faces(a)
         assert len(fan) <= 200
-        for f in fan.packed_faces:
-            for g in fan.packed_faces:
+        faces = packed_faces(fan)
+        for f in faces:
+            for g in faces:
                 fg = tits_product(fan, f, g)
                 assert not f & ~fg
                 assert tits_product(fan, fg, f) == fg
@@ -137,8 +150,9 @@ def test_opposite():
     # The fan is centrally symmetric: -f is a face for every face f.
     fan = enumerate_faces(type_b(2))
     assert opposite(fan, 0) == 0
-    for f in fan.packed_faces:
-        assert opposite(fan, f) in fan.packed_faces
+    faces = packed_faces(fan)
+    for f in faces:
+        assert opposite(fan, f) in faces
         assert fan.unpack(opposite(fan, f)) == tuple(-x for x in fan.unpack(f))
         assert opposite(fan, opposite(fan, f)) == f
     assert opposite(fan, fan.pack((1,) * 4)) == fan.pack((-1,) * 4)
@@ -169,7 +183,7 @@ def test_adjacent_regions_share_facet():
             d = c[:h] + (-c[h],) + c[h + 1:]
             if d in regions:
                 wall = fan.key(c[:h] + (0,) + c[h + 1:])
-                assert fan.packed_grade(wall) == fan.rank - 1
+                assert packed_grade(fan, wall) == fan.rank - 1
 
 
 def test_rays_first_quadrant():
@@ -212,7 +226,7 @@ def sharp_by_pairs(a):
     if not is_simplicial(a):
         return False
     normals = a.normals
-    for c, wall_mask in zip(fan.packed_regions, fan.wall_masks):
+    for c, wall_mask in fan.walls.items():
         walls = set_bits(wall_mask)
         for x, h in enumerate(walls):
             for k in walls[x + 1:]:
@@ -255,8 +269,7 @@ def test_region_in_halfspace():
     b3 = type_b(3)
     v = (1, 2, 4)
     regions = enumerate_regions(b3)
-    base = tuple(1 if sum(n * x for n, x in zip(h.normal, v)) > 0 else -1
-                 for h in b3.hyperplanes)
+    base = tuple(1 if dot(n, v) > 0 else -1 for n in b3.normals)
     assert not region_in_halfspace(b3, base, v)  # contains v itself
     assert region_in_halfspace(b3, tuple(-x for x in base), v)
     contained = [c for c in regions if region_in_halfspace(b3, c, v)]
@@ -279,19 +292,18 @@ def test_faces_in_halfspace_graded_counts():
     inside = faces_in_halfspace(fan, v)
     counts = [0, 0, 0, 0]
     for f in inside:
-        counts[fan.packed_grade(f)] += 1
+        counts[packed_grade(fan, f)] += 1
     assert counts == [1, 7, 12, 6]
-    full = [f for f in inside if fan.packed_grade(f) == 3]
+    full = [f for f in inside if packed_grade(fan, f) == 3]
     assert len(full) == 6  # |mu(bot, top)| of the rank-3 braid lattice
 
 
 def _signed(a, signs):
-    return [tuple(s * x for x in h.normal)
-            for s, h in zip(signs, a.hyperplanes) if s]
+    return [tuple(s * x for x in n) for s, n in zip(signs, a.normals) if s]
 
 
 def _zero_normals(a, signs):
-    return [h.normal for s, h in zip(signs, a.hyperplanes) if s == 0]
+    return [n for s, n in zip(signs, a.normals) if s == 0]
 
 
 def _random_very_generic(a, rng):
@@ -319,7 +331,7 @@ def test_regions_against_brute_force():
               SKEW2,
               Arrangement.from_normals([(1, 0, 0), (0, 1, 0), (1, 1, 0)], 3),
               Arrangement(2, ())):
-        m = len(a.hyperplanes)
+        m = len(a.normals)
         brute = []
         for signs in iproduct((1, 0, -1), repeat=m):
             if strict_feasible(_signed(a, signs), _zero_normals(a, signs), a.dim):
@@ -327,7 +339,7 @@ def test_regions_against_brute_force():
         brute.sort(key=sign_key)
         fan = enumerate_faces(a)
         assert sorted_faces(fan) == brute
-        assert [fan.packed_grade(fan.pack(f)) + fan.bottom_dim for f in brute] == [
+        assert [packed_grade(fan, fan.pack(f)) + fan.bottom_dim for f in brute] == [
             a.dim - len(rref_int(_zero_normals(a, f), a.dim)) for f in brute]
         assert enumerate_regions(a) == tuple(f for f in brute if 0 not in f)
 
@@ -350,6 +362,63 @@ def test_regions_against_brute_force():
     for c in enumerate_regions(a):
         assert strict_feasible(_signed(a, c) + [(1, 1, 1)], (), a.dim)
         assert not region_in_halfspace(a, c, (1, 1, 1))
+
+
+def _key_against_faces(a, rng):
+    """key packs every face, of every grade, and refuses what is not one:
+    sign vectors drawn at random, a vector one entry too long, and one
+    with an entry 2 that packs like a face."""
+    fan = enumerate_faces(a)
+    faces = packed_faces(fan)
+    for f in faces:
+        assert fan.key(fan.unpack(f)) == f
+    drawn = [tuple(rng.choice((1, 0, -1)) for _ in range(fan.m)) for _ in range(100)]
+    for signs in drawn + [(0,) * (fan.m + 1), (2,) * fan.m]:
+        if fan.pack(signs) in faces and fan.unpack(fan.pack(signs)) == signs:
+            assert fan.key(signs) == fan.pack(signs)
+        else:
+            with pytest.raises(KeyError):
+                fan.key(signs)
+
+
+def test_key_on_path_builtins():
+    rng = random.Random(5)
+    for family in _PATH_BUILTINS:
+        _key_against_faces(parse_family(family), rng)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(arrangements(), st.randoms(use_true_random=False))
+@example(Arrangement(0, ()), random.Random(0))
+@example(Arrangement(3, ()), random.Random(0))
+def test_key_generated(a, rng):
+    _key_against_faces(a, rng)
+
+
+_FIRST_LOOKUP_PEAK = """\
+from primeul import enumerate_faces, find_very_generic, parse_family, region_in_halfspace
+
+def peak_kb():
+    return int(next(line for line in open("/proc/self/status")
+                    if line.startswith("VmHWM:")).split()[1])
+
+a = parse_family("D 6")
+fan = enumerate_faces(a)
+v = find_very_generic(a)
+c = fan.unpack(fan.packed_regions[0])
+before = peak_kb()
+region_in_halfspace(a, c, v)
+print(peak_kb() - before)
+"""
+
+
+def test_first_region_lookup_within_2mb():
+    # key finds a region in the top flat's group: the first
+    # region_in_halfspace on D6 (216,113 faces) builds no set of all faces,
+    # which raised the peak resident size by 14 MB.
+    done = python("-c", _FIRST_LOOKUP_PEAK)
+    assert done.returncode == 0, done.stderr
+    assert int(done.stdout) < 2 * 1024, done.stdout
 
 
 def test_empty_arrangement_fan():
@@ -383,12 +452,12 @@ def _compositions(cocircuits, m: int) -> set[int]:
 
 
 def _oracle_fan(a):
-    """packed_faces, packed_regions, wall_masks and directions by their
+    """The faces, the regions, the walls and the set of directions by their
     definitions: the faces are the compositions of the cocircuits (the sign
     vectors of ± each rank-1 flat's direction), the regions the faces
     without zeros in fan order, and h is a wall of a region iff the region
     with 0 at h is a face."""
-    m = len(a.hyperplanes)
+    m = len(a.normals)
 
     def pack(signs):
         return sum(1 << h + (s < 0) * m for h, s in enumerate(signs) if s)
@@ -403,14 +472,14 @@ def _oracle_fan(a):
     faces = _compositions([pack(c) for c in rays], m)
     regions = tuple(sorted((f for f in faces if 0 not in unpack(f)),
                            key=lambda f: sign_key(unpack(f))))
-    walls = tuple(sum(1 << h for h in range(m) if f & ~(1 << h | 1 << h + m) in faces)
-                  for f in regions)
-    return faces, regions, walls, tuple(rays[c] for c in sorted(rays, key=sign_key))
+    walls = {f: sum(1 << h for h in range(m) if f & ~(1 << h | 1 << h + m) in faces)
+             for f in regions}
+    return faces, regions, walls, set(rays.values())
 
 
 def _cover_fan_equals_oracle(a):
     fan = FanIndex(a)
-    got = (fan.packed_faces, fan.packed_regions, fan.wall_masks, fan.directions)
+    got = (packed_faces(fan), fan.packed_regions, fan.walls, set(fan.directions))
     assert got == _oracle_fan(a), a
 
 
@@ -431,12 +500,12 @@ def test_faces_grouped_by_flat(a, rng):
     assert len(fan._faces) == len(lattice)
     for group, mask in zip(fan._faces, lattice.masks):
         assert {full & ~(f | f >> fan.m) for f in group} == {mask}
-    assert sum(map(len, fan._faces)) == len(fan.packed_faces) == len(fan)
+    assert sum(map(len, fan._faces)) == len(packed_faces(fan)) == len(fan)
 
     def by_grade(faces):
         counts = [0] * (fan.rank + 1)
         for f in faces:
-            counts[fan.packed_grade(f)] += 1
+            counts[packed_grade(fan, f)] += 1
         return tuple(counts)
 
     for v in (find_very_generic(a), _random_very_generic(a, rng)):
@@ -444,7 +513,7 @@ def test_faces_grouped_by_flat(a, rng):
         assert fan.f_vector_inside(up) == by_grade(faces_in_halfspace(fan, v)), v
     up = rng.getrandbits(len(fan.directions))
     assert fan.f_vector_inside(up) == by_grade(
-        f for f in fan.packed_faces if not fan.ray_mask(f) & up)
+        f for f in packed_faces(fan) if not fan.ray_mask(f) & up)
 
 
 @pytest.mark.parametrize("family", _PATH_BUILTINS + ("A 6", "B 5", "D 5", "Dnk 5 3", "F4"))

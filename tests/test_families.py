@@ -9,18 +9,18 @@ from primeul.families import (braid, generic_gn, graphic,
 
 def test_braid():
     a = braid(3)
-    assert len(a.hyperplanes) == 3 and build_flats(a).rank == 2
-    assert braid(1).hyperplanes == ()
+    assert len(a.normals) == 3 and build_flats(a).rank == 2
+    assert braid(1).normals == ()
 
 
 def test_type_b():
     a = type_b(3)
-    assert len(a.hyperplanes) == 9 and build_flats(a).rank == 3
+    assert len(a.normals) == 9 and build_flats(a).rank == 3
 
 
 def test_type_d():
     a = type_d(3)
-    assert len(a.hyperplanes) == 6 and build_flats(a).rank == 3
+    assert len(a.normals) == 6 and build_flats(a).rank == 3
     with pytest.raises(ValueError):
         type_d(1)
 
@@ -75,7 +75,7 @@ def test_graphic_takes_a_one_pass_iterable():
 
 def test_rank2():
     a = rank2(6)
-    assert len(a.hyperplanes) == 6 and build_flats(a).rank == 2
+    assert len(a.normals) == 6 and build_flats(a).rank == 2
     assert [len(g) for g in build_flats(a).flats_by_grade()] == [1, 6, 1]
     with pytest.raises(ValueError):
         rank2(1)
@@ -83,25 +83,25 @@ def test_rank2():
 
 def test_graphic():
     a = graphic(4, [(1, 2), (2, 3), (3, 4), (4, 1)])
-    assert len(a.hyperplanes) == 4 and build_flats(a).rank == 3
+    assert len(a.normals) == 4 and build_flats(a).rank == 3
     with pytest.raises(ValueError):
         graphic(3, [(1, 1)])
 
 
 def test_generic_gn():
     a = generic_gn(4)
-    assert len(a.hyperplanes) == 5 and build_flats(a).rank == 4
+    assert len(a.normals) == 5 and build_flats(a).rank == 4
     with pytest.raises(ValueError):
         generic_gn(1)
 
 
 def test_root_system_counts():
-    assert len(root_system("F4").hyperplanes) == 24
+    assert len(root_system("F4").normals) == 24
     assert build_flats(root_system("F4")).rank == 4
-    assert len(root_system("E6").hyperplanes) == 36
+    assert len(root_system("E6").normals) == 36
     assert build_flats(root_system("E6")).rank == 6
-    assert len(root_system("E7").hyperplanes) == 63
-    assert len(root_system("E8").hyperplanes) == 120
+    assert len(root_system("E7").normals) == 63
+    assert len(root_system("E8").normals) == 120
     with pytest.raises(ValueError):
         root_system("H3")
 

@@ -98,6 +98,26 @@ def _unused(kinds, private, also=()):
     return unused
 
 
+def test_every_public_method_is_read():
+    # A public method or property of a class of the package must be read as
+    # an attribute somewhere in the package or in perfbench; a view kept
+    # for the tests alone belongs in the tests.  Names are matched by
+    # ``ast``, whatever the object the attribute is read from.
+    sources = sorted(Path(primeul.__file__).parent.glob("*.py"))
+    perfbench = sorted((Path(__file__).parents[1] / "perfbench").glob("*.py"))
+    read = {node.attr for path in sources + perfbench
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Attribute)}
+    unread = []
+    for path in sources:
+        for cls in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(cls, ast.ClassDef):
+                unread += [f"{path.stem}.{cls.name}.{node.name}" for node in cls.body
+                           if isinstance(node, ast.FunctionDef)
+                           and not node.name.startswith("_") and node.name not in read]
+    assert unread == []
+
+
 def test_import_leaves_out_dataclasses():
     # ``dataclasses`` pulls in ``inspect``, ``ast``, ``dis`` and
     # ``tokenize``: about 12 ms of every process's start.  Module names,

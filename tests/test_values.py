@@ -1,7 +1,7 @@
 """The value types: construction, equality, hash, repr and immutability.
 
-``Hyperplane``, ``Arrangement``, ``IntPoly`` and ``TruncatedEgf`` behave as frozen records of their fields; their reprs are
-pinned as exact strings.
+``Arrangement``, ``IntPoly`` and ``TruncatedEgf`` behave as frozen records
+of their fields; their reprs are pinned as exact strings.
 """
 
 import copy
@@ -10,22 +10,19 @@ from fractions import Fraction
 
 import pytest
 
-from primeul.arrangement import Arrangement, Hyperplane, build_flats
+from primeul.arrangement import Arrangement, build_flats
 from primeul.egf import TruncatedEgf
 from primeul.families import braid
 from primeul.intpoly import IntPoly
 
-FIELDS = {Hyperplane: ("normal",), Arrangement: ("dim", "hyperplanes"),
-          IntPoly: ("coeffs",), TruncatedEgf: ("order", "coeffs")}
+FIELDS = {Arrangement: ("dim", "normals"), IntPoly: ("coeffs",), TruncatedEgf: ("order", "coeffs")}
 
 
 def samples():
     a = Arrangement.from_normals([(1, 0), (0, 1), (1, -1)])
     return [
-        (Hyperplane((1, -1)), "Hyperplane(normal=(1, -1))"),
-        (a, "Arrangement(dim=2, hyperplanes=(Hyperplane(normal=(1, 0)), "
-            "Hyperplane(normal=(0, 1)), Hyperplane(normal=(1, -1))))"),
-        (Arrangement(3, ()), "Arrangement(dim=3, hyperplanes=())"),
+        (a, "Arrangement(dim=2, normals=((1, 0), (0, 1), (1, -1)))"),
+        (Arrangement(3, ()), "Arrangement(dim=3, normals=())"),
         (IntPoly((0, 4, 1, 0)), "IntPoly(coeffs=(0, 4, 1))"),
         (IntPoly(), "IntPoly(coeffs=())"),
         (TruncatedEgf(1, ((), (Fraction(1, 2), 3, Fraction(0)))),
@@ -66,9 +63,7 @@ def test_assignment_and_deletion_raise():
 
 
 def test_keyword_construction():
-    h = Hyperplane(normal=(1, 0))
-    assert h == Hyperplane((1, 0))
-    assert Arrangement(dim=2, hyperplanes=(h,)) == Arrangement(2, (h,))
+    assert Arrangement(dim=2, normals=((1, 0),)) == Arrangement(2, ((1, 0),))
     assert IntPoly(coeffs=(1, 2)) == IntPoly((1, 2))
     assert IntPoly() == IntPoly(()) and not IntPoly()
     assert TruncatedEgf(order=0, coeffs=((1,),)) == TruncatedEgf(0, ((1,),))
@@ -76,13 +71,21 @@ def test_keyword_construction():
 
 def test_validation_messages():
     with pytest.raises(ValueError, match=r"^normal \(2, 0\) must be nonzero and primitive_signed$"):
-        Hyperplane((2, 0))
+        Arrangement(2, ((2, 0),))
     with pytest.raises(ValueError, match="^ambient dimension -1 must be >= 0$"):
         Arrangement(-1, ())
     with pytest.raises(ValueError, match="^hyperplane dimension mismatch$"):
-        Arrangement(3, (Hyperplane((1, 0)),))
+        Arrangement(3, ((1, 0),))
     with pytest.raises(ValueError, match=r"^duplicate hyperplane \(1, 0\)$"):
-        Arrangement(2, (Hyperplane((1, 0)), Hyperplane((1, 0))))
+        Arrangement(2, ((1, 0), (1, 0)))
+    # The checks run in this order: every normal's form, the dimension,
+    # then normal by normal its length and its repetition.
+    with pytest.raises(ValueError, match=r"^normal \(2, 0\) must"):
+        Arrangement(-1, ((1, 0, 0), (1, 0, 0), (2, 0)))
+    with pytest.raises(ValueError, match="^ambient dimension -1"):
+        Arrangement(-1, ((1, 0, 0), (1, 0)))
+    with pytest.raises(ValueError, match=r"^duplicate hyperplane \(1, 0\)$"):
+        Arrangement(2, ((1, 0), (1, 0), (1, 0, 0)))
     with pytest.raises(TypeError, match="^integer coefficient required, got 0.5$"):
         IntPoly((1, 0.5))
     with pytest.raises(ValueError, match="^order must be >= 0$"):
@@ -93,7 +96,7 @@ def test_validation_messages():
 
 def test_lattice_cache_hits_an_equal_arrangement():
     a = braid(3)
-    b = Arrangement(a.dim, tuple(Hyperplane(h.normal) for h in a.hyperplanes))
+    b = Arrangement(a.dim, tuple(tuple(list(n)) for n in a.normals))
     assert b is not a and b == a
     assert build_flats(b) is build_flats(a)
 

@@ -5,8 +5,10 @@ import pytest
 from primeul.arrangement import Arrangement, set_bits
 from primeul.faces import enumerate_faces, enumerate_regions, region_in_halfspace
 from primeul.families import braid, type_b
+from primeul.linalg import dot
 from primeul.weakorder import WeakOrder
-from test_faces import faces_in_halfspace, opposite, tits_product
+from test_faces import (faces_in_halfspace, opposite, packed_faces, packed_grade,
+                        tits_product)
 
 
 def hexagon():
@@ -118,8 +120,7 @@ def test_upper_sets():
 def test_upper_set_halfspace_b3():
     b3 = type_b(3)
     v = (1, 2, 4)
-    base = tuple(1 if sum(n * x for n, x in zip(h.normal, v)) > 0 else -1
-                 for h in b3.hyperplanes)
+    base = tuple(1 if dot(n, v) > 0 else -1 for n in b3.normals)
     w = WeakOrder(b3, base)
     fan = enumerate_faces(b3)
     contained = [c for c in fan.packed_regions if region_in_halfspace(b3, fan.unpack(c), v)]
@@ -140,7 +141,7 @@ def test_top_star():
     c = fan.packed_regions[2]
     assert top_star(fan, c, w) == ([c], c, c)
     # a facet-dimension face has exactly its two adjacent regions
-    facet = next(f for f in fan.packed_faces if fan.packed_grade(f) == fan.rank - 1)
+    facet = next(f for f in packed_faces(fan) if packed_grade(fan, f) == fan.rank - 1)
     regions, lo, hi = top_star(fan, facet, w)
     assert len(regions) == 2 and lo != hi
 
@@ -152,8 +153,9 @@ def test_boolean_interval_of_descents():
         base = enumerate_regions(a)[0]
         w = WeakOrder(a, base)
         opp = opposite(fan, fan.pack(base))
+        faces = packed_faces(fan)
         for c in fan.packed_regions:
-            count = sum(1 for g in fan.packed_faces
+            count = sum(1 for g in faces
                         if not g & ~c and tits_product(fan, g, opp) == c)
             assert count == 2 ** w.packed_descents(c)
 
@@ -166,12 +168,11 @@ def test_descent_set_fixed_point_characterization():
     b3 = type_b(3)
     v = find_very_generic(b3)
     fan = enumerate_faces(b3)
-    b = fan.pack(tuple(1 if sum(n * x for n, x in zip(h.normal, v)) > 0 else -1
-                       for h in b3.hyperplanes))
+    b = fan.pack(tuple(1 if dot(n, v) > 0 else -1 for n in b3.normals))
     delta = faces_in_halfspace(fan, v)
     assert descent_set(fan, delta, b) == delta
     # puncture: drop one full-dimensional member but keep its boundary
-    region = next(f for f in delta if fan.packed_grade(f) == fan.rank)
+    region = next(f for f in delta if packed_grade(fan, f) == fan.rank)
     punctured = delta - {region}
     assert descent_set(fan, punctured, b) != punctured
 
@@ -188,7 +189,7 @@ def test_walls_against_flip_rule():
         fan = enumerate_faces(a)
         regions = enumerate_regions(a)
         inside = set(regions)
-        assert len(fan.wall_masks) == len(regions)
-        for c, walls in zip(regions, fan.wall_masks):
-            assert set_bits(walls) == [h for h in range(len(c))
-                                       if c[:h] + (-c[h],) + c[h + 1:] in inside]
+        assert len(fan.walls) == len(regions)
+        for c in regions:
+            assert set_bits(fan.walls[fan.pack(c)]) == [
+                h for h in range(len(c)) if c[:h] + (-c[h],) + c[h + 1:] in inside]
