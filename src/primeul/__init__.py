@@ -19,14 +19,13 @@ from .eulerpoly import (UpperSetError, cocharacteristic, cochar_via_halfspace,
                         primitive_eulerian_descents,
                         primitive_eulerian_mobius,
                         primitive_eulerian_recursive)
-from .faces import (FanIndex, enumerate_faces, enumerate_regions, is_sharp,
-                    is_simplicial, region_in_halfspace)
+from .faces import (FanIndex, WeakOrder, enumerate_faces, enumerate_regions,
+                    is_sharp, is_simplicial, region_in_halfspace)
 from .families import (braid, generic_gn, graphic, parse_arrangement_file,
                        parse_family, parse_vector, rank2, root_system, type_b,
                        type_d, type_dnk)
 from .feasibility import strict_feasible, strict_feasible_point
 from .intpoly import IntPoly
 from .roots import interlaces, is_real_rooted, real_root_count
-from .weakorder import WeakOrder
 
 __version__ = "0.1.0"

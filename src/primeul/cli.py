@@ -3,9 +3,10 @@
 Subcommands: poly, verify, table, inspect.  Exit codes: 0 success, 1 failed
 check (verify, or a recomputed table row off its golden data), 2 parse
 failure (a ParseError, or an OSError reading --file), 3 precondition failure
-(a DimensionError, or any ValueError a command raises; the message names the
-failed check).  ``main`` is the one place that maps an exception to an exit
-code.  Machine output (--json) carries the coefficient list low degree first.
+(a DimensionError, any ValueError a command raises, whose message names the
+failed check, or a MemoryError).  ``main`` is the one place that maps an
+exception to an exit code.  Machine output (--json) carries the coefficient
+list low degree first.
 """
 
 from __future__ import annotations
@@ -364,8 +365,8 @@ def main(argv=None) -> int:
     except (ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (DimensionError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (DimensionError, ValueError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_PRECONDITION
 
 

@@ -10,10 +10,10 @@ the polynomial of the braid arrangement in R^m for m >= 2.
 The six recursive sequences, eulerian_a to peul_d_rec, share one memo
 helper, _sequence: each keeps its terms and extends them in order of n, so
 every term is computed once.  bw_b and bw_d share one right-to-left-maxima
-predicate, _negative_rtl_maxima; cuspidal_sn and cuspidal_bn share one
-cycle walk, _cycles, which gives each cycle of |w| with the product of the
-signs of w along it; and every distribution is an ``IntPoly.from_counts``
-of a statistic over its elements.
+predicate, _negative_rtl_maxima; cuspidal_sn writes each long cycle out
+directly, and cuspidal_bn walks the cycles of |w| with the product of the
+signs of w along each (_cycles); and every distribution is an
+``IntPoly.from_counts`` of a statistic over its elements.
 """
 
 from __future__ import annotations
@@ -66,14 +66,11 @@ def _cycles(w):
 
 
 def cuspidal_sn(n: int):
-    """Long cycles of the symmetric group: (n-1)! of them; () when n = 0."""
+    """Long cycles of the symmetric group: (n-1)! of them, the cycle
+    (1 p_2 .. p_n) for each permutation p of 2..n; () when n = 0."""
     _require_nonnegative(n)
-    if not n:
-        yield ()
-        return
-    for w in permutations(range(1, n + 1)):
-        if next(_cycles(w))[0] == n:
-            yield w
+    for rest in permutations(range(2, n + 1)):
+        yield tuple(map(dict(zip((1, *rest), (*rest, 1))).get, range(1, n + 1)))
 
 
 def cuspidal_bn(n: int):

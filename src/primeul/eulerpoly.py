@@ -7,12 +7,13 @@
 3. halfspace: graded face count of a very generic halfspace, reparametrized:
               the fan's faces by flat minus the closure of the rays
               outside the halfspace;
-4. descents:  descent statistic over the regions inside such a halfspace,
-              read off each region's ray mask.
+4. descents:  descents in the weak order based at the region of v, over
+              the regions inside such a halfspace.
 
 Also the cocharacteristic polynomial, the f-to-h transform check, and the
 descent polynomial over all regions (the Eulerian polynomial of the
-arrangement).
+arrangement).  Regions stay packed as ``faces`` encodes them; only the
+witness of an ``UpperSetError`` is decoded to sign tuples.
 """
 
 from __future__ import annotations
@@ -21,10 +22,8 @@ import random
 
 from .arrangement import (Arrangement, build_flats, is_very_generic_vector,
                           very_generic_failure)
-from .faces import enumerate_faces, is_simplicial
+from .faces import WeakOrder, base_region_of, enumerate_faces, is_simplicial
 from .intpoly import IntPoly, Z, ZM1
-from .linalg import dot
-from .weakorder import WeakOrder
 
 def primitive_eulerian_mobius(a: Arrangement) -> IntPoly:
     """sum_X |mu(bot, X)| (z-1)^{corank of X}; monic of degree rank(a)."""
@@ -98,19 +97,6 @@ def find_very_generic(a: Arrangement):
     raise RuntimeError("no very generic vector found")
 
 
-def base_region_of(a: Arrangement, v) -> tuple:
-    """Sign vector of the region containing a generic point v."""
-    if len(v) != a.dim:
-        raise ValueError("vector dimension mismatch")
-    signs = []
-    for normal in a.normals:
-        s = dot(normal, v)
-        if s == 0:
-            raise ValueError("v lies on a hyperplane")
-        signs.append(1 if s > 0 else -1)
-    return tuple(signs)
-
-
 def _very_generic(a: Arrangement, v):
     """v once it is checked to be very generic, or a found one if v is None."""
     if v is None:
@@ -176,13 +162,11 @@ def h_poly_relation_check(a: Arrangement, v=None) -> bool:
     return lhs == primitive_eulerian_mobius(a)
 
 
-def eulerian_poly(a: Arrangement, base=None) -> IntPoly:
-    """Descent generating polynomial over all regions; base-independent for
-    simplicial arrangements."""
+def eulerian_poly(a: Arrangement) -> IntPoly:
+    """Descent generating polynomial over all regions from the first one in
+    fan order: the h-polynomial of the simplicial fan, whatever the base."""
     if not is_simplicial(a):
         raise ValueError("descent polynomial requires a simplicial arrangement")
     fan = enumerate_faces(a)
-    if base is None:
-        base = fan.unpack(fan.packed_regions[0])
-    order = WeakOrder(a, base)
+    order = WeakOrder(a, fan.packed_regions[0])
     return IntPoly.from_counts(map(order.packed_descents, fan.packed_regions))

@@ -1,32 +1,32 @@
 """Faces and regions of an arrangement as packed sign vectors, with rays,
-walls, simpliciality and sharpness tests.
+walls, simpliciality and sharpness tests, and the weak order on regions.
 
 A sign vector assigns -1, 0 or +1 to every hyperplane in arrangement order.
-The fan, the weak order and the geometric routes hold it packed into one
-int, plus | minus << m, from its masks of + and - hyperplanes.  The faces
-are grouped by flat: a face with flat X is 0 exactly on mask(X) (zz, both
-halves).  The faces just above it are f | ±c & zz, one pair per flat Y
-covering X, for the cocircuit c of a ray (± a rank-1 flat's direction)
-below Y and not below X, whose zero set is mask(X ∨ ray) = mask(Y).  Near
-f the hyperplanes through X cut Y in two, and the lattice is graded by
-dimension, so these are all the faces above f and each face is reached
-once per facet.  One sweep of the flats in lattice order closes the fan:
-each flat's whole set of faces is composed with each cover's two steps at
-once, and frozen to a tuple once every flat below it is done.  A closed
-face lies in a halfspace iff all its facets do, since every ray of a
-pointed cone lies in a facet, so the faces outside are the closure of the
-rays outside under the same steps, and the halfspace route counts the
-faces by flat minus that closure.  The regions are the top flat's faces; a
-face of a hyperplane's flat is 0 at that h only and is the wall at h of
-the two regions beside it, so the walls are one dict from region to mask.
-The rays are the cocircuits in lattice order; a ray c lies in the closure
-of f iff c & ~f == 0, so ray masks are read from tables over 8-bit chunks
-of f.  The walls and the ray tables are built on first use: the halfspace
-route needs neither.  No linear program is solved.  The fan order sorts
-sign vectors by entry with 0 < + < -.  Sign tuples remain only at the edge
-that perfbench reads: ``enumerate_regions``, ``region_in_halfspace`` and
-``FanIndex.pack``, ``unpack`` and ``key``, which finds a face in its own
-flat's group.
+This module alone encodes it, packed into one int, plus | minus << m, from
+its masks of + and - hyperplanes; the fan, the base region of a point, the
+weak order and the geometric routes all hold it so.  The faces are grouped
+by flat: a face with flat X is 0 exactly on mask(X) (zz, both halves).  The
+faces just above it are f | ±c & zz, one pair per flat Y covering X, for
+the cocircuit c of a ray (± a rank-1 flat's direction) below Y and not
+below X, whose zero set is mask(X ∨ ray) = mask(Y).  Near f the hyperplanes
+through X cut Y in two, and the lattice is graded by dimension, so these
+are all the faces above f and each face is reached once per facet.  One
+sweep of the flats in lattice order closes the fan: each flat's whole set
+of faces is composed with each cover's two steps at once, and frozen to a
+tuple once every flat below it is done.  A closed face lies in a halfspace
+iff all its facets do, since every ray of a pointed cone lies in a facet,
+so the faces outside are the closure of the rays outside under the same
+steps, and the halfspace route counts the faces by flat minus that closure.
+The regions are the top flat's faces; a face of a hyperplane's flat is 0 at
+that h only and is the wall at h of the two regions beside it, so the walls
+are one dict from region to mask.  The rays are the cocircuits in lattice
+order; a ray c lies in the closure of f iff c & ~f == 0, so ray masks are
+read from tables over 8-bit chunks of f.  The walls and the ray tables are
+built on first use: the halfspace route needs neither.  No linear program
+is solved.  The fan order sorts sign vectors by entry with 0 < + < -.  Sign
+tuples remain only at the edge that perfbench reads: ``enumerate_regions``,
+``region_in_halfspace``, ``WeakOrder.covers_above`` and ``FanIndex.pack``,
+``unpack`` and ``key``, which finds a face in its own flat's group.
 """
 
 from __future__ import annotations
@@ -38,6 +38,11 @@ from .arrangement import Arrangement, build_flats, set_bits
 from .linalg import dot
 
 SignVector = tuple  # entries in {-1, 0, +1}, one per hyperplane
+
+
+def _pack(signs, m: int) -> int:
+    """plus | minus << m for numbers whose signs are a sign vector."""
+    return sum(1 << h + (s < 0) * m for h, s in enumerate(signs) if s)
 
 
 class FanIndex:
@@ -57,7 +62,6 @@ class FanIndex:
         self.m = m = len(normals)
         self._full = full = (1 << m) - 1
         self.bottom_basis = lattice.bottom_basis
-        self.bottom_dim = lattice.bottom_dim
         self.rank = lattice.rank
         self._grades = tuple(d - lattice.bottom_dim for d in lattice.dims)
         self._at = {mask: i for i, mask in enumerate(lattice.masks)}
@@ -65,10 +69,7 @@ class FanIndex:
         # a packed vector's halves.
         atom_rays, directions, cocircuits = [], [], []
         for i, d in zip(lattice.covers_above[0], lattice.atom_directions):
-            c = 0
-            for h, n in enumerate(normals):
-                if s := dot(n, d):
-                    c |= 1 << h + (s < 0) * m
+            c = _pack([dot(n, d) for n in normals], m)
             atom_rays.append(c)
             directions += d, tuple(-x for x in d)
             cocircuits += (i, c), (i, c >> m | (c & full) << m)
@@ -115,7 +116,7 @@ class FanIndex:
 
     def pack(self, f) -> int:
         """plus | minus << m for the sign vector f."""
-        return sum(1 << h + (s < 0) * self.m for h, s in enumerate(f) if s)
+        return _pack(f, self.m)
 
     def unpack(self, f: int) -> SignVector:
         """Entry h is bit h of the + half minus bit h of the - half, as
@@ -266,6 +267,63 @@ def is_sharp(a: Arrangement) -> bool:
             if acute[h] & same or obtuse[h] & other:
                 return False
     return True
+
+
+def base_region_of(a: Arrangement, v) -> int:
+    """The packed region containing a generic point v."""
+    if len(v) != a.dim:
+        raise ValueError("vector dimension mismatch")
+    signs = [dot(normal, v) for normal in a.normals]
+    if 0 in signs:
+        raise ValueError("v lies on a hyperplane")
+    return _pack(signs, len(signs))
+
+
+class WeakOrder:
+    """Order C <= D iff sep(B, C) is a subset of sep(B, D).
+
+    The unique minimum is the packed base region B and the unique maximum
+    is its opposite.  Covers are realized by wall crossings: D covers C
+    exactly when they share a facet and the crossed hyperplane separates D
+    from B.  The walls are ``FanIndex.walls``, read as they are: a
+    separation set is the mask minus ^ base_minus, a descent count the
+    popcount of walls & sep, and a cover the flip of one wall h,
+    f ^ (1 << h | 1 << h + m).
+    """
+
+    def __init__(self, arrangement: Arrangement, base: int):
+        fan = enumerate_faces(arrangement)
+        if base not in fan.walls:
+            raise ValueError("base is not a region of the arrangement")
+        self._fan, self._walls, self._b = fan, fan.walls, base
+
+    def packed_descents(self, c: int) -> int:
+        """Number of walls of the packed region c separating it from the
+        base region."""
+        return (self._walls[c] & (c ^ self._b) >> self._fan.m).bit_count()
+
+    # perfbench checks a declined route's witness with it; no route calls it.
+    def covers_above(self, c: SignVector) -> list[SignVector]:
+        """Regions covering c: wall flips that grow the separation set."""
+        return list(map(self._fan.unpack, self._flips_up(self._fan.key(c))))
+
+    def _flips_up(self, c: int) -> list[int]:
+        """The packed region c flipped across each wall that does not
+        separate it from the base region."""
+        m = self._fan.m
+        return [c ^ (1 << h | 1 << h + m)
+                for h in set_bits(self._walls[c] & ~((c ^ self._b) >> m))]
+
+    def packed_failure(self, inside: list[int]):
+        """None if the packed regions inside are upward closed under
+        covers, else the first cover pair (c, d) with c inside and d not,
+        in the order of inside."""
+        members = set(inside)
+        for c in inside:
+            for d in self._flips_up(c):
+                if d not in members:
+                    return c, d
+        return None
 
 
 # perfbench checks a declined route's witness with it; no route calls it.

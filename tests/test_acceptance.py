@@ -21,15 +21,14 @@ from primeul.eulerpoly import (UpperSetError, base_region_of,
                                primitive_eulerian_descents,
                                primitive_eulerian_mobius,
                                primitive_eulerian_recursive)
-from primeul.faces import (enumerate_faces, enumerate_regions, is_sharp,
-                           is_simplicial, region_in_halfspace)
+from primeul.faces import (WeakOrder, enumerate_faces, enumerate_regions,
+                           is_sharp, is_simplicial, region_in_halfspace)
 from primeul.families import (braid, generic_gn, graphic, rank2, root_system,
                               type_b, type_d, type_dnk)
 from primeul.intpoly import IntPoly, Z, ZM1
 from primeul.linalg import primitive_signed, rref_int
 from primeul.roots import interlaces, is_real_rooted
 from primeul.tables import EXCEPTIONAL, TYPE_B, TYPE_D
-from primeul.weakorder import WeakOrder
 from test_arrangement import deletion_summands, essentialize
 from test_faces import _random_very_generic, packed_faces, tits_product
 

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -105,6 +106,21 @@ def test_precondition_exit_3_bad_vector(capsys):
                        "--method", "descents", "--v", "1,1")
     assert code == 3
     assert "not very generic" in err
+
+
+def test_out_of_memory_exit_3():
+    # "I2 100000000" builds 10^8 normals in dimension 2, under the dimension
+    # limit; with the child's address space capped at 512 MiB it runs out
+    # of memory, which is reported in one line with exit 3, no traceback.
+    import resource
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+
+    start = time.perf_counter()
+    done = python("-m", "primeul", "poly", "--family", "I2 100000000", preexec_fn=cap)
+    assert time.perf_counter() - start < 10
+    assert (done.returncode, done.stdout, done.stderr) == (3, "", "error: out of memory\n")
 
 
 def test_oversized_dimension_exit_3(capsys, tmp_path):
@@ -362,13 +378,14 @@ def test_negative_bounds_exit_2(capsys):
         assert f"argument {option}: must be >= 0" in capsys.readouterr().err
 
 
-def python(*args):
-    """``python *args`` on this package's sources, at most 60 s."""
+def python(*args, **kwargs):
+    """``python *args`` on this package's sources, at most 60 s; kwargs go
+    to ``subprocess.run``."""
     src = str(Path(primeul.__file__).parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
     return subprocess.run([sys.executable, *args],
-                          capture_output=True, text=True, env=env, timeout=60)
+                          capture_output=True, text=True, env=env, timeout=60, **kwargs)
 
 
 def python_m(*argv):

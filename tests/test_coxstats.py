@@ -1,5 +1,6 @@
 import importlib.util
 import sys
+from itertools import permutations
 from math import factorial
 
 import pytest
@@ -90,6 +91,19 @@ def test_cuspidal_counts():
     assert list(cuspidal_sn(0)) == list(cuspidal_bn(0)) == list(all_signed(0)) == [()]
     for n in range(1, 6):
         assert sum(1 for _ in cuspidal_sn(n)) == factorial(n - 1)
+
+
+def long_cycles(n):
+    """Reference for cuspidal_sn: the permutations of 1..n whose cycle
+    through 1 has length n, by walking the cycles of each one."""
+    return [w for w in permutations(range(1, n + 1)) if not n or next(_cycles(w))[0] == n]
+
+
+def test_cuspidal_sn_against_filter():
+    for n in range(9):
+        elements = list(cuspidal_sn(n))
+        assert len(elements) == len(set(elements))
+        assert set(elements) == set(long_cycles(n)), n
 
 
 def test_bw_counts():

@@ -14,10 +14,9 @@ from primeul.eulerpoly import (UpperSetError, base_region_of,
                                primitive_eulerian_descents,
                                primitive_eulerian_mobius,
                                primitive_eulerian_recursive)
-from primeul.faces import (enumerate_faces, enumerate_regions, is_simplicial,
-                           region_in_halfspace)
+from primeul.faces import (WeakOrder, enumerate_faces, enumerate_regions,
+                           is_simplicial, region_in_halfspace)
 from primeul.linalg import dot, primitive_signed
-from primeul.weakorder import WeakOrder
 
 
 @st.composite
@@ -82,7 +81,8 @@ def _first_cover_leaving(a, v):
     """The first region c in fan order inside the halfspace of v, with the
     first hyperplane h where c agrees with the base region and c flipped at
     h is a region outside it: the first failing cover pair, on sign tuples."""
-    base, regions = base_region_of(a, v), enumerate_regions(a)
+    base = enumerate_faces(a).unpack(base_region_of(a, v))
+    regions = enumerate_regions(a)
     for c in regions:
         if region_in_halfspace(a, c, v):
             for h, s in enumerate(c):

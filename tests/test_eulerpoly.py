@@ -11,10 +11,10 @@ from primeul.eulerpoly import (UpperSetError, base_region_of,
                                primitive_eulerian_descents,
                                primitive_eulerian_mobius,
                                primitive_eulerian_recursive)
-from primeul.faces import (enumerate_faces, enumerate_regions, is_sharp,
-                           region_in_halfspace)
-from primeul.families import (braid, generic_gn, graphic, rank2, type_b,
-                              type_d, type_dnk)
+from primeul.faces import (FanIndex, WeakOrder, enumerate_faces,
+                           enumerate_regions, is_sharp, region_in_halfspace)
+from primeul.families import (braid, generic_gn, graphic, parse_family,
+                              rank2, type_b, type_d, type_dnk)
 from primeul.intpoly import IntPoly, Z, ZM1
 from primeul.linalg import primitive_signed, rref_int
 from primeul.roots import interlaces, is_real_rooted
@@ -179,8 +179,6 @@ def test_nonsharp_negative_witness():
     assert region_in_halfspace(skew, inside, v)
     assert not region_in_halfspace(skew, outside, v)
     # descent sum over the contained regions misses P
-    from primeul.weakorder import WeakOrder
-
     order = WeakOrder(skew, base_region_of(skew, v))
     fan = enumerate_faces(skew)
     contained = [c for c in fan.packed_regions if region_in_halfspace(skew, fan.unpack(c), v)]
@@ -255,10 +253,48 @@ def test_eulerian_poly():
 
 
 def test_eulerian_poly_base_independent():
-    a = type_b(2)
-    regions = enumerate_regions(a)
-    polys = {eulerian_poly(a, base) for base in regions}
-    assert len(polys) == 1
+    # The descent distribution over all regions is the same from every base.
+    for a in (braid(4), type_b(3)):
+        fan = enumerate_faces(a)
+        dists = {IntPoly.from_counts(map(WeakOrder(a, b).packed_descents, fan.packed_regions))
+                 for b in fan.packed_regions}
+        assert dists == {eulerian_poly(a)}
+
+
+def test_routes_never_convert_a_region(monkeypatch):
+    # The base region, the weak order and both descent sums hold packed
+    # regions: with the sign-tuple conversions refused, the routes still
+    # answer.  The witness of a declined route is decoded at the edge.
+    expected = {"B 4": (IntPoly((0, 8, 60, 36, 1)), IntPoly((1, 76, 230, 76, 1))),
+                "D 4": (IntPoly((0, 4, 20, 20, 1)), IntPoly((1, 44, 102, 44, 1))),
+                "F4": (IntPoly((0, 48, 220, 116, 1)), IntPoly((1, 236, 678, 236, 1)))}
+
+    def refuse(*args):
+        raise AssertionError("a region was converted")
+
+    monkeypatch.setattr(FanIndex, "pack", refuse)
+    monkeypatch.setattr(FanIndex, "unpack", refuse)
+    for family, (peul, eul) in expected.items():
+        a = parse_family(family)
+        assert primitive_eulerian_descents(a) == peul
+        assert eulerian_poly(a) == eul
+    monkeypatch.undo()
+    with pytest.raises(UpperSetError) as exc:
+        primitive_eulerian_descents(Arrangement.from_normals([(1, 0), (1, 1)]), (1, 3))
+    assert exc.value.witness == ((1, -1), (-1, -1))
+
+
+def test_base_region_of_is_packed():
+    # bit h of the + half where <n_h, v> > 0, of the - half where it is < 0
+    a = type_b(3)
+    fan = enumerate_faces(a)
+    for v in ((1, 2, 4), (-3, 1, -7)):
+        base = base_region_of(a, v)
+        assert base in fan.packed_regions
+        assert fan.unpack(base) == tuple(1 if sum(x * y for x, y in zip(n, v)) > 0 else -1
+                                         for n in a.normals)
+    with pytest.raises(ValueError, match="v lies on a hyperplane"):
+        base_region_of(a, (1, 1, 4))
 
 
 def test_rank3_real_rooted_and_interlacing():

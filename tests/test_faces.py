@@ -339,7 +339,7 @@ def test_regions_against_brute_force():
         brute.sort(key=sign_key)
         fan = enumerate_faces(a)
         assert sorted_faces(fan) == brute
-        assert [packed_grade(fan, fan.pack(f)) + fan.bottom_dim for f in brute] == [
+        assert [packed_grade(fan, fan.pack(f)) + build_flats(a).bottom_dim for f in brute] == [
             a.dim - len(rref_int(_zero_normals(a, f), a.dim)) for f in brute]
         assert enumerate_regions(a) == tuple(f for f in brute if 0 not in f)
 

@@ -98,16 +98,22 @@ def _unused(kinds, private, also=()):
     return unused
 
 
+def _attributes_read():
+    """The package's source files, and the names of the attributes loaded
+    anywhere in the package or in perfbench."""
+    sources = sorted(Path(primeul.__file__).parent.glob("*.py"))
+    perfbench = sorted((Path(__file__).parents[1] / "perfbench").glob("*.py"))
+    return sources, {node.attr for path in sources + perfbench
+                     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                     if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
 def test_every_public_method_is_read():
     # A public method or property of a class of the package must be read as
     # an attribute somewhere in the package or in perfbench; a view kept
     # for the tests alone belongs in the tests.  Names are matched by
     # ``ast``, whatever the object the attribute is read from.
-    sources = sorted(Path(primeul.__file__).parent.glob("*.py"))
-    perfbench = sorted((Path(__file__).parents[1] / "perfbench").glob("*.py"))
-    read = {node.attr for path in sources + perfbench
-            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-            if isinstance(node, ast.Attribute)}
+    sources, read = _attributes_read()
     unread = []
     for path in sources:
         for cls in ast.parse(path.read_text(encoding="utf-8")).body:
@@ -115,6 +121,28 @@ def test_every_public_method_is_read():
                 unread += [f"{path.stem}.{cls.name}.{node.name}" for node in cls.body
                            if isinstance(node, ast.FunctionDef)
                            and not node.name.startswith("_") and node.name not in read]
+    assert unread == []
+
+
+def test_every_public_attribute_is_read():
+    # A public attribute that a class of the package sets on ``self`` in its
+    # ``__init__`` must be read as an attribute somewhere in the package or
+    # in perfbench.  Names are matched by ``ast``, whatever the object the
+    # attribute is read from, so an attribute escapes when another object's
+    # attribute of the same name is read.
+    sources, read = _attributes_read()
+    unread = []
+    for path in sources:
+        for cls in ast.parse(path.read_text(encoding="utf-8")).body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for init in cls.body:
+                if isinstance(init, ast.FunctionDef) and init.name == "__init__":
+                    unread += [f"{path.stem}.{cls.name}.{node.attr}" for node in ast.walk(init)
+                               if isinstance(node, ast.Attribute)
+                               and isinstance(node.ctx, ast.Store)
+                               and isinstance(node.value, ast.Name) and node.value.id == "self"
+                               and not node.attr.startswith("_") and node.attr not in read]
     assert unread == []
 
 

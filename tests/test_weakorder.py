@@ -3,10 +3,9 @@ from collections import Counter
 import pytest
 
 from primeul.arrangement import Arrangement, set_bits
-from primeul.faces import enumerate_faces, enumerate_regions, region_in_halfspace
+from primeul.faces import (WeakOrder, base_region_of, enumerate_faces,
+                           enumerate_regions, region_in_halfspace)
 from primeul.families import braid, type_b
-from primeul.linalg import dot
-from primeul.weakorder import WeakOrder
 from test_faces import (faces_in_halfspace, opposite, packed_faces, packed_grade,
                         tits_product)
 
@@ -20,10 +19,10 @@ def sep(c, d):
     return {h for h, (x, y) in enumerate(zip(c, d)) if x != y}
 
 
-def ranks(w):
+def ranks(w, base):
     """Each region's rank in the graded weak order: its distance from the
-    base region along covers_above."""
-    rank, level, r = {}, {w.base}, 0
+    base region, a sign tuple, along covers_above."""
+    rank, level, r = {}, {base}, 0
     while level:
         rank.update(dict.fromkeys(level, r))
         level = {d for c in level for d in w.covers_above(c)}
@@ -31,10 +30,10 @@ def ranks(w):
     return rank
 
 
-def top_star(fan, f, w):
+def top_star(fan, f, b):
     """The packed regions whose closure holds the face f, with the minimum
-    f * B and the maximum f * -B of that interval of the weak order."""
-    b = fan.pack(w.base)
+    f * B and the maximum f * -B of that interval of the weak order based
+    at the packed region b."""
     regions = [c for c in fan.packed_regions if not f & ~c]
     lo, hi = tits_product(fan, f, b), tits_product(fan, f, opposite(fan, b))
     for c in regions:  # sep(B, lo) <= sep(B, c) <= sep(B, hi)
@@ -53,31 +52,37 @@ def test_min_max():
     # opposite has no cover above it.
     a = hexagon()
     regions = enumerate_regions(a)
-    w = WeakOrder(a, regions[0])
-    assert set(ranks(w)) == set(regions)
-    assert [c for c in regions if not w.covers_above(c)] == [tuple(-x for x in w.base)]
+    w = WeakOrder(a, enumerate_faces(a).packed_regions[0])
+    assert set(ranks(w, regions[0])) == set(regions)
+    assert [c for c in regions if not w.covers_above(c)] == [tuple(-x for x in regions[0])]
 
 
 def test_hexagon_rank_profile():
     a = hexagon()
     base = enumerate_regions(a)[0]
-    w = WeakOrder(a, base)
-    rank = ranks(w)
+    w = WeakOrder(a, enumerate_faces(a).pack(base))
+    rank = ranks(w, base)
     assert sorted(rank.values()) == [0, 1, 1, 2, 2, 3]
     assert all(r == len(sep(base, c)) for c, r in rank.items())
 
 
 def test_base_must_be_region():
-    with pytest.raises(ValueError):
-        WeakOrder(hexagon(), (0, 1, 1))
+    # The base is a packed region: a lower face, a packed vector with both
+    # signs at a hyperplane and a region given as a sign tuple are refused.
+    a = hexagon()
+    fan = enumerate_faces(a)
+    c, m = fan.packed_regions[0], fan.m
+    for base in (0, fan.pack((0, 1, 1)), c | (c & (1 << m) - 1) << m, enumerate_regions(a)[0]):
+        with pytest.raises(ValueError, match="base is not a region"):
+            WeakOrder(a, base)
 
 
 def test_descents():
     a = hexagon()
     fan = enumerate_faces(a)
     regions = enumerate_regions(a)
-    w = WeakOrder(a, regions[0])
-    b = fan.pack(regions[0])
+    b = fan.packed_regions[0]
+    w = WeakOrder(a, b)
     assert w.packed_descents(b) == 0
     assert w.packed_descents(opposite(fan, b)) == 2  # hexagon top covers two regions
     # a descent count is the number of regions covered
@@ -90,14 +95,14 @@ def test_descents():
 
 def test_descents_empty_arrangement():
     a = Arrangement(2, ())
-    w = WeakOrder(a, ())
+    w = WeakOrder(a, 0)
     assert w.packed_descents(0) == 0
 
 
 def test_covers_grow_by_one_wall():
     a = type_b(2)
     base = enumerate_regions(a)[0]
-    w = WeakOrder(a, base)
+    w = WeakOrder(a, enumerate_faces(a).pack(base))
     for c in enumerate_regions(a):
         for d in w.covers_above(c):
             assert sep(base, c) < sep(base, d)
@@ -108,8 +113,8 @@ def test_upper_sets():
     a = hexagon()
     fan = enumerate_faces(a)
     base = enumerate_regions(a)[0]
-    w = WeakOrder(a, base)
     b = fan.pack(base)
+    w = WeakOrder(a, b)
     assert w.packed_failure([opposite(fan, b)]) is None
     assert w.packed_failure(list(fan.packed_regions)) is None
     assert w.packed_failure([]) is None
@@ -120,8 +125,7 @@ def test_upper_sets():
 def test_upper_set_halfspace_b3():
     b3 = type_b(3)
     v = (1, 2, 4)
-    base = tuple(1 if dot(n, v) > 0 else -1 for n in b3.normals)
-    w = WeakOrder(b3, base)
+    w = WeakOrder(b3, base_region_of(b3, v))
     fan = enumerate_faces(b3)
     contained = [c for c in fan.packed_regions if region_in_halfspace(b3, fan.unpack(c), v)]
     assert len(contained) == 15
@@ -131,18 +135,16 @@ def test_upper_set_halfspace_b3():
 def test_top_star():
     a = hexagon()
     fan = enumerate_faces(a)
-    base = enumerate_regions(a)[0]
-    w = WeakOrder(a, base)
-    b = fan.pack(base)
-    regions, lo, hi = top_star(fan, 0, w)  # 0 is the central face
+    b = fan.packed_regions[0]
+    regions, lo, hi = top_star(fan, 0, b)  # 0 is the central face
     assert regions == list(fan.packed_regions)
     assert lo == b and hi == opposite(fan, b)
     # a region's own top-star is itself
     c = fan.packed_regions[2]
-    assert top_star(fan, c, w) == ([c], c, c)
+    assert top_star(fan, c, b) == ([c], c, c)
     # a facet-dimension face has exactly its two adjacent regions
     facet = next(f for f in packed_faces(fan) if packed_grade(fan, f) == fan.rank - 1)
-    regions, lo, hi = top_star(fan, facet, w)
+    regions, lo, hi = top_star(fan, facet, b)
     assert len(regions) == 2 and lo != hi
 
 
@@ -150,9 +152,9 @@ def test_boolean_interval_of_descents():
     # faces G <= C with G * opposite(base) = C number exactly 2^descents(C)
     for a in (braid(4), type_b(3)):
         fan = enumerate_faces(a)
-        base = enumerate_regions(a)[0]
-        w = WeakOrder(a, base)
-        opp = opposite(fan, fan.pack(base))
+        b = fan.packed_regions[0]
+        w = WeakOrder(a, b)
+        opp = opposite(fan, b)
         faces = packed_faces(fan)
         for c in fan.packed_regions:
             count = sum(1 for g in faces
@@ -168,7 +170,7 @@ def test_descent_set_fixed_point_characterization():
     b3 = type_b(3)
     v = find_very_generic(b3)
     fan = enumerate_faces(b3)
-    b = fan.pack(tuple(1 if dot(n, v) > 0 else -1 for n in b3.normals))
+    b = base_region_of(b3, v)
     delta = faces_in_halfspace(fan, v)
     assert descent_set(fan, delta, b) == delta
     # puncture: drop one full-dimensional member but keep its boundary
