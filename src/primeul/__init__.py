@@ -14,8 +14,7 @@ from .arrangement import (Arrangement, FlatLattice, build_flats,
 from .egf import (TruncatedEgf, egf_div, egf_exp, egf_log, egf_mul,
                   egf_sqrt)
 from .eulerpoly import (UpperSetError, cocharacteristic, cochar_via_halfspace,
-                        eulerian_poly, find_very_generic,
-                        h_poly_relation_check, peul_from_cochar,
+                        eulerian_poly, find_very_generic, peul_from_cochar,
                         primitive_eulerian_descents,
                         primitive_eulerian_mobius,
                         primitive_eulerian_recursive)

@@ -9,11 +9,10 @@ the polynomial of the braid arrangement in R^m for m >= 2.
 
 The six recursive sequences, eulerian_a to peul_d_rec, share one memo
 helper, _sequence: each keeps its terms and extends them in order of n, so
-every term is computed once.  bw_b and bw_d share one right-to-left-maxima
-predicate, _negative_rtl_maxima; cuspidal_sn writes each long cycle out
-directly, and cuspidal_bn walks the cycles of |w| with the product of the
-signs of w along each (_cycles); and every distribution is an
-``IntPoly.from_counts`` of a statistic over its elements.
+every term is computed once.  bw_d filters bw_b; cuspidal_sn writes each
+long cycle out directly, and cuspidal_bn walks the cycles of |w| with the
+product of the signs of w along each (_cycles); and every distribution is
+an ``IntPoly.from_counts`` of a statistic over its elements.
 """
 
 from __future__ import annotations
@@ -38,12 +37,6 @@ def all_signed(n: int):
     for p in permutations(range(1, n + 1)):
         for signs in product((1, -1), repeat=n):
             yield tuple(s * x for s, x in zip(signs, p))
-
-
-def all_even_signed(n: int):
-    for w in all_signed(n):
-        if sum(1 for x in w if x < 0) % 2 == 0:
-            yield w
 
 
 def _cycles(w):
@@ -142,12 +135,10 @@ def bw_b(n: int):
 
 
 def bw_d(n: int):
-    """Even signed permutations with negative right-to-left maxima, |w_1| != n."""
+    """The even elements of bw_b(n) with |w_1| != n."""
     if n < 2:
         raise ValueError("type D needs n >= 2")
-    for w in all_even_signed(n):
-        if abs(w[0]) != n and _negative_rtl_maxima(w):
-            yield w
+    return (w for w in bw_b(n) if fneg(w) % 2 == 0 and abs(w[0]) != n)
 
 
 def peul_a_exc(n: int) -> IntPoly:

@@ -10,10 +10,12 @@
 4. descents:  descents in the weak order based at the region of v, over
               the regions inside such a halfspace.
 
-Also the cocharacteristic polynomial, the f-to-h transform check, and the
-descent polynomial over all regions (the Eulerian polynomial of the
-arrangement).  Regions stay packed as ``faces`` encodes them; only the
-witness of an ``UpperSetError`` is decoded to sign tuples.
+Routes 1 and 3 share the reparametrization ``peul_from_cochar``; on route
+3's face counts of a simplicial arrangement it is the f-to-h transform
+z^r h(1/z) of the complex of faces in the halfspace.  Also the cocharacteristic polynomial and the descent polynomial over all
+regions (the Eulerian polynomial of the arrangement).  Regions stay packed
+as ``faces`` encodes them; only the witness of an ``UpperSetError`` is
+decoded to sign tuples.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import random
 from .arrangement import (Arrangement, build_flats, is_very_generic_vector,
                           very_generic_failure)
 from .faces import WeakOrder, base_region_of, enumerate_faces, is_simplicial
-from .intpoly import IntPoly, Z, ZM1
+from .intpoly import IntPoly, ZM1
 
 def primitive_eulerian_mobius(a: Arrangement) -> IntPoly:
     """sum_X |mu(bot, X)| (z-1)^{corank of X}; monic of degree rank(a)."""
@@ -40,7 +42,9 @@ def cocharacteristic(a: Arrangement) -> IntPoly:
 
 
 def peul_from_cochar(psi: IntPoly, r: int) -> IntPoly:
-    """Exact expansion of (z-1)^r psi(1/(z-1))."""
+    """Exact expansion of (z-1)^r psi(1/(z-1)).  With psi_k = f_{k-1}, the
+    faces of grade k of a rank-r simplicial complex, this is z^r h(1/z) for
+    its h-polynomial h(y) = sum_k f_{k-1} y^k (1-y)^{r-k}."""
     if psi.degree() > r:
         raise ValueError("cocharacteristic degree exceeds the rank")
     out = IntPoly()
@@ -143,23 +147,6 @@ def primitive_eulerian_descents(a: Arrangement, v=None) -> IntPoly:
     if witness is not None:
         raise UpperSetError(tuple(map(fan.unpack, witness)))
     return IntPoly.from_counts(map(order.packed_descents, contained))
-
-
-def h_poly_relation_check(a: Arrangement, v=None) -> bool:
-    """Verify z^r h(Sigma(h), 1/z) equals the mobius-path polynomial, with h
-    computed from the face counts of the halfspace complex by the standard
-    f-to-h transform at rank r."""
-    if not is_simplicial(a):
-        raise ValueError("h-polynomial check requires a simplicial arrangement")
-    psi = cochar_via_halfspace(a, v)
-    r = build_flats(a).rank
-    # h(y) = sum_k f_{k-1} y^k (1-y)^{r-k}, where f_{k-1} counts grade-k faces.
-    one_minus_y = IntPoly((1, -1))
-    h = IntPoly()
-    for k, fk in enumerate(psi.coeffs):
-        h = h + fk * Z ** k * one_minus_y ** (r - k)
-    lhs = h.reverse(r)  # z^r h(1/z)
-    return lhs == primitive_eulerian_mobius(a)
 
 
 def eulerian_poly(a: Arrangement) -> IntPoly:

@@ -5,6 +5,7 @@ marked ``long``.
 """
 
 import random
+import re
 import time
 
 import pytest
@@ -30,6 +31,7 @@ from primeul.linalg import primitive_signed, rref_int
 from primeul.roots import interlaces, is_real_rooted
 from primeul.tables import EXCEPTIONAL, TYPE_B, TYPE_D
 from test_arrangement import deletion_summands, essentialize
+from test_cli import _MAIN_WITH_PEAK, python
 from test_faces import _random_very_generic, packed_faces, tits_product
 
 FOUR_CYCLE = graphic(4, [(1, 2), (2, 3), (3, 4), (4, 1)])
@@ -160,8 +162,13 @@ def test_1_e6_mobius():
 
 @pytest.mark.long
 def test_1_e7_mobius_long_tier():
-    # 90,408 flats; most of the 0.7 GB peak is the down-sets of the Mobius pass
-    assert primitive_eulerian_mobius(root_system("E7")) == EXCEPTIONAL["E7"]
+    # 90,408 flats; most of the peak resident size (about 540 MB) is the
+    # down-sets of the Mobius pass.
+    done = python("-c", _MAIN_WITH_PEAK, "poly", "--family", "E7", "--method", "mobius")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == EXCEPTIONAL["E7"].format("z") + "\n"
+    peak_kb = int(re.search(r"VmHWM:\s*(\d+) kB", done.stderr).group(1))
+    assert peak_kb < 600 * 1024, peak_kb
 
 
 def test_1_generic_family_closed_form():

@@ -17,8 +17,8 @@ EXPORTED = {
     "TruncatedEgf", "egf_div", "egf_exp", "egf_log", "egf_mul", "egf_sqrt",
     # the four routes and their companions
     "UpperSetError", "cochar_via_halfspace", "cocharacteristic",
-    "eulerian_poly", "find_very_generic", "h_poly_relation_check",
-    "peul_from_cochar", "primitive_eulerian_descents",
+    "eulerian_poly", "find_very_generic", "peul_from_cochar",
+    "primitive_eulerian_descents",
     "primitive_eulerian_mobius", "primitive_eulerian_recursive",
     # the fan of faces and the weak order
     "FanIndex", "enumerate_faces", "enumerate_regions", "is_sharp",

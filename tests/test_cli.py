@@ -339,17 +339,89 @@ def test_verify_paths_reports_upper_set_failure(capsys, monkeypatch):
     def refuse(a, v):
         raise UpperSetError((0, 1))
 
-    monkeypatch.setattr(cli, "primitive_eulerian_descents", refuse)
+    monkeypatch.setitem(cli._ROUTES["peul"], "descents", refuse)
     code, out, err = run(capsys, "verify", "paths", "--max-rank", "2")
     assert code == 1 and "Traceback" not in err
     # Every simplicial family fails its descents check and runs on.
     lines = out.splitlines()
-    simplicial = [line.split("/")[1] for line in lines if line.endswith("/h-transform")]
+    simplicial = [line.split("/")[1] for line in lines if "/descents" in line]
     assert "B 2" in simplicial
     assert [line for line in lines if line.startswith("FAIL ")] == [
         f"FAIL paths/{family}/descents (regions in the halfspace are not an upper "
         f"set: region 0 is inside but its cover 1 is not)" for family in simplicial]
     assert lines[-1] == f"FAILED: {len(simplicial)} failing check(s)"
+
+
+def _paths_checks(capsys, *options):
+    """{family: [method, ...]} in the order ``verify paths`` reports them."""
+    code, out, err = run(capsys, "verify", "paths", *options)
+    checks = {}
+    for line in out.splitlines()[:-1]:
+        _, family, method = line.split(" ", 1)[1].split("/")
+        checks.setdefault(family, []).append(method)
+    return code, out, err, checks
+
+
+def test_verify_paths_runs_the_route_table(capsys):
+    # verify paths runs the routes poly --method runs, each against mobius.
+    from primeul.cli import _PATH_BUILTINS, _ROUTES
+    from primeul.families import parse_family
+    from primeul.faces import is_simplicial
+
+    code, _, _, checks = _paths_checks(capsys, "--max-rank", "4")
+    assert code == 0 and list(checks) == list(_PATH_BUILTINS)
+    for family, methods in checks.items():
+        routes = [m for m in _ROUTES["peul"] if m not in ("mobius", "auto")]
+        if not is_simplicial(parse_family(family)):
+            routes.remove("descents")
+        assert methods == routes + ["zaslavsky"], family
+
+
+@pytest.mark.parametrize("method", ["recursive", "halfspace", "descents"])
+def test_verify_paths_fails_each_wrong_route(capsys, monkeypatch, method):
+    # A route off the mobius sum by one fails its own lines and no other.
+    from primeul import cli
+    monkeypatch.setitem(cli._ROUTES["peul"], method,
+                        lambda a, v: cli.primitive_eulerian_mobius(a) + 1)
+    code, out, err, checks = _paths_checks(capsys, "--max-rank", "3")
+    failed = [line for line in out.splitlines() if line.startswith("FAIL ")]
+    assert code == 1 and "Traceback" not in err
+    assert failed == [f"FAIL paths/{family}/{method}"
+                      for family, methods in checks.items() if method in methods]
+    assert len(failed) >= 10 and out.splitlines()[-1] == f"FAILED: {len(failed)} failing check(s)"
+
+
+def test_verify_statistics_fails_on_a_short_cuspidal_set(capsys, monkeypatch):
+    # The element count of cuspidal_sn is checked by the exc-vs-des lines.
+    from primeul import coxstats
+    cuspidal_sn = coxstats.cuspidal_sn
+    monkeypatch.setattr(coxstats, "cuspidal_sn", lambda n: list(cuspidal_sn(n))[1:])
+    code, out, _ = run(capsys, "verify", "statistics", "--nmax", "4")
+    assert code == 1
+    assert [line for line in out.splitlines() if line.startswith("FAIL ")] == [
+        f"FAIL statistics/A/exc-vs-des/{m}" for m in range(1, 5)]
+
+
+@pytest.mark.parametrize("argv, names", [
+    # D/table, D/bw-descents and Dnk/boundary start at m = 2.
+    (("recursions", "--nmax", "0"), ("recursions/B/quadratic-vs-differential",
+                                     "recursions/B/half-eulerian-reversal",
+                                     "recursions/B/table")),
+    # D-rec and Dnk start at m = 2.
+    (("roots", "--dn-max", "1"), ("roots/rank3-builtins", "roots/B-rec/1",
+                                  "roots/exceptional-golden", "roots/G4-not-real-rooted")),
+])
+def test_verify_omits_checks_over_empty_ranges(capsys, argv, names):
+    code, out, _ = run(capsys, "verify", *argv)
+    assert code == 0
+    assert out.splitlines() == [f"PASS {name}" for name in names] + ["OK: all checks passed"]
+
+
+@pytest.mark.parametrize("argv", [("statistics", "--nmax", "0"), ("paths", "--max-rank", "1")])
+def test_verify_with_no_check_exit_3(capsys, argv):
+    code, out, err = run(capsys, "verify", *argv)
+    assert (code, out) == (3, "")
+    assert err == f"error: verify {argv[0]} ran no check: every range is empty\n"
 
 
 def test_verify_all_is_the_suite_table(capsys):

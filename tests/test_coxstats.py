@@ -5,7 +5,7 @@ from math import factorial
 
 import pytest
 
-from primeul.coxstats import (_cycles, all_even_signed, all_signed, asc_2,
+from primeul.coxstats import (_cycles, _negative_rtl_maxima, all_signed, asc_2,
                               binomial_identity_checks, bw_a, bw_b, bw_d,
                               cuspidal_bn, cuspidal_sn, des_a, des_b, des_d,
                               eulerian_a, eulerian_b, exc, exc_b,
@@ -267,6 +267,21 @@ def test_generating_functions():
     assert type_b.coeff_intpoly(5) == TYPE_B[5]
 
 
+def all_even_signed(n):
+    return [w for w in all_signed(n) if fneg(w) % 2 == 0]
+
+
+def bw_d_filter(n):
+    """Reference for bw_d: the even signed permutations with |w_1| != n whose
+    right-to-left maxima are negative."""
+    return [w for w in all_even_signed(n) if abs(w[0]) != n and _negative_rtl_maxima(w)]
+
+
 def test_even_signed_enumeration():
-    assert sum(1 for _ in all_even_signed(3)) == 24
+    assert len(all_even_signed(3)) == 24
     assert all(fneg(w) % 2 == 0 for w in all_even_signed(3))
+
+
+def test_bw_d_against_filter():
+    for n in range(2, 8):
+        assert list(bw_d(n)) == bw_d_filter(n), n

@@ -7,12 +7,13 @@ from primeul.arrangement import (Arrangement, build_flats, halfspace_failure,
 from primeul.eulerpoly import (UpperSetError, base_region_of,
                                cochar_via_halfspace, cocharacteristic,
                                eulerian_poly, find_very_generic,
-                               h_poly_relation_check, peul_from_cochar,
+                               peul_from_cochar,
                                primitive_eulerian_descents,
                                primitive_eulerian_mobius,
                                primitive_eulerian_recursive)
 from primeul.faces import (FanIndex, WeakOrder, enumerate_faces,
-                           enumerate_regions, is_sharp, region_in_halfspace)
+                           enumerate_regions, is_sharp, is_simplicial,
+                           region_in_halfspace)
 from primeul.families import (braid, generic_gn, graphic, parse_family,
                               rank2, type_b, type_d, type_dnk)
 from primeul.intpoly import IntPoly, Z, ZM1
@@ -149,13 +150,13 @@ def test_cochar_rejects_non_generic_v():
 
 @pytest.mark.parametrize("entry", [
     very_generic_failure, halfspace_failure, cochar_via_halfspace,
-    primitive_eulerian_descents, h_poly_relation_check,
+    primitive_eulerian_descents,
     lambda a, v: region_in_halfspace(a, enumerate_regions(a)[0], v),
     lambda a, v: enumerate_faces(a).halfspace_mask(v),
     base_region_of,
 ], ids=["very_generic_failure", "halfspace_failure", "cochar_via_halfspace",
-        "primitive_eulerian_descents", "h_poly_relation_check",
-        "region_in_halfspace", "halfspace_mask", "base_region_of"])
+        "primitive_eulerian_descents", "region_in_halfspace", "halfspace_mask",
+        "base_region_of"])
 @pytest.mark.parametrize("v", [(1, 2), (1, 2, 4, 8)], ids=["short", "long"])
 def test_wrong_length_v_is_refused(entry, v):
     # dot products zip, so a v of the wrong length would get an answer.
@@ -236,12 +237,26 @@ def test_nonnegativity_on_simplicial():
     assert any(c < 0 for c in primitive_eulerian_mobius(FOUR_CYCLE).coeffs)
 
 
+def h_transform(f, r: int) -> IntPoly:
+    """z^r h(1/z) for the h-polynomial h(y) = sum_k f_{k-1} y^k (1-y)^{r-k}
+    of a rank-r simplicial complex with f_{k-1} = f[k] faces of grade k."""
+    h = IntPoly()
+    for k, fk in enumerate(f):
+        h = h + fk * Z ** k * IntPoly((1, -1)) ** (r - k)
+    return h.reverse(r)
+
+
 def test_h_poly_relation():
-    assert h_poly_relation_check(type_b(3))
-    assert h_poly_relation_check(Arrangement.from_normals([(1, 0)], 2))
-    assert h_poly_relation_check(type_dnk(3, 2))
-    with pytest.raises(ValueError):
-        h_poly_relation_check(FOUR_CYCLE)
+    # The halfspace route's reparametrization is the f-to-h transform of the
+    # complex of faces in the halfspace, which is simplicial when A is; and
+    # z^r h(1/z) is the mobius-route polynomial.
+    from primeul.cli import _PATH_BUILTINS
+    simplicial = [a for a in map(parse_family, _PATH_BUILTINS) if is_simplicial(a)]
+    assert len(simplicial) == 14
+    for a in simplicial + [Arrangement.from_normals([(1, 0)], 2)]:
+        r, psi = build_flats(a).rank, cochar_via_halfspace(a)
+        assert h_transform(psi.coeffs, r) == peul_from_cochar(psi, r), a
+        assert h_transform(psi.coeffs, r) == primitive_eulerian_mobius(a), a
 
 
 def test_eulerian_poly():
