@@ -4,15 +4,14 @@ Computes the primitive Eulerian polynomial of a central real arrangement by
 four independent routes (lattice Mobius sum, deletion recursion, generic
 halfspace face counts, descent statistics over the weak order), together
 with the cocharacteristic and characteristic polynomials, signed-permutation
-statistics for the classical reflection families, exact real-rootedness and
-interlacing tests, and truncated exponential generating series.
+statistics for the classical reflection families with their closed forms
+and generating-function identities, and exact real-rootedness and
+interlacing tests.
 """
 
 from .arrangement import (Arrangement, FlatLattice, build_flats,
                           characteristic_polynomial, count_regions_zaslavsky,
                           is_very_generic_vector, product)
-from .egf import (TruncatedEgf, egf_div, egf_exp, egf_log, egf_mul,
-                  egf_sqrt)
 from .eulerpoly import (UpperSetError, cocharacteristic, cochar_via_halfspace,
                         eulerian_poly, find_very_generic, peul_from_cochar,
                         primitive_eulerian_descents,

@@ -13,6 +13,28 @@ every term is computed once.  bw_d filters bw_b; cuspidal_sn writes each
 long cycle out directly, and cuspidal_bn walks the cycles of |w| with the
 product of the signs of w along each (_cycles); and every distribution is
 an ``IntPoly.from_counts`` of a statistic over its elements.
+
+The closed forms are exponential generating series in x, with
+A = sum_n A_n x^n / n! for A_n = eulerian_a(n):
+
+  type A: P_A = 1 + log A
+  type B: P_B = e^{x(z-1)} sqrt(A(z, 2x))
+  type D: P_D = (e^{x(z-1)} - z x) sqrt(A(z, 2x))
+
+A product of such series has coefficient sum_k C(n, k) f_k g_{n-k}
+(_egf_product), so generating_function_check tests each as an identity on
+integer polynomials, with P_A(0) = P_B(0) = 1:
+
+  type A: A_n = sum_{k=1}^{n} C(n-1, k-1) P_A(k) A_{n-k} for n >= 1.  This
+          is E' = f' E for E = A and f = P_A - 1, that is A = e^{P_A - 1}.
+  type B: sum_k C(n, k) P_B(k) P_B(n-k) = 2^n sum_k C(n, k) (z-1)^k A_{n-k},
+          which is P_B^2 = e^{2x(z-1)} A(z, 2x); a square root with
+          constant term 1 is unique.
+  type D: P_D(n) = P_B(n) - n z sum_k C(n-1, k) (1-z)^k P_B(n-1-k), which is
+          P_D = P_B - z x e^{x(1-z)} P_B, the type D form given type B.
+
+Each identity fixes its sequence's term n from the earlier terms, so a
+change to any one term breaks it.
 """
 
 from __future__ import annotations
@@ -21,7 +43,6 @@ from functools import wraps
 from itertools import permutations, product
 from math import comb
 
-from .egf import DEFAULT_ORDER, TruncatedEgf, egf_exp, egf_log, egf_sqrt
 from .intpoly import IntPoly, ONE, Z, ZERO, ZM1
 
 # ---------------------------------------------------------------------------
@@ -286,6 +307,15 @@ def half_eulerian(n: int) -> IntPoly:
 # ---------------------------------------------------------------------------
 # identities
 
+def _egf_product(f, g, n: int) -> IntPoly:
+    """Coefficient n of the product of the EGFs with coefficients f(k) and
+    g(k): sum_k C(n, k) f(k) g(n - k)."""
+    acc = ZERO
+    for k in range(n + 1):
+        acc = acc + comb(n, k) * f(k) * g(n - k)
+    return acc
+
+
 def binomial_identity_checks(nmax: int) -> bool:
     """Both convolution identities up to nmax:
 
@@ -293,44 +323,27 @@ def binomial_identity_checks(nmax: int) -> bool:
     with the primitive polynomials: sum = 2^n peul_a(n+1).
     """
     for n in range(nmax + 1):
-        lhs_e = ZERO
-        lhs_p = ZERO
-        for k in range(n + 1):
-            c = comb(n, k)
-            lhs_e = lhs_e + c * eulerian_b(k) * eulerian_b(n - k)
-            lhs_p = lhs_p + c * peul_b_rec(k) * peul_b_rec(n - k)
-        if lhs_e != 2 ** n * eulerian_a(n + 1):
+        if _egf_product(eulerian_b, eulerian_b, n) != 2 ** n * eulerian_a(n + 1):
             return False
-        if lhs_p != 2 ** n * peul_a(n + 1):
+        if _egf_product(peul_b_rec, peul_b_rec, n) != 2 ** n * peul_a(n + 1):
             return False
     return True
 
 
-def eulerian_egf(order: int = DEFAULT_ORDER) -> TruncatedEgf:
-    """The series A(z, x) with coefficient eulerian_a(n) at x^n/n!."""
-    return TruncatedEgf.from_polys([eulerian_a(n) for n in range(order + 1)], order)
-
-
-def generating_function_check(order: int = DEFAULT_ORDER) -> bool:
-    """Coefficientwise check of the three closed-form generating series:
-
-      type A: 1 + log A(z, x)
-      type B: exp(x(z-1)) A(z, 2x)^(1/2)
-      type D: (exp(x(z-1)) - z x) A(z, 2x)^(1/2)
-
-    against peul_a, peul_b_rec and peul_d_rec for all n <= order.
-    """
-    A = eulerian_egf(order)
-    exp_zm1 = egf_exp(TruncatedEgf.x_times(Z - ONE, order))
-    sqrt_a2 = egf_sqrt(A.scale_x(2))
-    type_a = TruncatedEgf.constant(1, order) + egf_log(A)
-    type_b = exp_zm1 * sqrt_a2
-    type_d = (exp_zm1 - TruncatedEgf.x_times(Z, order)) * sqrt_a2
+def generating_function_check(order: int) -> bool:
+    """The three closed-form generating series, coefficientwise for all
+    n <= order: the integer identities of the module docstring on peul_a,
+    peul_b_rec and peul_d_rec."""
+    if peul_a(0) != ONE or peul_b_rec(0) != ONE:
+        return False
     for n in range(order + 1):
-        if type_a.coeff_intpoly(n) != peul_a(n):
+        if n and eulerian_a(n) != _egf_product(lambda k: peul_a(k + 1), eulerian_a, n - 1):
             return False
-        if type_b.coeff_intpoly(n) != peul_b_rec(n):
+        if _egf_product(peul_b_rec, peul_b_rec, n) != \
+                2 ** n * _egf_product(lambda k: ZM1 ** k, eulerian_a, n):
             return False
-        if type_d.coeff_intpoly(n) != peul_d_rec(n):
+        # at n = 0 the sum is empty and P_D(0) = P_B(0)
+        if peul_d_rec(n) != peul_b_rec(n) - n * Z * _egf_product(
+                lambda k: (-ZM1) ** k, peul_b_rec, n - 1):
             return False
     return True

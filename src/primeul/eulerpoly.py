@@ -12,10 +12,12 @@
 
 Routes 1 and 3 share the reparametrization ``peul_from_cochar``; on route
 3's face counts of a simplicial arrangement it is the f-to-h transform
-z^r h(1/z) of the complex of faces in the halfspace.  Also the cocharacteristic polynomial and the descent polynomial over all
-regions (the Eulerian polynomial of the arrangement).  Regions stay packed
-as ``faces`` encodes them; only the witness of an ``UpperSetError`` is
-decoded to sign tuples.
+z^r h(1/z) of the complex of faces in the halfspace.
+
+The module also gives the cocharacteristic polynomial, and the descent
+polynomial over all regions (the Eulerian polynomial of the arrangement).
+Regions stay packed as ``faces`` encodes them; only the witness of an
+``UpperSetError`` is decoded to sign tuples.
 """
 
 from __future__ import annotations

@@ -4,16 +4,14 @@ Coefficients are stored low degree first, e.g. ``IntPoly((0, 4, 1))`` is
 ``z**2 + 4*z``.  The trailing (highest-index) coefficient is nonzero unless
 the polynomial is zero, so equal polynomials have equal coefficient tuples.
 
-The arithmetic is written once, as kernels on such coefficient tuples that
-serve ints and Fractions alike: ``_trim``, ``_add``, ``_mul`` and
-``_deriv``.  ``IntPoly`` wraps them, ``egf`` runs them on its Fraction
-coefficients and ``roots`` on its primitive integer ones.
+The arithmetic is written once, as kernels on tuples of int coefficients:
+``_trim``, ``_add``, ``_mul`` and ``_deriv``.  ``IntPoly`` wraps them and
+``roots`` runs ``_trim`` and ``_deriv`` on its primitive coefficients.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from fractions import Fraction
 
 
 class Frozen:
@@ -62,8 +60,7 @@ def _add(a, b) -> tuple:
 def _mul(a, b) -> tuple:
     if not a or not b:
         return ()
-    # A zero of the coefficients' type, so a slot the skipped zeros miss stays a Fraction.
-    out = [a[-1] * b[-1] * 0] * (len(a) + len(b) - 1)
+    out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
             for j, y in enumerate(b):
@@ -92,17 +89,6 @@ class IntPoly(Frozen):
         if not counts:
             return cls()
         return cls(tuple(counts[k] for k in range(max(counts) + 1)))
-
-    @classmethod
-    def from_fractions(cls, coeffs) -> IntPoly:
-        """Build from exact rationals; raises if any denominator is not 1."""
-        out = []
-        for c in coeffs:
-            f = Fraction(c)
-            if f.denominator != 1:
-                raise ValueError(f"non-integer coefficient {f}")
-            out.append(f.numerator)
-        return cls(tuple(out))
 
     def is_zero(self) -> bool:
         return not self.coeffs

@@ -13,8 +13,6 @@ EXPORTED = {
     "Arrangement", "FlatLattice", "build_flats",
     "characteristic_polynomial", "count_regions_zaslavsky",
     "is_very_generic_vector", "product",
-    # exponential generating series
-    "TruncatedEgf", "egf_div", "egf_exp", "egf_log", "egf_mul", "egf_sqrt",
     # the four routes and their companions
     "UpperSetError", "cochar_via_halfspace", "cocharacteristic",
     "eulerian_poly", "find_very_generic", "peul_from_cochar",

@@ -14,7 +14,8 @@ from primeul.coxstats import (_cycles, _negative_rtl_maxima, all_signed, asc_2,
                               peul_a_des, peul_a_exc, peul_b_des,
                               peul_b_diffrec, peul_b_excb, peul_b_rec,
                               peul_d_des, peul_d_rec, peul_dnk)
-from primeul.intpoly import IntPoly, ONE, Z
+from primeul import coxstats
+from primeul.intpoly import IntPoly, ONE, Z, ZERO
 from primeul.tables import TYPE_B, TYPE_D
 
 
@@ -249,22 +250,27 @@ def test_half_eulerian_reversal():
 
 
 def test_binomial_identities():
-    assert binomial_identity_checks(6)
+    for nmax in range(13):
+        assert binomial_identity_checks(nmax), nmax
 
 
 def test_generating_functions():
-    assert generating_function_check(6)
-    # spot values: the type D coefficient at n=1 vanishes by convention
-    from primeul.coxstats import eulerian_egf
-    from primeul.egf import TruncatedEgf, egf_exp, egf_sqrt
+    for order in range(13):
+        assert generating_function_check(order), order
 
-    A = eulerian_egf(5)
-    exp_zm1 = egf_exp(TruncatedEgf.x_times(Z - ONE, 5))
-    type_d = (exp_zm1 - TruncatedEgf.x_times(Z, 5)) * egf_sqrt(A.scale_x(2))
-    assert type_d.coeff_intpoly(1) == IntPoly()
-    assert type_d.coeff_intpoly(4) == TYPE_D[4]
-    type_b = exp_zm1 * egf_sqrt(A.scale_x(2))
-    assert type_b.coeff_intpoly(5) == TYPE_B[5]
+
+@pytest.mark.parametrize("n", range(7))
+@pytest.mark.parametrize("name", ["peul_a", "peul_b_rec", "peul_d_rec"])
+def test_generating_functions_reject_a_changed_term(monkeypatch, name, n):
+    # The sequences are memoized and recurse through their module names:
+    # computing every term used before patching keeps a changed term out
+    # of the memo, so it cannot leak into later tests.
+    original = getattr(coxstats, name)
+    for sequence in (peul_a, peul_b_rec, peul_d_rec):
+        sequence(12)
+    monkeypatch.setattr(coxstats, name,
+                        lambda k: original(k) + (Z ** 2 if k == n else ZERO))
+    assert not generating_function_check(6)
 
 
 def all_even_signed(n):

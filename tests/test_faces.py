@@ -298,6 +298,19 @@ def test_faces_in_halfspace_graded_counts():
     assert len(full) == 6  # |mu(bot, top)| of the rank-3 braid lattice
 
 
+
+@pytest.mark.parametrize("family", _PATH_BUILTINS + ("F4",))
+def test_faces_in_halfspace_by_flat(family):
+    # The faces of flat X inside a very generic halfspace are the regions
+    # of the restriction to X inside that halfspace cut down to X, which
+    # stays very generic: |mu(bot, X)| of them.  Graded totals cannot see
+    # a face counted at the wrong flat of the right grade; this can.
+    a = parse_family(family)
+    fan = enumerate_faces(a)
+    up = fan.halfspace_mask(find_very_generic(a))
+    inside = [sum(1 for f in group if not fan.ray_mask(f) & up) for group in fan._faces]
+    assert inside == [abs(mu) for mu in build_flats(a).mobius_bottom]
+
 def _signed(a, signs):
     return [tuple(s * x for x in n) for s, n in zip(signs, a.normals) if s]
 

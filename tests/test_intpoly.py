@@ -54,12 +54,6 @@ def test_format():
     assert IntPoly((-2, 1)).format() == "z - 2"
 
 
-def test_from_fractions():
-    assert IntPoly.from_fractions([Fraction(2), Fraction(4, 2)]) == IntPoly((2, 2))
-    with pytest.raises(ValueError):
-        IntPoly.from_fractions([Fraction(1, 2)])
-
-
 def test_from_counts():
     assert IntPoly.from_counts([2, 0, 2, 3]) == IntPoly((1, 0, 2, 1))
     assert IntPoly.from_counts(iter([1, 1])) == IntPoly((0, 2))

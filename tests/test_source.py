@@ -53,6 +53,25 @@ def test_only_linalg_takes_a_gcd():
     assert offenders == []
 
 
+
+def test_fractions_stay_at_the_input_edge():
+    # Rationals enter through the root systems and parsed input
+    # (``families``) and are scaled to integers in ``linalg``; everything
+    # past that edge is integer.  ``feasibility`` is the LP certificate.
+    offenders = []
+    for path in sorted(Path(primeul.__file__).parent.glob("*.py")):
+        if path.stem in ("linalg", "families", "feasibility"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module]
+            else:
+                continue
+            offenders += [f"{path.name}:{node.lineno}" for m in modules if m == "fractions"]
+    assert offenders == []
+
 def _imported_from(path):
     """(module, name) for each ``from primeul.module import name`` and
     ``from .module import name`` in the file."""

@@ -1,21 +1,19 @@
 """The value types: construction, equality, hash, repr and immutability.
 
-``Arrangement``, ``IntPoly`` and ``TruncatedEgf`` behave as frozen records
-of their fields; their reprs are pinned as exact strings.
+``Arrangement`` and ``IntPoly`` behave as frozen records of their fields;
+their reprs are pinned as exact strings.
 """
 
 import copy
 import pickle
-from fractions import Fraction
 
 import pytest
 
 from primeul.arrangement import Arrangement, build_flats
-from primeul.egf import TruncatedEgf
 from primeul.families import braid
 from primeul.intpoly import IntPoly
 
-FIELDS = {Arrangement: ("dim", "normals"), IntPoly: ("coeffs",), TruncatedEgf: ("order", "coeffs")}
+FIELDS = {Arrangement: ("dim", "normals"), IntPoly: ("coeffs",)}
 
 
 def samples():
@@ -25,8 +23,6 @@ def samples():
         (Arrangement(3, ()), "Arrangement(dim=3, normals=())"),
         (IntPoly((0, 4, 1, 0)), "IntPoly(coeffs=(0, 4, 1))"),
         (IntPoly(), "IntPoly(coeffs=())"),
-        (TruncatedEgf(1, ((), (Fraction(1, 2), 3, Fraction(0)))),
-         "TruncatedEgf(order=1, coeffs=((), (Fraction(1, 2), 3)))"),
     ]
 
 
@@ -66,7 +62,6 @@ def test_keyword_construction():
     assert Arrangement(dim=2, normals=((1, 0),)) == Arrangement(2, ((1, 0),))
     assert IntPoly(coeffs=(1, 2)) == IntPoly((1, 2))
     assert IntPoly() == IntPoly(()) and not IntPoly()
-    assert TruncatedEgf(order=0, coeffs=((1,),)) == TruncatedEgf(0, ((1,),))
 
 
 def test_validation_messages():
@@ -88,10 +83,6 @@ def test_validation_messages():
         Arrangement(2, ((1, 0), (1, 0), (1, 0, 0)))
     with pytest.raises(TypeError, match="^integer coefficient required, got 0.5$"):
         IntPoly((1, 0.5))
-    with pytest.raises(ValueError, match="^order must be >= 0$"):
-        TruncatedEgf(-1, ())
-    with pytest.raises(ValueError, match=r"^need exactly order \+ 1 coefficients$"):
-        TruncatedEgf(1, ((),))
 
 
 def test_lattice_cache_hits_an_equal_arrangement():
