@@ -24,6 +24,6 @@ from .families import (braid, generic_gn, graphic, parse_arrangement_file,
                        type_d, type_dnk)
 from .feasibility import strict_feasible, strict_feasible_point
 from .intpoly import IntPoly
-from .roots import interlaces, is_real_rooted, real_root_count
+from .roots import interlaces, is_real_rooted
 
 __version__ = "0.1.0"

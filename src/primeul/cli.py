@@ -260,10 +260,9 @@ def _verify_egf(args):
 
 
 def _verify_roots(args):
-    rank3 = ("I2 2", "I2 5", "A 3", "A 4", "B 2", "B 3", "D 3", "Gn 2", "Gn 3",
-             "graphic 4 1-2,2-3,3-4,4-1")
+    rank3 = [a for a in map(parse_family, _PATH_BUILTINS) if build_flats(a).rank <= 3]
     yield "roots/rank3-builtins", all(
-        is_real_rooted(primitive_eulerian_mobius(parse_family(s))) for s in rank3)
+        is_real_rooted(primitive_eulerian_mobius(a)) for a in rank3)
     nmax = args.dn_max
     yield from _over(f"roots/B-rec/{nmax}", range(1, nmax + 1),
                      lambda m: is_real_rooted(peul_b_rec(m)))

@@ -90,9 +90,6 @@ class IntPoly(Frozen):
             return cls()
         return cls(tuple(counts[k] for k in range(max(counts) + 1)))
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def degree(self) -> int:
         """Degree of the polynomial; -1 for the zero polynomial."""
         return len(self.coeffs) - 1

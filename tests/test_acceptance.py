@@ -318,7 +318,7 @@ def test_3_interlacing_on_rank3_decomposition():
     while done < 10:
         a = _random_rank3(rng)
         f, g = deletion_summands(a)
-        if g.is_zero():
+        if not g:
             continue
         assert interlaces(g, f)
         assert f + g == primitive_eulerian_mobius(a)

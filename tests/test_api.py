@@ -28,7 +28,7 @@ EXPORTED = {
     # the strict-feasibility certificate
     "strict_feasible", "strict_feasible_point",
     # polynomials and real roots
-    "IntPoly", "interlaces", "is_real_rooted", "real_root_count",
+    "IntPoly", "interlaces", "is_real_rooted",
 }
 
 

@@ -346,7 +346,7 @@ def test_rank3_recursion_interlacing():
     while done < 10:
         a = random_rank3(rng)
         f, g = deletion_summands(a)
-        if g.is_zero():
+        if not g:
             continue
         assert interlaces(g, f)
         assert f + g == primitive_eulerian_mobius(a)

@@ -12,7 +12,6 @@ def test_trailing_zeros_trimmed():
 
 def test_zero_polynomial():
     p = IntPoly()
-    assert p.is_zero()
     assert p.degree() == -1
     assert not p
     assert p.format() == "0"
@@ -57,7 +56,7 @@ def test_format():
 def test_from_counts():
     assert IntPoly.from_counts([2, 0, 2, 3]) == IntPoly((1, 0, 2, 1))
     assert IntPoly.from_counts(iter([1, 1])) == IntPoly((0, 2))
-    assert IntPoly.from_counts([]).is_zero()
+    assert not IntPoly.from_counts([])
 
 
 def test_non_integer_rejected():

@@ -1,6 +1,8 @@
-"""Root counting is validated against brute-force oracles: rational-root
-polynomials built from known factors, and a quadratic-formula discriminant
-check for random quadratics."""
+"""Real-rootedness is validated against oracles that use no Sturm sequence:
+polynomials built from known rational roots with multiplicity and from
+quadratics (qz - a)^2 + b^2 with b != 0, which are real-rooted iff no such
+quadratic is a factor, and a quadratic-formula discriminant check for random
+quadratics.  Interlacing is read off sorted rational roots."""
 
 import random
 from fractions import Fraction
@@ -8,14 +10,13 @@ from fractions import Fraction
 import pytest
 
 from primeul.coxstats import peul_b_rec, peul_d_rec
-from primeul.intpoly import IntPoly, ONE, Z, ZM1
-from primeul.roots import (_index, _sturm_chain, interlaces, is_real_rooted,
-                           real_root_count)
+from primeul.intpoly import IntPoly, ONE, Z, ZM1, _deriv
+from primeul.roots import _index, _sturm_sequence, interlaces, is_real_rooted
 
 
 def distinct_real_roots(p: IntPoly) -> int:
     """Number of distinct real roots: the Cauchy index of p'/p."""
-    return _index(_sturm_chain(p.coeffs))
+    return _index(_sturm_sequence(p.coeffs, _deriv(p.coeffs)))
 
 
 def poly_from_roots(roots, lead=1):
@@ -25,10 +26,31 @@ def poly_from_roots(roots, lead=1):
     return p
 
 
+def random_factored(rng):
+    """(p, distinct rational roots, number of complex-pair factors): p is a
+    product of rational linear factors with multiplicity 1-3 and quadratics
+    (qz - a)^2 + b^2, b != 0, times a leading coefficient of either sign."""
+    rational = set()
+    p = IntPoly((rng.choice((-1, 1)) * rng.randint(1, 3),))
+    for _ in range(rng.randint(0, 4)):
+        q = rng.randint(1, 3)
+        r = Fraction(rng.randint(-4 * q, 4 * q), q)
+        rational.add(r)
+        p = p * poly_from_roots([r]) ** rng.randint(1, 3)
+    pairs = rng.choice((0, 0, 1, 2))
+    for _ in range(pairs):
+        q, a, b = rng.randint(1, 3), rng.randint(-6, 6), rng.choice((-3, -2, -1, 1, 2, 3))
+        p = p * IntPoly((a * a + b * b, -2 * q * a, q * q)) ** rng.randint(1, 2)
+    return p, rational, pairs
+
+
 def test_simple_examples():
-    assert real_root_count(IntPoly((0, 1, 1))) == 2          # z^2 + z
-    assert real_root_count(IntPoly((0, 1, -4, 6, 1))) == 2   # z^4+6z^3-4z^2+z
-    assert real_root_count(IntPoly((0, -1, 3, 1))) == 3      # z^3+3z^2-z
+    assert is_real_rooted(IntPoly((0, 1, 1)))                # z^2 + z
+    assert distinct_real_roots(IntPoly((0, 1, 1))) == 2
+    assert not is_real_rooted(IntPoly((0, 1, -4, 6, 1)))     # z^4+6z^3-4z^2+z
+    assert distinct_real_roots(IntPoly((0, 1, -4, 6, 1))) == 2
+    assert is_real_rooted(IntPoly((0, -1, 3, 1)))            # z^3+3z^2-z
+    assert distinct_real_roots(IntPoly((0, -1, 3, 1))) == 3
 
 
 def test_real_rooted_examples():
@@ -39,34 +61,45 @@ def test_real_rooted_examples():
 
 def test_zero_polynomial_rejected():
     with pytest.raises(ValueError):
-        real_root_count(IntPoly())
-    with pytest.raises(ValueError):
         is_real_rooted(IntPoly())
 
 
 def test_no_real_roots():
-    assert real_root_count(IntPoly((1, 0, 1))) == 0  # z^2 + 1
+    assert distinct_real_roots(IntPoly((1, 0, 1))) == 0  # z^2 + 1
     assert not is_real_rooted(IntPoly((1, 0, 1)))
 
 
 def test_multiplicity_counting():
-    # (z-1)^3 (z+2)^2: five real roots with multiplicity, two distinct
+    # (z-1)^3 (z+2)^2: all five roots real, two distinct
     p = IntPoly((-1, 1)) ** 3 * IntPoly((2, 1)) ** 2
-    assert real_root_count(p) == 5
     assert distinct_real_roots(p) == 2
     assert is_real_rooted(p)
     # (z^2+1)^2 (z-3): one real root among five
     q = IntPoly((1, 0, 1)) ** 2 * IntPoly((-3, 1))
-    assert real_root_count(q) == 1
+    assert distinct_real_roots(q) == 1
     assert not is_real_rooted(q)
 
 
+def test_one_sequence_per_call(monkeypatch):
+    # Real-rootedness reads one remainder sequence, whatever the
+    # multiplicities: no chain per level of gcd with the derivative.
+    calls = []
+
+    def counted(f, g):
+        calls.append((f, g))
+        return _sturm_sequence(f, g)
+    monkeypatch.setattr("primeul.roots._sturm_sequence", counted)
+    assert is_real_rooted(IntPoly((-1, 1)) ** 3 * IntPoly((2, 1)) ** 2)
+    assert len(calls) == 1
+
+
 def test_square_count_doubles():
+    # Squaring doubles every multiplicity and changes neither answer.
     rng = random.Random(7)
     for _ in range(40):
-        deg = rng.randint(1, 5)
-        p = IntPoly(tuple(rng.randint(-4, 4) for _ in range(deg)) + (rng.randint(1, 3),))
-        assert real_root_count(p * p) == 2 * real_root_count(p)
+        p, rational, pairs = random_factored(rng)
+        assert is_real_rooted(p * p) == (pairs == 0)
+        assert distinct_real_roots(p * p) == len(rational)
 
 
 def test_count_from_known_roots():
@@ -74,9 +107,21 @@ def test_count_from_known_roots():
     for _ in range(40):
         roots = [rng.randint(-5, 5) for _ in range(rng.randint(1, 6))]
         p = poly_from_roots(roots)
-        assert real_root_count(p) == len(roots)
         assert distinct_real_roots(p) == len(set(roots))
         assert is_real_rooted(p)
+
+
+def test_real_rooted_factored_draws():
+    # Seeded draws with repeated rational roots, complex pairs of
+    # multiplicity 1-2 and leading coefficients of both signs.
+    rng = random.Random(19)
+    seen = set()
+    for _ in range(2000):
+        p, rational, pairs = random_factored(rng)
+        assert is_real_rooted(p) == (pairs == 0), p
+        assert distinct_real_roots(p) == len(rational), p
+        seen.add((pairs == 0, p.coeffs[-1] > 0))
+    assert len(seen) == 4  # both answers under both leading signs
 
 
 def test_quadratic_discriminants():
@@ -87,8 +132,8 @@ def test_quadratic_discriminants():
         c = rng.randint(-6, 6)
         p = IntPoly((c, b, a))
         disc = b * b - 4 * a * c
-        want = 2 if disc > 0 else (2 if disc == 0 else 0)
-        assert real_root_count(p) == want
+        assert is_real_rooted(p) == (disc >= 0)
+        assert distinct_real_roots(p) == (2 if disc > 0 else 1 if disc == 0 else 0)
 
 
 def test_interlaces_basic():
