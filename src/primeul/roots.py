@@ -1,18 +1,30 @@
 """Exact real-rootedness and interlacing tests for integer polynomials.
 
-All computations run on primitive integer coefficient lists.  Signed
-remainder sequences are built with sign-preserving pseudo-remainders (each
-step rescales by a positive integer and removes content), so sign-variation
-counts are exact.  The sequence of (f, g) ends in gcd(f, g) and has Cauchy
-index V(-inf) - V(+inf) equal to Ind(g/f), read off the leading
-coefficients alone.  Each answer compares one such index with the degree
-of that gcd (``_separates``); nothing is evaluated at a point.  The kernels
+Real-rootedness is first tried by a certificate of sign changes
+(``_certificate``).  Divide out z^m and make the leading coefficient
+positive; if every coefficient of the result f is then positive, f(0) > 0,
+f has sign (-1)^d at -inf (d = deg f), and points 0 > s_1 > ... > s_{d-1}
+with sign f(s_i) = (-1)^i give a sign change in each of the d intervals
+(s_1, 0), ..., (-inf, s_{d-1}).  By the intermediate value theorem f then
+has d distinct negative roots, which are all its roots.  Floats only
+propose the points (``_propose``), as dyadic rationals N/2^s; every sign
+is found exactly, by integer Horner on 2^(sd) f(N/2^s).  The certificate
+can only say True.
+
+Sturm is the fallback and the only refuter.  Signed remainder sequences
+are built with sign-preserving pseudo-remainders (each step rescales by a
+positive integer and removes content), so sign-variation counts are exact.
+The sequence of (f, g) ends in gcd(f, g) and has Cauchy index
+V(-inf) - V(+inf) equal to Ind(g/f), read off the leading coefficients
+alone.  Each Sturm answer compares one such index with the degree of that
+gcd (``_separates``).  Interlacing is decided by Sturm alone.  The kernels
 are shared: ``_trim`` and ``_deriv`` from ``intpoly``, ``primitive`` from
 ``linalg``.
 """
 
 from __future__ import annotations
 
+from math import floor, log2
 from operator import ne
 
 from .intpoly import IntPoly, _deriv, _trim
@@ -80,11 +92,61 @@ def _separates(f, g) -> bool:
     return abs(_index(seq)) == len(seq[0]) - len(seq[-1])
 
 
+def _propose(f) -> list[tuple[int, int]]:
+    """Trial points for the certificate of f, whose coefficients are all
+    positive, as pairs (a, e) for the dyadic rational a 2^e.  The roots of
+    such an f, when real, lie near -f_{i-1}/f_i, so each gap between
+    consecutive log2 ratios gets two log-spaced points -2^t, rounded to
+    8-bit mantissas.  Floats only propose: no answer rests on them."""
+    ts = sorted(log2(a) - log2(b) for a, b in zip(f, f[1:]))
+    points = []
+    for u, v in zip(ts, ts[1:]):
+        for t in (u + (v - u) / 3, v - (v - u) / 3):
+            e = floor(t) - 7
+            points.append((-round(2 ** (t - e)), e))  # mantissa 128..256
+    return points
+
+
+def _certificate(c) -> tuple[list[int], int] | None:
+    """Points 0 > N_1/2^s > ... > N_{d-1}/2^s, as (N, s), at which f has the
+    signs -1, +1, ..., (-1)^(d-1), where f is c over its lowest power of z,
+    negated if its leading coefficient is negative, and d = deg f.  None
+    when f has a coefficient <= 0 or the proposed points show fewer sign
+    changes.  Such points prove that f has d distinct negative roots
+    (module docstring).
+
+    The proposed points are put over one denominator 2^s, sorted and
+    deduplicated as integers N, and the sign of f(N/2^s) is that of
+    2^(sd) f(N/2^s) = sum_i f_i N^i 2^(s(d-i)), by integer Horner."""
+    f = c[next(i for i, x in enumerate(c) if x):]
+    if f[-1] < 0:
+        f = tuple(-x for x in f)
+    if min(f) <= 0:
+        return None
+    points = _propose(f)
+    s = max([0] + [-e for _, e in points])
+    d, witness, want = len(f) - 1, [], -1
+    for n in sorted({a << e + s for a, e in points if a < 0}, reverse=True):
+        if len(witness) >= d - 1:
+            break
+        h = f[-1]
+        for k, x in enumerate(f[-2::-1], 1):
+            h = h * n + (x << s * k)
+        if h * want > 0:
+            witness.append(n)
+            want = -want
+    return (witness, s) if len(witness) >= d - 1 else None
+
+
 def is_real_rooted(p: IntPoly) -> bool:
-    """True iff every root of p is real (degree 0 is vacuously real-rooted)."""
+    """True iff every root of p is real (degree 0 is vacuously real-rooted).
+
+    A certificate of sign changes settles p when it can; otherwise, and
+    for every False, Sturm decides (module docstring)."""
     if not p:
         raise ValueError("zero polynomial")
-    return _separates(p.coeffs, _deriv(p.coeffs))
+    c = p.coeffs
+    return _certificate(c) is not None or _separates(c, _deriv(c))
 
 
 def interlaces(g: IntPoly, f: IntPoly) -> bool:

@@ -285,6 +285,20 @@ def test_poly_d7_geometric_within_memory(method, bound_mb):
     assert peak_kb < bound_mb * 1024, peak_kb
 
 
+@pytest.mark.long
+def test_verify_roots_dn_max_60_within_15_s():
+    # B_n, D_n and every D_{n,k} up to degree 60 are certified by sign
+    # changes; Sturm runs only where no certificate is found.
+    start = time.monotonic()
+    done = python_m("verify", "roots", "--dn-max", "60")
+    wall = time.monotonic() - start
+    assert done.returncode == 0, done.stderr
+    *checks, last = done.stdout.splitlines()
+    assert checks and all(line.startswith("PASS ") for line in checks), done.stdout
+    assert last == "OK: all checks passed"
+    assert wall < 15, wall
+
+
 def test_table_exceptional_golden_mismatch_exit_1(capsys, monkeypatch):
     from primeul import tables
     monkeypatch.setitem(tables.EXCEPTIONAL, "F4", IntPoly((0, 1)))

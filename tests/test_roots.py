@@ -2,16 +2,20 @@
 polynomials built from known rational roots with multiplicity and from
 quadratics (qz - a)^2 + b^2 with b != 0, which are real-rooted iff no such
 quadratic is a factor, and a quadratic-formula discriminant check for random
-quadratics.  Interlacing is read off sorted rational roots."""
+quadratics.  Interlacing is read off sorted rational roots.  Each
+certificate of sign changes is re-checked by its own ``Fraction``
+evaluation and against Sturm."""
 
 import random
 from fractions import Fraction
 
 import pytest
 
-from primeul.coxstats import peul_b_rec, peul_d_rec
+from primeul.coxstats import peul_b_rec, peul_d_rec, peul_dnk
 from primeul.intpoly import IntPoly, ONE, Z, ZM1, _deriv
-from primeul.roots import _index, _sturm_sequence, interlaces, is_real_rooted
+from primeul.roots import (_certificate, _index, _propose, _separates,
+                           _sturm_sequence, interlaces, is_real_rooted)
+from primeul.tables import EXCEPTIONAL
 
 
 def distinct_real_roots(p: IntPoly) -> int:
@@ -80,15 +84,21 @@ def test_multiplicity_counting():
     assert not is_real_rooted(q)
 
 
-def test_one_sequence_per_call(monkeypatch):
-    # Real-rootedness reads one remainder sequence, whatever the
-    # multiplicities: no chain per level of gcd with the derivative.
+def count_sturm(monkeypatch):
+    """The (f, g) of every ``_sturm_sequence`` call from now on."""
     calls = []
 
     def counted(f, g):
         calls.append((f, g))
         return _sturm_sequence(f, g)
     monkeypatch.setattr("primeul.roots._sturm_sequence", counted)
+    return calls
+
+
+def test_one_sequence_per_call(monkeypatch):
+    # Real-rootedness reads one remainder sequence, whatever the
+    # multiplicities: no chain per level of gcd with the derivative.
+    calls = count_sturm(monkeypatch)
     assert is_real_rooted(IntPoly((-1, 1)) ** 3 * IntPoly((2, 1)) ** 2)
     assert len(calls) == 1
 
@@ -205,3 +215,126 @@ def test_interlaces_type_b_and_d_families():
         assert interlaces(peul_b_rec(n - 1), peul_b_rec(n))
     for n in range(3, 13):
         assert interlaces(peul_d_rec(n - 1), peul_d_rec(n)) == (n >= 5)
+
+
+def classical(nmax, dnk_max=None):
+    """B_n and D_n for n <= nmax, and every D_{n,k} for n <= dnk_max
+    (default nmax)."""
+    yield from map(peul_b_rec, range(1, nmax + 1))
+    yield from map(peul_d_rec, range(2, nmax + 1))
+    for n in range(2, (nmax if dnk_max is None else dnk_max) + 1):
+        yield from (peul_dnk(n, k) for k in range(n + 1))
+
+
+def factored_draws():
+    rng = random.Random(19)
+    return [random_factored(rng)[0] for _ in range(2000)]
+
+
+def gn(n):
+    """P of the generic arrangement G_n, which is not real-rooted for n >= 4."""
+    return Z * ZM1 ** n + (n + 1) * Z ** n - Z ** (n + 1)
+
+
+def check_certificate(p, cert):
+    """Re-check a certificate by Fraction evaluation: with f = p over its
+    lowest power of z and leading coefficient made positive, d = deg f, the
+    d - 1 points lie in decreasing order below 0 and f has sign (-1)^i at
+    the i-th; with f(0) > 0 and sign (-1)^d at -inf that is d sign changes."""
+    c = p.coeffs
+    f = c[next(i for i, x in enumerate(c) if x):]
+    f = [-x for x in f] if f[-1] < 0 else list(f)
+    numerators, s = cert
+    points = [Fraction(n, 2 ** s) for n in numerators]
+    assert len(points) == max(len(f) - 2, 0)
+    assert f[0] > 0 and f[-1] > 0
+    assert all(a > b for a, b in zip([0] + points, points))
+    for i, x in enumerate(points, 1):
+        value = Fraction(0)
+        for a in reversed(f):
+            value = value * x + a
+        assert (-1) ** i * value > 0
+
+
+def certified_agree_with_sturm(polys) -> int:
+    """Re-check each certificate the polynomials get and ask Sturm for each
+    of them; returns how many were certified."""
+    settled = 0
+    for p in polys:
+        cert = _certificate(p.coeffs)
+        if cert is not None:
+            check_certificate(p, cert)
+            assert _separates(p.coeffs, _deriv(p.coeffs)), p
+            settled += 1
+    return settled
+
+
+def test_certificate_agrees_with_sturm():
+    # B_n and D_n to degree 40 and D_{n,k} to degree 25 (the long tier
+    # takes D_{n,k} to degree 40), all certified, and the factored draws
+    # and the exceptional goldens, some certified.
+    families = list(classical(40, 25))
+    assert certified_agree_with_sturm(families) == len(families)
+    assert certified_agree_with_sturm(factored_draws()) > 100
+    assert certified_agree_with_sturm(EXCEPTIONAL.values()) > 0
+
+
+@pytest.mark.long
+def test_certificate_agrees_with_sturm_dnk_to_degree_40():
+    dnk = [peul_dnk(n, k) for n in range(26, 41) for k in range(n + 1)]
+    assert certified_agree_with_sturm(dnk) == len(dnk)
+
+
+def test_planted_inputs_fall_to_sturm(monkeypatch):
+    # Positive coefficients, but a complex pair or a double root leaves
+    # fewer sign changes than the degree: no certificate, Sturm decides.
+    calls = count_sturm(monkeypatch)
+    for p, want in ((peul_b_rec(10) * IntPoly((1, 1, 1)), False),
+                    (IntPoly((1, 1)) ** 2 * peul_b_rec(8), True)):
+        assert p.coeffs[0] == 0 and min(p.coeffs[1:]) > 0
+        assert _certificate(p.coeffs) is None
+        calls.clear()
+        assert is_real_rooted(p) == want
+        assert len(calls) == 1
+
+
+def test_certified_families_build_no_sturm_sequence(monkeypatch):
+    calls = count_sturm(monkeypatch)
+    assert all(is_real_rooted(p) for p in classical(40))
+    assert calls == []
+    for n in range(4, 13):
+        calls.clear()
+        assert not is_real_rooted(gn(n))
+        assert len(calls) >= 1
+
+
+def _propose_none(f):
+    return []
+
+
+def _propose_doubled(f):
+    return [(a, e + 1) for a, e in _propose(f)]
+
+
+def _propose_next_mantissa(f):
+    return [(a - 1, e) for a, e in _propose(f)]
+
+
+def _propose_positive(f):
+    return [(a + 300, e) for a, e in _propose(f)]
+
+
+@pytest.mark.parametrize("proposer", [_propose_none, _propose_doubled,
+                                      _propose_next_mantissa, _propose_positive])
+def test_floats_only_propose(monkeypatch, proposer):
+    # Whatever points are proposed, every answer stays; only the path that
+    # settles it may change.
+    polys = [*classical(25), *factored_draws(), *EXCEPTIONAL.values(),
+             *map(gn, range(4, 13))]
+    pairs = [(peul_b_rec(n - 1), peul_b_rec(n)) for n in range(2, 21)]
+    pairs += [(peul_d_rec(n - 1), peul_d_rec(n)) for n in range(3, 21)]
+    rooted = [is_real_rooted(p) for p in polys]
+    interlacing = [interlaces(g, f) for g, f in pairs]
+    monkeypatch.setattr("primeul.roots._propose", proposer)
+    assert [is_real_rooted(p) for p in polys] == rooted
+    assert [interlaces(g, f) for g, f in pairs] == interlacing
