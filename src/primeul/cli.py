@@ -22,8 +22,9 @@ from .arrangement import (Arrangement, build_flats, characteristic_polynomial,
                           very_generic_failure)
 from .coxstats import (all_signed, binomial_identity_checks, des_a, fexc,
                        generating_function_check, half_eulerian, peul_a,
-                       peul_a_des, peul_a_exc, peul_b_des, peul_b_diffrec,
-                       peul_b_excb, peul_b_rec, peul_d_des, peul_d_rec, peul_dnk)
+                       peul_a_des, peul_a_exc, peul_b_des, peul_b_excb,
+                       peul_b_rec, peul_d_des, peul_d_rec, peul_dnk,
+                       quadratic_recursion_checks)
 from .eulerpoly import (UpperSetError, cochar_via_halfspace, cocharacteristic,
                         eulerian_poly, find_very_generic, peul_from_cochar,
                         primitive_eulerian_descents, primitive_eulerian_mobius,
@@ -224,8 +225,7 @@ def _over(name, ms, check):
 
 def _verify_recursions(args):
     n = args.nmax
-    yield from _over("recursions/B/quadratic-vs-differential", range(n + 1),
-                     lambda m: peul_b_rec(m) == peul_b_diffrec(m))
+    yield "recursions/B/quadratic-vs-differential", quadratic_recursion_checks("B", n)
     yield from _over("recursions/B/half-eulerian-reversal", range(n + 1),
                      lambda m: peul_b_rec(m) == half_eulerian(m).reverse(m - 1) * Z if m
                      else peul_b_rec(0) == half_eulerian(0))
@@ -235,9 +235,9 @@ def _verify_recursions(args):
                      lambda m: peul_d_rec(m) == TYPE_D[m])
     yield from _over("recursions/D/bw-descents", range(2, min(n, 6) + 1),
                      lambda m: peul_d_des(m) == peul_d_rec(m))
-    # peul_dnk(m, 0) is peul_d_rec(m) itself, so only the k = m end is checked.
-    yield from _over("recursions/Dnk/boundary", range(2, n + 1),
-                     lambda m: peul_dnk(m, m) == peul_b_rec(m))
+    # Like the other D lines, this one starts at m = 2.
+    if n >= 2:
+        yield "recursions/D/quadratic", quadratic_recursion_checks("D", n)
 
 
 def _verify_statistics(args):

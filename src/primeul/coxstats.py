@@ -7,12 +7,15 @@ for the classical families: eulerian_a(m) is the descent polynomial of the
 symmetric group on m letters, so that peul_a(m) = z * eulerian_a(m - 1) is
 the polynomial of the braid arrangement in R^m for m >= 2.
 
-The six recursive sequences, eulerian_a to peul_d_rec, share one memo
+The five recursive sequences, eulerian_a to peul_d_rec, share one memo
 helper, _sequence: each keeps its terms and extends them in order of n, so
-every term is computed once.  bw_d filters bw_b; cuspidal_sn writes each
-long cycle out directly, and cuspidal_bn walks the cycles of |w| with the
-product of the signs of w along each (_cycles); and every distribution is
-an ``IntPoly.from_counts`` of a statistic over its elements.
+every term is computed once, each in O(1) polynomial operations.  The
+paper's quadratic recursions for types B and D, O(n) products per term, are
+checks (quadratic_recursion_checks), not builders.  half_eulerian counts by
+transfer instead of listing its sequences.  bw_d filters bw_b; cuspidal_sn
+writes each long cycle out directly, and cuspidal_bn walks the cycles of |w|
+with the product of the signs of w along each (_cycles); and every
+distribution is an ``IntPoly.from_counts`` of a statistic over its elements.
 
 The closed forms are exponential generating series in x, with
 A = sum_n A_n x^n / n! for A_n = eulerian_a(n):
@@ -40,8 +43,9 @@ change to any one term breaks it.
 from __future__ import annotations
 
 from functools import wraps
-from itertools import permutations, product
+from itertools import accumulate, permutations, product
 from math import comb
+from operator import add
 
 from .intpoly import IntPoly, ONE, Z, ZERO, ZM1
 
@@ -232,38 +236,32 @@ def peul_a(n: int) -> IntPoly:
 
 @_sequence(ONE)
 def peul_b_rec(n: int) -> IntPoly:
-    """Quadratic recursion for the type B polynomials:
+    """Type B polynomials by the differential recursion, with P_0 = 1:
 
-    P_n = z P_{n-1} + sum_{k=1}^{n-1} C(n-1, k) 2^k P_{n-1-k} peul_a(k+1).
+    P_n = (2n-1) z P_{n-1} + 2 z (1-z) P_{n-1}'.
+
+    Source: the paper's link P_B(n) = z^n E_n(1/z) to the 1/2-Eulerian
+    polynomials E_n of Savage and Viswanathan (Electron. J. Combin. 19(1),
+    2012), which it turns into E_n = (1 + 2(n-1) z) E_{n-1} + 2 z (1-z) E_{n-1}';
+    half_eulerian counts E_n directly.  The paper's quadratic recursion is
+    checked by quadratic_recursion_checks.
     """
-    acc = Z * peul_b_rec(n - 1)
-    for k in range(1, n):
-        acc = acc + comb(n - 1, k) * 2 ** k * peul_b_rec(n - 1 - k) * peul_a(k + 1)
-    return acc
-
-
-@_sequence(ONE)
-def peul_b_diffrec(n: int) -> IntPoly:
-    """Differential recursion P_n = (2n-1) z P_{n-1} + 2 z (1-z) P_{n-1}'."""
-    p = peul_b_diffrec(n - 1)
+    p = peul_b_rec(n - 1)
     return (2 * n - 1) * Z * p + 2 * Z * (ONE - Z) * p.derivative()
 
 
-@_sequence(ONE, ZERO)
+@_sequence(ONE)
 def peul_d_rec(n: int) -> IntPoly:
-    """Quadratic recursion for type D, with P_0 = 1 and P_1 = 0:
+    """Type D polynomials from type B, with P_0 = 1:
 
-    P_n = (z-1)^2 P^B_{n-2} + sum_{k=0}^{n-2} C(n-2, k) 2^k (
-          (z-1) P_{n-2-k} peul_a(k+1) + 2 P_{n-1-k} peul_a(k+1)
-          + P_{n-2-k} peul_a(k+2)).
+    P_n = P^B_n - n z^n P^B_{n-1}(1/z).
+
+    Source: the paper's formula P_{D_{n,k}} = P_{D_n} + k z^n P^B_{n-1}(1/z)
+    at k = n, where D_{n,n} = B_n.  At n = 1 it gives the convention
+    P_{D_1} = 0.  The paper's quadratic recursion is checked by
+    quadratic_recursion_checks.
     """
-    acc = ZM1 ** 2 * peul_b_rec(n - 2)
-    for k in range(n - 1):
-        c = comb(n - 2, k) * 2 ** k
-        acc = acc + c * (ZM1 * peul_d_rec(n - 2 - k) * peul_a(k + 1)
-                         + 2 * peul_d_rec(n - 1 - k) * peul_a(k + 1)
-                         + peul_d_rec(n - 2 - k) * peul_a(k + 2))
-    return acc
+    return peul_b_rec(n) - n * peul_b_rec(n - 1).reverse(n - 1) * Z
 
 
 def peul_dnk(n: int, k: int) -> IntPoly:
@@ -286,22 +284,28 @@ def peul_dnk(n: int, k: int) -> IntPoly:
 # ---------------------------------------------------------------------------
 # 2-inversion sequences
 
-def inversion_sequences_2(n: int):
-    """All integer sequences with 0 <= e_i <= 2(i-1)."""
-    return product(*(range(2 * i + 1) for i in range(n)))
-
-
-def asc_2(e) -> int:
-    """Ascents of a 2-inversion sequence: e_i/(2i-1) < e_{i+1}/(2i+1),
-    compared exactly by cross-multiplication."""
-    return sum(1 for i in range(len(e) - 1)
-               if e[i] * (2 * i + 3) < e[i + 1] * (2 * i + 1))
-
-
 def half_eulerian(n: int) -> IntPoly:
-    """Ascent distribution over all (2n-1)!! 2-inversion sequences."""
+    """Ascent distribution over all (2n-1)!! 2-inversion sequences, the
+    integer sequences with 0 <= e_i <= 2(i-1), where i is an ascent iff
+    e_i/(2i-1) < e_{i+1}/(2i+1).
+
+    Counted by transfer over the last entry, since an ascent depends on e_i
+    and e_{i+1} alone.  With F[v] the distribution over the sequences of
+    length i that end in v, and S[c] = F[0] + ... + F[c-1], those of length
+    i+1 that end in u have z S[c] + (S[2i-1] - S[c]) = S[2i-1] + (z-1) S[c],
+    where the c values v < u (2i-1)/(2i+1) are those that make an ascent.
+    The F[v] are kept as coefficient lists of length n+1, low degree first.
+    """
     _require_nonnegative(n)
-    return IntPoly.from_counts(map(asc_2, inversion_sequences_2(n)))
+    last = [[1] + [0] * n]
+    for i in range(1, n):
+        prefix = list(accumulate(last, lambda s, f: list(map(add, s, f)),
+                                 initial=[0] * (n + 1)))
+        total = prefix[-1]
+        last = [[t + a - b for t, a, b in zip(total, [0, *s], s)]
+                for s in (prefix[(u * (2 * i - 1) + 2 * i) // (2 * i + 1)]
+                          for u in range(2 * i + 1))]
+    return IntPoly(tuple(map(sum, zip(*last))))
 
 
 # ---------------------------------------------------------------------------
@@ -328,6 +332,48 @@ def binomial_identity_checks(nmax: int) -> bool:
         if _egf_product(peul_b_rec, peul_b_rec, n) != 2 ** n * peul_a(n + 1):
             return False
     return True
+
+
+def _quadratic_b(n: int) -> IntPoly:
+    """The paper's quadratic recursion for type B at n >= 1, on earlier terms:
+
+    P_n = z P_{n-1} + sum_{k=1}^{n-1} C(n-1, k) 2^k P_{n-1-k} peul_a(k+1).
+    """
+    acc = Z * peul_b_rec(n - 1)
+    for k in range(1, n):
+        acc = acc + comb(n - 1, k) * 2 ** k * peul_b_rec(n - 1 - k) * peul_a(k + 1)
+    return acc
+
+
+def _quadratic_d(n: int) -> IntPoly:
+    """The paper's quadratic recursion for type D at n >= 2, on earlier terms:
+
+    P_n = (z-1)^2 P^B_{n-2} + sum_{k=0}^{n-2} C(n-2, k) 2^k (
+          (z-1) P_{n-2-k} peul_a(k+1) + 2 P_{n-1-k} peul_a(k+1)
+          + P_{n-2-k} peul_a(k+2)).
+    """
+    acc = ZM1 ** 2 * peul_b_rec(n - 2)
+    for k in range(n - 1):
+        c = comb(n - 2, k) * 2 ** k
+        acc = acc + c * (ZM1 * peul_d_rec(n - 2 - k) * peul_a(k + 1)
+                         + 2 * peul_d_rec(n - 1 - k) * peul_a(k + 1)
+                         + peul_d_rec(n - 2 - k) * peul_a(k + 2))
+    return acc
+
+
+def quadratic_recursion_checks(family: str, nmax: int) -> bool:
+    """The paper's quadratic recursion for family "B" or "D", term by term
+    for n <= nmax: the first terms (P_B(0) = 1; P_D(0) = 1, P_D(1) = 0),
+    then each term against the recursion evaluated on the earlier terms.
+    By induction on n this is as strong as building the sequence by the
+    recursion (the D recursion also reads P_B, which the B half checks), at
+    O(n) polynomial products per term, off the path that builds them."""
+    sequence, initial, recursion = {
+        "B": (peul_b_rec, (ONE,), _quadratic_b),
+        "D": (peul_d_rec, (ONE, ZERO), _quadratic_d),
+    }[family]
+    return all(sequence(n) == (initial[n] if n < len(initial) else recursion(n))
+               for n in range(nmax + 1))
 
 
 def generating_function_check(order: int) -> bool:

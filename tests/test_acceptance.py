@@ -14,8 +14,8 @@ from primeul.arrangement import (Arrangement, build_flats,
                                  count_regions_zaslavsky, is_very_generic_vector)
 from primeul.coxstats import (binomial_identity_checks,
                               generating_function_check, half_eulerian,
-                              peul_a_des, peul_a_exc, peul_b_diffrec,
-                              peul_b_rec, peul_d_des, peul_d_rec, peul_dnk)
+                              peul_a_des, peul_a_exc, peul_b_rec, peul_d_des,
+                              peul_d_rec, peul_dnk, quadratic_recursion_checks)
 from primeul.eulerpoly import (UpperSetError, base_region_of,
                                cochar_via_halfspace, cocharacteristic,
                                find_very_generic, peul_from_cochar,
@@ -107,9 +107,9 @@ def test_1_type_b_table_five_paths_small():
         for n in range(6):
             want = TYPE_B[n]
             assert peul_b_rec(n) == want
-            assert peul_b_diffrec(n) == want
             if n >= 1:
                 assert half_eulerian(n).reverse(n - 1) * Z == want
+        assert quadratic_recursion_checks("B", 5)
         for n in range(1, 5):
             want = TYPE_B[n]
             assert primitive_eulerian_mobius(type_b(n)) == want

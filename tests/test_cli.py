@@ -340,7 +340,7 @@ def test_verify_failing_check_exit_1(capsys, monkeypatch):
         "FAIL recursions/B/table",
         "PASS recursions/D/table",
         "PASS recursions/D/bw-descents",
-        "PASS recursions/Dnk/boundary",
+        "PASS recursions/D/quadratic",
         "FAILED: 1 failing check(s)",
     ]
     assert "Traceback" not in err
@@ -417,7 +417,7 @@ def test_verify_statistics_fails_on_a_short_cuspidal_set(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("argv, names", [
-    # D/table, D/bw-descents and Dnk/boundary start at m = 2.
+    # D/table, D/bw-descents and D/quadratic start at m = 2.
     (("recursions", "--nmax", "0"), ("recursions/B/quadratic-vs-differential",
                                      "recursions/B/half-eulerian-reversal",
                                      "recursions/B/table")),

@@ -1,19 +1,19 @@
 import importlib.util
 import sys
-from itertools import permutations
+from itertools import permutations, product
 from math import factorial
 
 import pytest
 
-from primeul.coxstats import (_cycles, _negative_rtl_maxima, all_signed, asc_2,
+from primeul.coxstats import (_cycles, _negative_rtl_maxima, all_signed,
                               binomial_identity_checks, bw_a, bw_b, bw_d,
                               cuspidal_bn, cuspidal_sn, des_a, des_b, des_d,
                               eulerian_a, eulerian_b, exc, exc_b,
                               fexc, fneg, generating_function_check,
-                              half_eulerian, inversion_sequences_2, peul_a,
-                              peul_a_des, peul_a_exc, peul_b_des,
-                              peul_b_diffrec, peul_b_excb, peul_b_rec,
-                              peul_d_des, peul_d_rec, peul_dnk)
+                              half_eulerian, peul_a, peul_a_des, peul_a_exc,
+                              peul_b_des, peul_b_excb, peul_b_rec,
+                              peul_d_des, peul_d_rec, peul_dnk,
+                              quadratic_recursion_checks)
 from primeul import coxstats
 from primeul.intpoly import IntPoly, ONE, Z, ZERO
 from primeul.tables import TYPE_B, TYPE_D
@@ -140,7 +140,6 @@ def test_type_b_table():
     assert peul_b_des(4) == TYPE_B[4]
     for n, poly in TYPE_B.items():
         assert peul_b_rec(n) == poly
-        assert peul_b_diffrec(n) == poly
 
 
 def test_type_d_table():
@@ -171,8 +170,7 @@ def test_peul_a_is_shifted_eulerian():
     assert peul_a(0) == ONE
 
 
-SEQUENCES = ("eulerian_a", "eulerian_b", "peul_a", "peul_b_rec",
-             "peul_b_diffrec", "peul_d_rec")
+SEQUENCES = ("eulerian_a", "eulerian_b", "peul_a", "peul_b_rec", "peul_d_rec")
 
 
 def _fresh_coxstats():
@@ -208,6 +206,27 @@ def test_sequence_terms_do_not_depend_on_order_asked(name):
         descending(-1)
 
 
+def test_closed_forms_take_a_bounded_number_of_products(monkeypatch):
+    # On empty memos, each term of peul_b_rec and peul_d_rec costs at most
+    # 8 polynomial products, where the paper's quadratic recursions need
+    # O(n).  int * IntPoly reaches __rmul__, so both names are wrapped.
+    calls = 0
+    product_of = IntPoly.__mul__
+
+    def counted(self, other):
+        nonlocal calls
+        calls += 1
+        return product_of(self, other)
+
+    fresh = _fresh_coxstats()
+    monkeypatch.setattr(IntPoly, "__mul__", counted)
+    monkeypatch.setattr(IntPoly, "__rmul__", counted)
+    top = 60
+    fresh.peul_b_rec(top)
+    fresh.peul_d_rec(top)
+    assert 0 < calls <= 8 * 2 * top
+
+
 @pytest.mark.parametrize("distribution",
                          (peul_a_exc, peul_a_des, peul_b_excb, peul_b_des))
 def test_statistic_distributions_refuse_negative_n(distribution):
@@ -223,6 +242,14 @@ def test_fexc_equidistributed_with_fdes():
         assert IntPoly.from_counts(map(fexc, all_signed(n))) == fdes, n
 
 
+def test_dnk_reversal_form():
+    # P_{D_{n,k}} = P_{B_n} - (n-k) z^n P_{B_{n-1}}(1/z), every k.
+    for n in range(1, 31):
+        rev = Z * peul_b_rec(n - 1).reverse(n - 1)
+        for k in range(n + 1):
+            assert peul_dnk(n, k) == peul_b_rec(n) - (n - k) * rev, (n, k)
+
+
 def test_dnk_boundaries():
     for n in range(1, 9):
         assert peul_dnk(n, n) == peul_b_rec(n)
@@ -233,6 +260,19 @@ def test_dnk_boundaries():
         peul_dnk(3, 5)
 
 
+def inversion_sequences_2(n: int):
+    """Reference for half_eulerian: all integer sequences with
+    0 <= e_i <= 2(i-1)."""
+    return product(*(range(2 * i + 1) for i in range(n)))
+
+
+def asc_2(e) -> int:
+    """Ascents of a 2-inversion sequence: e_i/(2i-1) < e_{i+1}/(2i+1),
+    compared exactly by cross-multiplication."""
+    return sum(1 for i in range(len(e) - 1)
+               if e[i] * (2 * i + 3) < e[i + 1] * (2 * i + 1))
+
+
 def test_half_eulerian():
     assert half_eulerian(0) == ONE
     assert half_eulerian(1) == ONE  # the single sequence (0)
@@ -241,12 +281,38 @@ def test_half_eulerian():
     assert sum(1 for _ in inversion_sequences_2(4)) == 105  # (2n-1)!!
     assert asc_2((0, 1, 2)) == 2
     assert asc_2((0, 0, 0)) == 0
+    with pytest.raises(ValueError, match="n >= 0 required"):
+        half_eulerian(-1)
+
+
+def test_half_eulerian_against_enumeration():
+    for n in range(8):
+        assert half_eulerian(n) == IntPoly.from_counts(
+            map(asc_2, inversion_sequences_2(n))), n
 
 
 def test_half_eulerian_reversal():
-    for n in range(1, 9):
-        assert half_eulerian(n).reverse(n - 1) * Z == peul_b_rec(n)
+    for n in range(1, 41):
+        assert half_eulerian(n).reverse(n - 1) * Z == peul_b_rec(n), n
     assert half_eulerian(0) == peul_b_rec(0)
+
+
+@pytest.mark.parametrize("family", "BD")
+def test_quadratic_recursions_hold(family):
+    assert quadratic_recursion_checks(family, 60)
+
+
+@pytest.mark.parametrize("n", range(7))
+@pytest.mark.parametrize("family, name", [("B", "peul_b_rec"), ("D", "peul_d_rec")])
+def test_quadratic_recursions_reject_a_changed_term(monkeypatch, family, name, n):
+    # As below: the terms used are computed before patching, so the
+    # changed term stays out of the memo.
+    original = getattr(coxstats, name)
+    for sequence in (peul_a, peul_b_rec, peul_d_rec):
+        sequence(12)
+    monkeypatch.setattr(coxstats, name,
+                        lambda k: original(k) + (Z ** 2 if k == n else ZERO))
+    assert not quadratic_recursion_checks(family, 6)
 
 
 def test_binomial_identities():
