@@ -5,22 +5,25 @@ entry positive, which fixes the orientation of the two halfspaces and makes
 duplicates detectable; an arrangement is its dimension and its normals.
 Flats are keyed by the int bitmask of the hyperplanes containing them; since
 a flat equals the intersection of exactly that set, containment of flats is
-containment of masks in reverse.  The flats just below a flat X are the
-classes of the hyperplanes off X, grouped by their restriction to X: a line,
-kept as a normal reduced modulo the key of X (the canonical RREF of its
-normal space), which is the one new row of its cover's key.  The image of a
-line or key row under a cover's line, its pivot line, depends on the two
-alone and recurs across many flats, so each is computed once per build, by
-``linalg``'s elimination step ``_reduce``, the one ``rref_int`` runs on.
-Mobius values come from the covers.  A flat is its position in the lattice,
-which holds its mask, dimension and key; there is no separate flat object.
-The lattice also owns a basis of the minimum flat ⊥ and the direction of
-each rank-1 flat inside the span of the normals; the very generic test and
-the fan read them.
+containment of masks in reverse.  A flat is its position in the lattice,
+which orders flats by (grade, mask) and holds their masks and dimensions;
+there is no separate flat object.  The flats just below a flat X are the
+classes of the hyperplanes off X, grouped by their restriction to X: a
+line, kept as a normal reduced modulo the normal space of X, and interned
+as an int.  The image of a line under a cover's line, its pivot line,
+depends on the two alone and recurs across many flats, so each is computed
+once per build, by ``linalg``'s elimination step ``_reduce``, the one
+``rref_int`` runs on.  Mobius values come from the covers.  The key of a
+flat, the canonical RREF of its normal space, is computed only when read:
+the key of the flat it was first found below, reduced by its line, plus
+that line.  The library reads the keys of ⊥ and of the rank-1 flats alone,
+for a basis of ⊥ and the direction of each rank-1 flat inside the span of
+the normals; the very generic test and the fan read those.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from functools import cached_property, lru_cache, reduce
 from operator import or_
 
@@ -60,32 +63,37 @@ class Arrangement(Frozen):
 class FlatLattice:
     """All intersections of hyperplane subsets, with Mobius values from ⊥.
 
-    Flats are sorted by (grade, canonical key), where grade is the lattice
-    height above the minimum flat; positions are the handles used everywhere
-    else.  Flat i is ``masks[i]``, ``dims[i]`` and ``keys[i]`` (the canonical
-    RREF of its normal space).
+    Flat i is ``masks[i]`` and ``dims[i]``.  Positions, the handles used
+    everywhere else, are sorted by (grade, mask), where grade is the lattice
+    height above ⊥.  ``keys[i]``, the canonical RREF of the normal space of
+    flat i, is computed on first access.
     """
 
     def __init__(self, arrangement: Arrangement):
         self.arrangement = arrangement
         n = arrangement.dim
-        normals = arrangement.normals
 
         # Grade by grade down from the ambient space, whose restricted lines
-        # are the normals.  The hyperplanes on one line of a flat make one
-        # cover; ``down`` keeps them all.  ``keys`` maps every mask found to
-        # its flat's key: the parent's rows with column c eliminated by the
-        # line d of pivot c, plus d, in pivot order (descending tuples).  The
-        # cover's lines are the parent's other lines reduced the same way,
-        # those landing on one image joining their masks.  One pair (r, d)
-        # meets many flats, so ``images[d]`` holds d's pivot c and the image
-        # of every row or line r with r[c] != 0 met so far: each is reduced
-        # once per build.
-        keys = {0: ()}
+        # are the normals.  A line is an int, the index of its vector in
+        # ``_vecs``, where each vector is interned once.  The hyperplanes on
+        # one line d of a flat make one cover; ``down`` keeps them all.  The
+        # cover's lines are the flat's other lines with the pivot column c
+        # of d eliminated, those landing on one image joining their masks.
+        # One pair (r, d) meets many flats, so ``_images[d]`` holds c and
+        # the image of every line r met so far: each is reduced once per
+        # build.  ``_via`` keeps the flat and line each cover was first
+        # found from, which is all a key is computed from.
+        self._vecs = list(arrangement.normals)
+        self._ids = {v: j for j, v in enumerate(self._vecs)}
+        self._images: dict[int, tuple[int, dict[int, int]]] = {}
+        self._via: dict[int, tuple[int, int]] = {}
+        self._keys: dict[int, tuple[int, ...]] = {0: ()}
+        images, via, vecs = self._images, self._via, self._vecs
         down: dict[int, list[int]] = {}
-        images: dict[tuple[int, ...], tuple[int, dict]] = {}
-        level = {0: {v: 1 << j for j, v in enumerate(normals)}}
+        grades = []
+        level = {0: {j: 1 << j for j in range(len(vecs))}}
         while level:
+            grades.append(sorted(level))
             below = {}
             for mask, lines in level.items():
                 covers = down[mask] = []
@@ -94,33 +102,72 @@ class FlatLattice:
                     covers.append(cover)
                     if cover in below:
                         continue
-                    c, image = images.get(d) or images.setdefault(
-                        d, (next(i for i, x in enumerate(d) if x), {}))
-                    keys[cover] = tuple(sorted([
-                        image.get(r) or image.setdefault(r, _reduce(r, d, c)) if r[c] else r
-                        for r in keys[mask]] + [d], reverse=True))
+                    via[cover] = mask, d
+                    image = (images.get(d) or images.setdefault(
+                        d, (next(i for i, x in enumerate(vecs[d]) if x), {})))[1]
                     cut = below[cover] = {}
                     for r, m in lines.items():
-                        if r is not d:
-                            v = image.get(r) or image.setdefault(r, _reduce(r, d, c)) if r[c] else r
+                        if r != d:
+                            v = image.get(r)
+                            if v is None:
+                                v = self._image(r, d)
                             cut[v] = cut.get(v, 0) | m
             level = below
 
         # Bit j of a flat's mask is set iff hyperplane j contains the flat;
-        # Y <= X in the lattice iff mask(Y) is a superset of mask(X).
-        self.dims, self.keys, self.masks = zip(*sorted(
-            (n - len(key), key, mask) for mask, key in keys.items()))
+        # Y <= X in the lattice iff mask(Y) is a superset of mask(X).  The
+        # k-th grade found has codimension k.
+        self.masks = tuple(m for grade in reversed(grades) for m in grade)
+        self.dims = tuple(n - k for k in reversed(range(len(grades))) for _ in grades[k])
         self.bottom_dim = self.dims[0]
         self.rank = n - self.bottom_dim
         # Positions of the flats that flat i covers / that cover flat i.
         at = {m: i for i, m in enumerate(self.masks)}
-        self.covers_below = tuple(tuple(sorted(at[c] for c in down[m]))
-                                  for m in self.masks)
-        above: list[list[int]] = [[] for _ in self.masks]
-        for i, below_i in enumerate(self.covers_below):
+        below_all, above = [], [[] for _ in self.masks]
+        for i, m in enumerate(self.masks):
+            below_i = sorted(map(at.__getitem__, down[m]))
             for j in below_i:
                 above[j].append(i)
+            below_all.append(tuple(below_i))
+        self.covers_below = tuple(below_all)
         self.covers_above = tuple(map(tuple, above))
+
+    def _image(self, r: int, d: int) -> int:
+        """The line of vector r with the pivot column c of line d
+        eliminated, interned, and remembered in d's image table."""
+        c, image = self._images[d]
+        v = self._vecs[r]
+        if not v[c]:
+            image[r] = r
+            return r
+        v = _reduce(v, self._vecs[d], c)
+        j = image[r] = self._ids.setdefault(v, len(self._vecs))
+        if j == len(self._vecs):
+            self._vecs.append(v)
+        return j
+
+    def _key_rows(self, mask: int) -> tuple[int, ...]:
+        """The rows of the key of the flat with this mask, as lines, in no
+        order: those of the flat it was found from, with the pivot column
+        of its line d eliminated, and d."""
+        keys, via, images = self._keys, self._via, self._images
+        chain = []
+        while mask not in keys:
+            chain.append(mask)
+            mask = via[mask][0]
+        rows = keys[mask]
+        for mask in reversed(chain):
+            d = via[mask][1]
+            image = images[d][1]
+            rows = keys[mask] = (d, *[image[r] if r in image else self._image(r, d)
+                                      for r in rows])
+        return rows
+
+    @property
+    def keys(self) -> _Keys:
+        """``keys[i]`` is the canonical RREF of the normal space of flat i,
+        computed on first access, with the keys it is built from."""
+        return _Keys(self)
 
     def __len__(self) -> int:
         return len(self.masks)
@@ -148,17 +195,34 @@ class FlatLattice:
     def bottom_basis(self) -> tuple[tuple[int, ...], ...]:
         """Basis of ⊥, read off its key; a vector is orthogonal to ⊥ iff it
         lies in the span of the normals."""
-        return nullspace(self.keys[0], self.arrangement.dim)
+        return nullspace(self.keys[self.bottom_index], self.arrangement.dim)
 
     @cached_property
     def atom_directions(self) -> tuple[tuple[int, ...], ...]:
         """For each flat in ``covers_above[bottom_index]``, the primitive vector spanning it
-        in the span of the normals: the solution of its key, joined by ⊥'s basis if ⊥ ≠ 0."""
-        n = self.arrangement.dim
-        keys = [self.keys[i] for i in self.covers_above[self.bottom_index]]
+        in the span of the normals: the solution of its key, joined by ⊥'s basis if ⊥ ≠ 0.
+        The key rows need no order, so they are not sorted."""
+        n, vecs = self.arrangement.dim, self._vecs
+        keys = [[vecs[r] for r in self._key_rows(self.masks[i])]
+                for i in self.covers_above[self.bottom_index]]
         if bottom := self.bottom_basis:
-            keys = [rref_int(k + bottom, n) for k in keys]
+            keys = [rref_int([*k, *bottom], n) for k in keys]
         return tuple(primitive_signed(free_solutions(k, n)[0]) for k in keys)
+
+
+class _Keys(Sequence):
+    """The keys of a lattice's flats by position, each computed on first access."""
+
+    def __init__(self, lattice: FlatLattice):
+        self._lattice = lattice
+
+    def __len__(self) -> int:
+        return len(self._lattice.masks)
+
+    def __getitem__(self, i: int) -> tuple[tuple[int, ...], ...]:
+        lattice = self._lattice
+        return tuple(sorted(map(lattice._vecs.__getitem__, lattice._key_rows(lattice.masks[i])),
+                            reverse=True))
 
 
 def set_bits(mask: int) -> list[int]:
@@ -225,9 +289,12 @@ def halfspace_failure(a: Arrangement, v):
     lattice = build_flats(a)
     if any(dot(v, b) for b in lattice.bottom_basis):
         return "v is not orthogonal to the minimum flat"
-    for d in lattice.atom_directions:
-        if dot(d, v) == 0:
-            return f"bounding hyperplane contains the rank-1 flat spanned by {d}"
+    # Of the rank-1 flats on the bounding hyperplane, name the one of least key.
+    keys = lattice.keys
+    failing = [(keys[i], d) for i, d in zip(lattice.covers_above[lattice.bottom_index],
+                                            lattice.atom_directions) if dot(d, v) == 0]
+    if failing:
+        return f"bounding hyperplane contains the rank-1 flat spanned by {min(failing)[1]}"
     return None
 
 

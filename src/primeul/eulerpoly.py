@@ -58,12 +58,19 @@ def peul_from_cochar(psi: IntPoly, r: int) -> IntPoly:
 def primitive_eulerian_recursive(a: Arrangement) -> IntPoly:
     """Recursion P = (z-1) P_{restriction} + sum over rank-1 flats off the
     pivot of P_{localization}, on intervals [lo, hi] of the lattice of flats:
-    the pivot is the first coatom C of [lo, hi], its restriction is [lo, C],
-    and the localization at an atom X not below C is [X, hi].  An interval
-    with as many coatoms as its rank is Boolean, with P = z^rank.  Each
-    interval's P is memoized as a coefficient tuple, low degree first; flat
-    x lies below flat y iff the mask of y is a subset of the mask of x."""
+    the pivot is the coatom C of [lo, hi] with the largest mask, its
+    restriction is [lo, C], and the localization at an atom X not below C is
+    [X, hi].  An interval with as many coatoms as its rank is Boolean, with
+    P = z^rank.  Each interval's P is memoized as a coefficient tuple, low
+    degree first; flat x lies below flat y iff the mask of y is a subset of
+    the mask of x."""
     lattice = build_flats(a)
+    return IntPoly(_interval_peuls(lattice)[lattice.bottom_index, lattice.top_index])
+
+
+def _interval_peuls(lattice) -> dict[tuple[int, int], tuple[int, ...]]:
+    """The memo of ``primitive_eulerian_recursive``: P of [⊥, top] and of
+    every interval its recursion meets, by (lo, hi)."""
     masks, below, above, dims = (lattice.masks, lattice.covers_below,
                                  lattice.covers_above, lattice.dims)
     memo: dict[tuple[int, int], tuple[int, ...]] = {}
@@ -75,9 +82,10 @@ def primitive_eulerian_recursive(a: Arrangement) -> IntPoly:
             if len(coatoms) == r:
                 memo[lo, hi] = (0,) * r + (1,)
             else:
-                q = peul(lo, coatoms[0])
+                pivot = coatoms[-1]  # positions in a grade follow masks
+                q = peul(lo, pivot)
                 out = [-q[0]] + [x - y for x, y in zip(q, q[1:])] + [q[-1]]  # (z-1) q
-                m_hi, m_pivot = masks[hi], masks[coatoms[0]]
+                m_hi, m_pivot = masks[hi], masks[pivot]
                 for x in above[lo]:
                     if masks[x] & m_hi == m_hi and masks[x] & m_pivot != m_pivot:
                         for k, c in enumerate(peul(x, hi)):
@@ -85,14 +93,16 @@ def primitive_eulerian_recursive(a: Arrangement) -> IntPoly:
                 memo[lo, hi] = tuple(out)
         return memo[lo, hi]
 
-    return IntPoly(peul(lattice.bottom_index, lattice.top_index))
+    peul(lattice.bottom_index, lattice.top_index)
+    return memo
 
 
 def find_very_generic(a: Arrangement):
     """A deterministic very generic vector: the first very generic one among
     integer combinations of the key rows of ⊥ (spanning the normals) drawn
     from random.Random(0).  With no hyperplanes the span is empty and v is 0."""
-    span = build_flats(a).keys[0]
+    lattice = build_flats(a)
+    span = lattice.keys[lattice.bottom_index]
     rng = random.Random(0)
     for _ in range(10000):
         coeffs = [rng.randint(-99, 99) for _ in span]

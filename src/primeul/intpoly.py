@@ -5,8 +5,9 @@ Coefficients are stored low degree first, e.g. ``IntPoly((0, 4, 1))`` is
 the polynomial is zero, so equal polynomials have equal coefficient tuples.
 
 The arithmetic is written once, as kernels on tuples of int coefficients:
-``_trim``, ``_add``, ``_mul`` and ``_deriv``.  ``IntPoly`` wraps them and
-``roots`` runs ``_trim`` and ``_deriv`` on its primitive coefficients.
+``_trim``, ``_add``, ``_mul`` and ``_deriv``.  ``IntPoly`` wraps them, and
+wraps their results without checking each coefficient again; ``roots``
+runs ``_trim`` and ``_deriv`` on its primitive coefficients.
 """
 
 from __future__ import annotations
@@ -82,6 +83,13 @@ class IntPoly(Frozen):
         object.__setattr__(self, "coeffs", _trim(coeffs))
 
     @classmethod
+    def _of(cls, coeffs: tuple) -> IntPoly:
+        """The polynomial of a kernel's result, trimmed ints already: unchecked."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "coeffs", coeffs)
+        return p
+
+    @classmethod
     def from_counts(cls, exponents) -> IntPoly:
         """The sum of z**k over the given exponents: a statistic's
         distribution; the zero polynomial when there are none."""
@@ -98,7 +106,7 @@ class IntPoly(Frozen):
         return bool(self.coeffs)
 
     def __add__(self, other) -> IntPoly:
-        return IntPoly(_add(self.coeffs, _coerce(other).coeffs))
+        return IntPoly._of(_add(self.coeffs, _coerce(other).coeffs))
 
     __radd__ = __add__
 
@@ -112,7 +120,7 @@ class IntPoly(Frozen):
         return _coerce(other) + (-self)
 
     def __mul__(self, other) -> IntPoly:
-        return IntPoly(_mul(self.coeffs, _coerce(other).coeffs))
+        return IntPoly._of(_mul(self.coeffs, _coerce(other).coeffs))
 
     __rmul__ = __mul__
 
@@ -136,7 +144,7 @@ class IntPoly(Frozen):
         return acc
 
     def derivative(self) -> IntPoly:
-        return IntPoly(_deriv(self.coeffs))
+        return IntPoly._of(_deriv(self.coeffs))
 
     def reverse(self, degree: int | None = None) -> IntPoly:
         """Coefficient reversal z**d * p(1/z) at the given degree d.

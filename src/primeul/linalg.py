@@ -57,13 +57,17 @@ def rref_int(rows, ncols: int) -> tuple[tuple[int, ...], ...]:
     todo = [primitive_signed(r) for r in rows if any(r)]
     done = []
     for c in range(ncols):
+        if not todo:
+            break
         # Rows to place are zero left of c: the first with column c is the pivot.
-        i = next((i for i, r in enumerate(todo) if r[c]), None)
-        if i is None:
+        for i, d in enumerate(todo):
+            if d[c]:
+                break
+        else:
             continue
-        d = todo[i]
+        del todo[i]
         done = [_reduce(r, d, c) if r[c] else r for r in done] + [d]
-        todo = todo[:i] + [v for r in todo[i + 1:] if (v := _reduce(r, d, c) if r[c] else r)]
+        todo = [v for r in todo if (v := _reduce(r, d, c) if r[c] else r)]
     return tuple(done)
 
 
@@ -73,18 +77,21 @@ def nullspace(rows, ncols: int) -> tuple[tuple[int, ...], ...]:
 
 
 def free_solutions(red, ncols: int) -> list[list[int]]:
-    """A basis of the nullspace of the canonical RREF rows red: one integer
-    solution per free column, nonzero there and zero at the other free ones."""
-    pivots = [next(c for c, x in enumerate(row) if x) for row in red]
+    """A basis of the nullspace of the canonical RREF rows red, in any order:
+    one integer solution per free column, nonzero there and zero at the
+    other free ones."""
+    pivots = [row.index(next(filter(None, row))) for row in red]  # first nonzero
     basis = []
-    for free in sorted(set(range(ncols)).difference(pivots)):
-        # x[free] = m and x[pc] = -row[free] * m / row[pc] on each pivot row
-        # touching the free column; m, the lcm of their pivots, keeps x integral.
-        touch = [(row[free], row[pc], pc) for row, pc in zip(red, pivots) if row[free]]
-        m = lcm(*(p for _, p, _ in touch))
+    for free in range(ncols):
+        if free in pivots:
+            continue
+        # x[free] = m and x[pc] = -row[free] * m / row[pc] on each pivot row;
+        # m, the lcm of the pivots of the rows touching the free column,
+        # keeps x integral.
+        m = lcm(*[row[pc] for row, pc in zip(red, pivots) if row[free]])
         vec = [0] * ncols
         vec[free] = m
-        for x, p, pc in touch:
-            vec[pc] = -x * (m // p)
+        for row, pc in zip(red, pivots):
+            vec[pc] = -row[free] * (m // row[pc])
         basis.append(vec)
     return basis

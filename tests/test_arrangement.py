@@ -11,7 +11,7 @@ from primeul.arrangement import (Arrangement, FlatLattice, build_flats, characte
                                  is_very_generic_vector, product, set_bits,
                                  very_generic_failure)
 from primeul.cli import _PATH_BUILTINS, main
-from primeul.eulerpoly import (cochar_via_halfspace, find_very_generic,
+from primeul.eulerpoly import (_interval_peuls, cochar_via_halfspace, find_very_generic,
                                peul_from_cochar, primitive_eulerian_descents,
                                primitive_eulerian_mobius,
                                primitive_eulerian_recursive)
@@ -26,8 +26,8 @@ from test_linalg import _oracle_nullspace, in_rowspace
 
 FOUR_CYCLE = graphic(4, [(1, 2), (2, 3), (3, 4), (4, 1)])
 
-# References on the lattice's plain fields; flat i is masks[i], dims[i] and
-# keys[i], its normal space's canonical RREF.
+# References on the lattice's plain fields; flat i is masks[i] and dims[i],
+# and keys[i] is its normal space's canonical RREF.
 
 
 def flat_of(a, normals):
@@ -109,7 +109,8 @@ def test_single_hyperplane_lattice():
 def _oracle_lattice(a):
     """Brute-force lattice: closure of the ambient space under intersection
     with every hyperplane, keyed by canonical RREF, containing sets by one
-    row-space test per hyperplane, Mobius values by the defining recursion."""
+    row-space test per hyperplane, sorted by (grade, mask of the containing
+    set), Mobius values by the defining recursion."""
     n, normals = a.dim, a.normals
     found = {(): frozenset()}
     queue = [()]
@@ -121,7 +122,7 @@ def _oracle_lattice(a):
                 found[new] = frozenset(j for j, w in enumerate(normals)
                                        if in_rowspace(w, new, n))
                 queue.append(new)
-    keys = sorted(found, key=lambda k: (n - len(k), k))
+    keys = sorted(found, key=lambda k: (n - len(k), sum(1 << j for j in found[k])))
     mobius = []
     for i, k in enumerate(keys):
         mobius.append(-sum(mobius[j] for j in range(i) if found[keys[j]] > found[k])
@@ -319,6 +320,20 @@ def test_very_generic_vector():
     assert not is_very_generic_vector(a4, (1, 2, 4, 8))
 
 
+def test_halfspace_failure_names_the_rank1_flat_of_least_key():
+    # The boundary of v's halfspace holds the rank-1 flats spanned by
+    # (1, -1, 0) and (1, 1, -1); the first in the order of flats by mask is
+    # the former, but the message names the flat of least key, as it did
+    # when the flats were ordered by key.
+    b3 = type_b(3)
+    lattice = build_flats(b3)
+    v = (1, 1, 2)
+    failing = [d for d in lattice.atom_directions if dot(d, v) == 0]
+    assert failing == [(1, -1, 0), (1, 1, -1)]
+    assert halfspace_failure(b3, v) == \
+        "bounding hyperplane contains the rank-1 flat spanned by (1, 1, -1)"
+
+
 def test_very_generic_dimension_check():
     with pytest.raises(ValueError):
         is_very_generic_vector(type_b(2), (1, 2, 3))
@@ -431,29 +446,33 @@ def test_recursive_route_leaves_mobius_unbuilt():
 
 
 def test_lattice_keys_equal_row_reduction(monkeypatch):
-    # Each key is built from its parent's key and one reduced line; it must
-    # be the canonical RREF of the normals of the hyperplanes containing the
-    # flat, and the build must not row-reduce any flat on its own.
+    # A key is computed on first access, from the key of the flat its flat
+    # was first found below and one reduced line; it must be the canonical
+    # RREF of the normals of the hyperplanes containing the flat.  The build
+    # itself computes no key and calls no rref_int.
     cases = [root_system("E6")] + [parse_family(f) for f in
                                    ("A 6", "B 5", "D 5", "Dnk 5 3", "Gn 8")]
-    for a in cases:
-        lattice = build_flats(a)
-        for key, mask in zip(lattice.keys, lattice.masks):
-            assert key == rref_int([a.normals[j] for j in set_bits(mask)], a.dim), (a, key)
 
     def refuse(*args):
         raise AssertionError("rref_int called while building the lattice")
 
-    monkeypatch.setattr("primeul.arrangement.rref_int", refuse)
-    for a in cases:
-        fresh, cached = FlatLattice(a), build_flats(a)
-        assert (fresh.keys, fresh.masks, fresh.dims) == (cached.keys, cached.masks, cached.dims)
+    with monkeypatch.context() as patch:
+        patch.setattr("primeul.arrangement.rref_int", refuse)
+        patch.setattr("primeul.linalg.rref_int", refuse)
+        fresh = [FlatLattice(a) for a in cases]
+    for a, lattice in zip(cases, fresh):
+        assert vars(lattice)["_keys"] == {0: ()}, a
+        cached = build_flats(a)
+        assert (lattice.masks, lattice.dims, lattice.covers_below) == \
+            (cached.masks, cached.dims, cached.covers_below), a
+        assert len(lattice.keys) == len(lattice)
+        for key, mask in zip(lattice.keys, lattice.masks):
+            assert key == rref_int([a.normals[j] for j in set_bits(mask)], a.dim), (a, key)
 
 
-def test_lattice_reduces_each_pair_once(monkeypatch):
-    # One (line, pivot line) pair meets many flats, both as a line of a flat
-    # and as a row of its key; a build reduces it once.  Cold B5 meets 200
-    # such pairs, against 3,182 reductions when each flat reduced its own.
+@pytest.fixture
+def reductions(monkeypatch):
+    """The (vector, pivot line) pairs the lattice build reduces, as it goes."""
     calls = []
     kernel = arrangement._reduce
 
@@ -462,23 +481,47 @@ def test_lattice_reduces_each_pair_once(monkeypatch):
         return kernel(r, d, c)
 
     monkeypatch.setattr("primeul.arrangement._reduce", record)
-    for a in (type_b(5), type_d(5), parse_family("Dnk 5 3"), root_system("E6")):
-        calls.clear()
-        FlatLattice(a)
-        assert calls and len(calls) == len(set(calls)), a
-        if a == type_b(5):
-            assert len(calls) <= 200
+    return calls
+
+
+def test_lattice_reduces_each_pair_once(reductions):
+    # One (line, pivot line) pair meets many flats; a build reduces it
+    # once.  Cold E6 meets 14,432 such pairs (16,357 when the build also
+    # reduced each flat's key rows).
+    FlatLattice(root_system("E6"))
+    assert len(reductions) == len(set(reductions)) == 14432
+
+
+# The lattice workload's inputs: flats, cover relations, reductions in the
+# build (B5: 3,182 when each flat reduced its own) and the recursive
+# route's memo entries.  The memo holds 2,968 entries in all; pivoting on
+# the first coatom in the order of flats by key gave 2,812, and on the
+# first by mask 3,356.
+WORK = {"A 6": (203, 856, 60, 252), "B 5": (648, 3396, 200, 1110),
+        "D 5": (403, 1931, 182, 599), "Dnk 5 3": (550, 2810, 200, 964),
+        "Gn 8": (503, 2259, 501, 43)}
+
+
+@pytest.mark.parametrize("family", WORK)
+def test_lattice_work_counters(reductions, family):
+    lattice = FlatLattice(parse_family(family))
+    assert len(reductions) == len(set(reductions))
+    memo = _interval_peuls(lattice)
+    assert (len(lattice), sum(map(len, lattice.covers_below)), len(reductions),
+            len(memo)) == WORK[family]
 
 
 def test_routes_leave_the_flat_views_unbuilt(capsys):
-    # Inside the lattice a flat is its mask, dimension and key, and nothing
-    # else is built on it: after every route, the fan and inspect, the
-    # lattice holds its fields and the values computed on first use only.
+    # Inside the lattice a flat is its mask and dimension, and nothing else
+    # is built on it: after every route, the fan and inspect, the lattice
+    # holds its fields and the values computed on first use only.  Keys are
+    # computed for ⊥ and the rank-1 flats, and the flats they are built
+    # from, alone: on B4, 66 of 116.
     build_flats.cache_clear()
     enumerate_faces.cache_clear()
-    fields = {"arrangement", "keys", "masks", "dims", "bottom_dim", "rank",
+    fields = {"arrangement", "masks", "dims", "bottom_dim", "rank",
               "covers_below", "covers_above", "mobius_bottom", "bottom_basis",
-              "atom_directions"}
+              "atom_directions", "_vecs", "_ids", "_images", "_via", "_keys"}
     for a in (type_b(4), parse_family("graphic 4 1-2,2-3")):
         p = primitive_eulerian_mobius(a)
         assert primitive_eulerian_recursive(a) == p
@@ -495,6 +538,7 @@ def test_routes_leave_the_flat_views_unbuilt(capsys):
     assert main(["inspect", "--family", "B 4"]) == 0
     assert "\nflats: 116\n" in capsys.readouterr().out
     assert set(vars(build_flats(type_b(4)))) == fields
+    assert len(vars(build_flats(type_b(4)))["_keys"]) == 66
 
 
 def _check_containing_and_directions(a):

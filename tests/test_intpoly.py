@@ -69,3 +69,18 @@ def test_power():
     assert ZM1 ** 3 == IntPoly((-1, 3, -3, 1))
     with pytest.raises(ValueError):
         Z ** -1
+
+
+def test_kernel_results_wrap_as_checked_polynomials():
+    # Sums, products and derivatives wrap the kernels' results without
+    # checking each coefficient; each must equal the polynomial the checking
+    # constructor builds from its coefficients (ints, trailing zeros
+    # trimmed), and a non-integer operand is still refused.
+    p, q = IntPoly((3, 0, -2, 5)), IntPoly((-3, 0, 2, -5, 1))
+    for r in (p + q, p - p, q - 1, p * q, p * 0, p.derivative(), ONE.derivative()):
+        assert r == IntPoly(r.coeffs) and all(type(c) is int for c in r.coeffs)
+    for bad in (0.5, Fraction(1, 2)):
+        with pytest.raises(TypeError):
+            p + bad
+        with pytest.raises(TypeError):
+            p * bad

@@ -129,8 +129,8 @@ def test_rref_and_nullspace_against_reference():
 
 
 def test_rref_is_canonical():
-    # FlatLattice uses rref_int's rows as dict keys, so the output must
-    # depend on the row space alone: not on row order, on a nonzero scale of
+    # Keys of flats are compared as tuples, so the output must depend on
+    # the row space alone: not on row order, on a nonzero scale of
     # each row, or on zero and repeated rows.  Same draws as the oracle test.
     rng, edit = random.Random(11), random.Random(12)
     for trial in range(3000):
