@@ -11,9 +11,9 @@ interlacing tests.
 
 from .arrangement import (Arrangement, FlatLattice, build_flats,
                           characteristic_polynomial, count_regions_zaslavsky,
-                          is_very_generic_vector, product)
+                          find_very_generic, is_very_generic_vector, product)
 from .eulerpoly import (UpperSetError, cocharacteristic, cochar_via_halfspace,
-                        eulerian_poly, find_very_generic, peul_from_cochar,
+                        eulerian_poly, peul_from_cochar,
                         primitive_eulerian_descents,
                         primitive_eulerian_mobius,
                         primitive_eulerian_recursive)

@@ -16,19 +16,20 @@ once per build, by ``linalg``'s elimination step ``_reduce``, the one
 ``rref_int`` runs on.  Mobius values come from the covers.  The key of a
 flat, the canonical RREF of its normal space, is computed only when read:
 the key of the flat it was first found below, reduced by its line, plus
-that line.  The library reads the keys of ⊥ and of the rank-1 flats alone,
-for a basis of ⊥ and the direction of each rank-1 flat inside the span of
-the normals; the very generic test and the fan read those.
+that line.  Only this module reads keys, those of ⊥ and the rank-1 flats:
+a basis of ⊥ and each rank-1 flat's direction.  It alone reads, draws and
+checks a vector v, and ``halfspace_mask`` packs v's side of each direction.
 """
 
 from __future__ import annotations
 
+import random
 from collections.abc import Sequence
 from functools import cached_property, lru_cache, reduce
 from operator import or_
 
 from .intpoly import Frozen, IntPoly
-from .linalg import _reduce, dot, free_solutions, nullspace, primitive_signed, rref_int
+from .linalg import _reduce, dot, free_solutions, nullspace, primitive_signed, rational, rref_int
 
 
 class Arrangement(Frozen):
@@ -262,6 +263,30 @@ def product(a: Arrangement, b: Arrangement) -> Arrangement:
                                             + [za + n for n in b.normals]))
 
 
+def _pack(signs, m: int) -> int:
+    """plus | minus << m for numbers whose signs are a sign vector."""
+    return sum(1 << h + (s < 0) * m for h, s in enumerate(signs) if s)
+
+
+def read_vector(a: Arrangement, v) -> tuple:
+    """v read once, as a tuple of ints and Fractions of length a.dim."""
+    if len(v := rational(v)) != a.dim:
+        raise ValueError("vector dimension mismatch")
+    return v
+
+
+def halfspace_mask(a: Arrangement, v) -> int | None:
+    """The rays d with <v, d> > 0, or None if v is not orthogonal to ⊥: the
+    rays are ``atom_directions`` and then their negatives, so the mask packs
+    the signs of v's products with the directions as a sign vector."""
+    v = read_vector(a, v)
+    lattice = build_flats(a)
+    if any(dot(v, b) for b in lattice.bottom_basis):
+        return None
+    directions = lattice.atom_directions
+    return _pack([dot(v, d) for d in directions], len(directions))
+
+
 def is_very_generic_vector(a: Arrangement, v) -> bool:
     """True iff v avoids every hyperplane and the halfspace {<v,x> <= 0} is
     generic: its boundary contains ⊥ but no other flat."""
@@ -270,9 +295,7 @@ def is_very_generic_vector(a: Arrangement, v) -> bool:
 
 def very_generic_failure(a: Arrangement, v):
     """None if v is very generic, else a human-readable reason."""
-    v = tuple(v)
-    if len(v) != a.dim:
-        raise ValueError("vector dimension mismatch")
+    v = read_vector(a, v)
     for normal in a.normals:
         if dot(normal, v) == 0:
             return f"v lies on the hyperplane with normal {normal}"
@@ -280,22 +303,32 @@ def very_generic_failure(a: Arrangement, v):
 
 
 def halfspace_failure(a: Arrangement, v):
-    """None if the halfspace {<v,x> <= 0} is generic (its boundary contains
-    the minimum flat and no other flat), else a human-readable reason; v
-    lying on hyperplanes of the arrangement is not checked."""
-    v = tuple(v)
-    if len(v) != a.dim:
-        raise ValueError("vector dimension mismatch")
-    lattice = build_flats(a)
-    if any(dot(v, b) for b in lattice.bottom_basis):
+    """None if the halfspace {<v,x> <= 0} is generic (its boundary contains ⊥
+    and no other flat), else a human-readable reason; v on a hyperplane is not checked."""
+    up = halfspace_mask(a, v)
+    if up is None:
         return "v is not orthogonal to the minimum flat"
-    # Of the rank-1 flats on the bounding hyperplane, name the one of least key.
-    keys = lattice.keys
-    failing = [(keys[i], d) for i, d in zip(lattice.covers_above[lattice.bottom_index],
-                                            lattice.atom_directions) if dot(d, v) == 0]
-    if failing:
-        return f"bounding hyperplane contains the rank-1 flat spanned by {min(failing)[1]}"
+    # A rank-1 flat on the boundary has both its bits clear: name the least key.
+    lattice = build_flats(a)
+    directions, atoms = lattice.atom_directions, lattice.covers_above[lattice.bottom_index]
+    if on := set_bits(~(up | up >> len(atoms)) & (1 << len(atoms)) - 1):
+        d = directions[min(on, key=lambda i: lattice.keys[atoms[i]])]
+        return f"bounding hyperplane contains the rank-1 flat spanned by {d}"
     return None
+
+
+def find_very_generic(a: Arrangement) -> tuple[int, ...]:
+    """A deterministic very generic vector: the first very generic one among
+    integer combinations of the key rows of ⊥ (spanning the normals) drawn
+    from random.Random(0).  With no hyperplanes the span is empty and v is 0."""
+    span = build_flats(a).keys[0]
+    rng = random.Random(0)
+    for _ in range(10000):
+        coeffs = [rng.randint(-99, 99) for _ in span]
+        v = tuple(sum(c * row[j] for c, row in zip(coeffs, span)) for j in range(a.dim))
+        if is_very_generic_vector(a, v):
+            return v
+    raise RuntimeError("no very generic vector found")
 
 
 def characteristic_polynomial(a: Arrangement) -> IntPoly:

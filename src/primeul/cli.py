@@ -18,7 +18,7 @@ import time
 from pathlib import Path
 
 from .arrangement import (Arrangement, build_flats, characteristic_polynomial,
-                          count_regions_zaslavsky, halfspace_failure,
+                          count_regions_zaslavsky, find_very_generic, halfspace_failure,
                           very_generic_failure)
 from .coxstats import (all_signed, binomial_identity_checks, des_a, fexc,
                        generating_function_check, half_eulerian, peul_a,
@@ -26,7 +26,7 @@ from .coxstats import (all_signed, binomial_identity_checks, des_a, fexc,
                        peul_b_rec, peul_d_des, peul_d_rec, peul_dnk,
                        quadratic_recursion_checks)
 from .eulerpoly import (UpperSetError, cochar_via_halfspace, cocharacteristic,
-                        eulerian_poly, find_very_generic, peul_from_cochar,
+                        eulerian_poly, peul_from_cochar,
                         primitive_eulerian_descents, primitive_eulerian_mobius,
                         primitive_eulerian_recursive)
 from .faces import enumerate_faces, is_sharp, is_simplicial

@@ -16,16 +16,14 @@ z^r h(1/z) of the complex of faces in the halfspace.
 
 The module also gives the cocharacteristic polynomial, and the descent
 polynomial over all regions (the Eulerian polynomial of the arrangement).
-Regions stay packed as ``faces`` encodes them; only the witness of an
-``UpperSetError`` is decoded to sign tuples.
+Routes 3 and 4 read v once; ``arrangement`` draws, checks and masks it.
+Regions stay packed; only the witness of an ``UpperSetError`` is decoded.
 """
 
 from __future__ import annotations
 
-import random
-
-from .arrangement import (Arrangement, build_flats, is_very_generic_vector,
-                          very_generic_failure)
+from .arrangement import (Arrangement, build_flats, find_very_generic, halfspace_mask,
+                          read_vector, very_generic_failure)
 from .faces import WeakOrder, base_region_of, enumerate_faces, is_simplicial
 from .intpoly import IntPoly, ZM1
 
@@ -97,28 +95,12 @@ def _interval_peuls(lattice) -> dict[tuple[int, int], tuple[int, ...]]:
     return memo
 
 
-def find_very_generic(a: Arrangement):
-    """A deterministic very generic vector: the first very generic one among
-    integer combinations of the key rows of ⊥ (spanning the normals) drawn
-    from random.Random(0).  With no hyperplanes the span is empty and v is 0."""
-    lattice = build_flats(a)
-    span = lattice.keys[lattice.bottom_index]
-    rng = random.Random(0)
-    for _ in range(10000):
-        coeffs = [rng.randint(-99, 99) for _ in span]
-        v = tuple(sum(c * row[j] for c, row in zip(coeffs, span))
-                  for j in range(a.dim))
-        if is_very_generic_vector(a, v):
-            return v
-    raise RuntimeError("no very generic vector found")
-
-
 def _very_generic(a: Arrangement, v):
-    """v once it is checked to be very generic, or a found one if v is None."""
+    """v read once and checked to be very generic, or a found one if None."""
     if v is None:
         return find_very_generic(a)
-    failure = very_generic_failure(a, v)
-    if failure is not None:
+    v = read_vector(a, v)
+    if (failure := very_generic_failure(a, v)) is not None:
         raise ValueError(f"v not very generic: {failure}")
     return v
 
@@ -127,8 +109,7 @@ def cochar_via_halfspace(a: Arrangement, v=None) -> IntPoly:
     """Graded count of the faces inside the halfspace {<v, x> <= 0}: each
     grade's faces less those with a ray outside it (``FanIndex.f_vector_inside``)."""
     v = _very_generic(a, v)
-    fan = enumerate_faces(a)
-    return IntPoly(fan.f_vector_inside(fan.halfspace_mask(v)))
+    return IntPoly(enumerate_faces(a).f_vector_inside(halfspace_mask(a, v)))
 
 
 class UpperSetError(ValueError):
@@ -152,8 +133,7 @@ def primitive_eulerian_descents(a: Arrangement, v=None) -> IntPoly:
         raise ValueError("descent path requires a simplicial arrangement")
     v = _very_generic(a, v)
     order = WeakOrder(a, base_region_of(a, v))
-    fan = enumerate_faces(a)
-    up = fan.halfspace_mask(v)
+    fan, up = enumerate_faces(a), halfspace_mask(a, v)
     contained = [c for c in fan.packed_regions if not fan.ray_mask(c) & up]
     witness = order.packed_failure(contained)
     if witness is not None:

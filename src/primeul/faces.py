@@ -2,10 +2,10 @@
 walls, simpliciality and sharpness tests, and the weak order on regions.
 
 A sign vector assigns -1, 0 or +1 to every hyperplane in arrangement order.
-This module alone encodes it, packed into one int, plus | minus << m, from
-its masks of + and - hyperplanes; the fan, the base region of a point, the
-weak order and the geometric routes all hold it so.  The faces are grouped
-by flat: a face with flat X is 0 exactly on mask(X) (zz, both halves).  The
+``arrangement._pack`` packs it into one int, plus | minus << m, from its
+masks of + and - hyperplanes; the fan, the base region of a point, the weak
+order and the geometric routes all hold it so.  The faces are grouped by
+flat: a face with flat X is 0 exactly on mask(X) (zz, both halves).  The
 faces just above it are f | ±c & zz, one pair per flat Y covering X, for
 the cocircuit c of a ray (± a rank-1 flat's direction) below Y and not
 below X, whose zero set is mask(X ∨ ray) = mask(Y).  Near f the hyperplanes
@@ -19,11 +19,11 @@ so the faces outside are the closure of the rays outside under the same
 steps, and the halfspace route counts the faces by flat minus that closure.
 The regions are the top flat's faces; a face of a hyperplane's flat is 0 at
 that h only and is the wall at h of the two regions beside it, so the walls
-are one dict from region to mask.  The rays are the cocircuits in lattice
-order; a ray c lies in the closure of f iff c & ~f == 0, so ray masks are
-read from tables over 8-bit chunks of f.  The walls and the ray tables are
-built on first use: the halfspace route needs neither.  No linear program
-is solved.  The fan order sorts sign vectors by entry with 0 < + < -.  Sign
+are one dict from region to mask.  The rays are the cocircuits in the order
+of ``halfspace_mask``; a ray c lies in the closure of f iff c & ~f == 0, so
+ray masks are read from tables over 8-bit chunks of f, built on first use
+with the walls: the halfspace route needs neither.  No linear program is
+solved.  The fan order sorts sign vectors by entry with 0 < + < -.  Sign
 tuples remain only at the edge that perfbench reads: ``enumerate_regions``,
 ``region_in_halfspace``, ``WeakOrder.covers_above`` and ``FanIndex.pack``,
 ``unpack`` and ``key``, which finds a face in its own flat's group.
@@ -34,21 +34,16 @@ from __future__ import annotations
 from functools import cached_property, lru_cache
 from operator import sub
 
-from .arrangement import Arrangement, build_flats, set_bits
+from .arrangement import Arrangement, _pack, build_flats, halfspace_mask, read_vector, set_bits
 from .linalg import dot
 
 SignVector = tuple  # entries in {-1, 0, +1}, one per hyperplane
 
 
-def _pack(signs, m: int) -> int:
-    """plus | minus << m for numbers whose signs are a sign vector."""
-    return sum(1 << h + (s < 0) * m for h, s in enumerate(signs) if s)
-
-
 class FanIndex:
     """Complete list of faces of an arrangement as packed sign vectors,
     grouped by flat, with the rays in the closure of each face as a bitmask
-    over ``directions`` and the walls of each region.
+    laid out as ``halfspace_mask`` and the walls of each region.
 
     ``packed_regions`` holds the regions in fan order and ``walls`` maps
     each region to its walls as a mask of hyperplanes; both are built on
@@ -56,28 +51,22 @@ class FanIndex:
     """
 
     def __init__(self, arrangement: Arrangement):
-        self.arrangement = arrangement
         lattice = build_flats(arrangement)
         normals = arrangement.normals
         self.m = m = len(normals)
         self._full = full = (1 << m) - 1
-        self.bottom_basis = lattice.bottom_basis
         self.rank = lattice.rank
         self._grades = tuple(d - lattice.bottom_dim for d in lattice.dims)
         self._at = {mask: i for i, mask in enumerate(lattice.masks)}
-        # The rays of a rank-1 flat are ±d, in lattice order; negating swaps
-        # a packed vector's halves.
-        atom_rays, directions, cocircuits = [], [], []
-        for i, d in zip(lattice.covers_above[0], lattice.atom_directions):
-            c = _pack([dot(n, d) for n in normals], m)
-            atom_rays.append(c)
-            directions += d, tuple(-x for x in d)
-            cocircuits += (i, c), (i, c >> m | (c & full) << m)
-        self.directions = tuple(directions)
-        self._cocircuits = tuple(cocircuits)
-        self._rays = (1 << len(directions)) - 1
+        # The rays are the rank-1 flats' directions d, in lattice order, then
+        # the -d; negating swaps a packed vector's halves.
+        atoms = lattice.covers_above[0]
+        atom_rays = [_pack([dot(n, d) for n in normals], m) for d in lattice.atom_directions]
+        self._cocircuits = tuple(zip(atoms * 2, atom_rays + [
+            c >> m | (c & full) << m for c in atom_rays]))
+        self._rays = (1 << len(self._cocircuits)) - 1
         below = [0] * len(lattice.masks)  # the rank-1 flats below each flat, over the atoms
-        for k, i in enumerate(lattice.covers_above[0]):
+        for k, i in enumerate(atoms):
             below[i] = 1 << k
         for i, covers in enumerate(lattice.covers_below):
             for j in covers:
@@ -189,19 +178,6 @@ class FanIndex:
             out[grade] += len(group)
         return tuple(out)
 
-    def halfspace_mask(self, v) -> int | None:
-        """The rays d with <v, d> > 0, or None if v is not orthogonal to ⊥.
-
-        The closed face is ⊥ plus the cone over its rays, so it lies in
-        {x : <v, x> <= 0} iff v is orthogonal to ⊥ and its ray mask misses
-        this mask; both are settled here, once per v.
-        """
-        if len(v) != self.arrangement.dim:
-            raise ValueError("vector dimension mismatch")
-        if any(dot(v, b) for b in self.bottom_basis):
-            return None
-        return sum(1 << i for i, d in enumerate(self.directions) if dot(v, d) > 0)
-
     def f_vector_inside(self, up: int) -> tuple[int, ...]:
         """Face counts by grade, as ``f_vector``, of the faces whose ray
         mask misses up.  A face of grade >= 2 has a ray in up iff one of its
@@ -271,8 +247,7 @@ def is_sharp(a: Arrangement) -> bool:
 
 def base_region_of(a: Arrangement, v) -> int:
     """The packed region containing a generic point v."""
-    if len(v) != a.dim:
-        raise ValueError("vector dimension mismatch")
+    v = read_vector(a, v)
     signs = [dot(normal, v) for normal in a.normals]
     if 0 in signs:
         raise ValueError("v lies on a hyperplane")
@@ -329,6 +304,5 @@ class WeakOrder:
 # perfbench checks a declined route's witness with it; no route calls it.
 def region_in_halfspace(a: Arrangement, c: SignVector, v) -> bool:
     """True iff the closed region lies in {x : <v, x> <= 0}."""
-    fan = enumerate_faces(a)
-    up = fan.halfspace_mask(v)
+    fan, up = enumerate_faces(a), halfspace_mask(a, v)
     return up is not None and not fan.ray_mask(fan.key(c)) & up

@@ -20,12 +20,22 @@ def dot(u, v):
     return sum(map(mul, u, v))
 
 
+def rational(vec) -> tuple:
+    """vec read once into a tuple; an entry not an int or a Fraction is refused."""
+    vec = tuple(vec)
+    for c in vec:
+        if not isinstance(c, (int, Fraction)):
+            raise ValueError(f"entry {c!r} is not an int or a Fraction")
+    return vec
+
+
 def primitive(vec) -> tuple[int, ...]:
     """Integer vector with content 1, same direction (zero stays zero)."""
     try:
         g = gcd(*vec)
     except TypeError:  # a non-integer entry: clear the denominators first
-        m = lcm(*(c.denominator for c in vec if isinstance(c, Fraction)))
+        vec = rational(vec)
+        m = lcm(*(c.denominator for c in vec))
         vec = [int(c * m) for c in vec]
         g = gcd(*vec)
     return tuple(vec) if g <= 1 else tuple(c // g for c in vec)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from primeul import arrangement
 from primeul.arrangement import (Arrangement, FlatLattice, build_flats, characteristic_polynomial,
-                                 count_regions_zaslavsky, halfspace_failure,
+                                 count_regions_zaslavsky, halfspace_failure, halfspace_mask,
                                  is_very_generic_vector, product, set_bits,
                                  very_generic_failure)
 from primeul.cli import _PATH_BUILTINS, main
@@ -349,8 +349,9 @@ def test_very_generic_against_row_reduction(a, data):
     atoms = [lattice.keys[i] for i in lattice.covers_above[lattice.bottom_index]]
     # Oracle: v is orthogonal to ⊥ iff it is in the row space of the
     # normals; then v^⊥ contains a rank-1 flat iff it holds its whole basis.
-    generic_halfspace = in_rowspace(v, rref_int(a.normals, a.dim), a.dim) and all(
-        any(dot(b, v) for b in nullspace(key, a.dim)) for key in atoms)
+    orthogonal = in_rowspace(v, rref_int(a.normals, a.dim), a.dim)
+    on = [i for i, key in enumerate(atoms) if not any(dot(b, v) for b in nullspace(key, a.dim))]
+    generic_halfspace = orthogonal and not on
     assert (halfspace_failure(a, v) is None) == generic_halfspace
     assert (very_generic_failure(a, v) is None) == (
         generic_halfspace and all(dot(n, v) for n in a.normals))
@@ -359,6 +360,21 @@ def test_very_generic_against_row_reduction(a, data):
         assert any(d) and gcd(*d) == 1
         assert not any(dot(n, d) for n in key)
         assert not any(dot(d, b) for b in lattice.bottom_basis)
+    # The mask: bit i is set iff <v, d_i> > 0 and bit i + k iff it is < 0,
+    # for the k rank-1 flats; its zero bit pairs are the flats on v's
+    # bounding hyperplane, of which halfspace_failure names the least key.
+    up, k = halfspace_mask(a, v), len(atoms)
+    assert (up is None) == (not orthogonal)
+    if up is None:
+        return
+    assert up >> 2 * k == 0
+    for i, d in enumerate(lattice.atom_directions):
+        assert (up >> i & 1, up >> i + k & 1) == (dot(v, d) > 0, dot(v, d) < 0)
+    assert [i for i in range(k) if not (up >> i | up >> i + k) & 1] == on
+    if on:
+        d = lattice.atom_directions[min(on, key=atoms.__getitem__)]
+        assert halfspace_failure(a, v) == \
+            f"bounding hyperplane contains the rank-1 flat spanned by {d}"
 
 
 def _unit(n, i):

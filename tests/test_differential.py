@@ -60,10 +60,11 @@ def test_packed_routes_agree(a):
     assert peul_from_cochar(cochar_via_halfspace(a), rank) == p
     # A ray d lies in the closure of the region c iff no hyperplane h has
     # <n_h, d> of the sign opposite to c[h].
-    fan = enumerate_faces(a)
+    fan, atoms = enumerate_faces(a), build_flats(a).atom_directions
+    rays = atoms + tuple(tuple(-x for x in d) for d in atoms)
     assert is_simplicial(a) == all(
         sum(all(s * dot(n, d) >= 0 for s, n in zip(c, a.normals))
-            for d in fan.directions) == fan.rank
+            for d in rays) == fan.rank
         for c in enumerate_regions(a))
     if not is_simplicial(a):
         return

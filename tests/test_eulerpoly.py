@@ -1,9 +1,10 @@
 import random
+from fractions import Fraction
 
 import pytest
 
 from primeul.arrangement import (Arrangement, build_flats, halfspace_failure,
-                                 product, very_generic_failure)
+                                 halfspace_mask, product, very_generic_failure)
 from primeul.eulerpoly import (UpperSetError, base_region_of,
                                cochar_via_halfspace, cocharacteristic,
                                eulerian_poly, find_very_generic,
@@ -148,20 +149,48 @@ def test_cochar_rejects_non_generic_v():
         cochar_via_halfspace(type_b(2), (1, 1))
 
 
-@pytest.mark.parametrize("entry", [
+# Every public function that reads a vector v.
+V_READERS = pytest.mark.parametrize("entry", [
     very_generic_failure, halfspace_failure, cochar_via_halfspace,
     primitive_eulerian_descents,
     lambda a, v: region_in_halfspace(a, enumerate_regions(a)[0], v),
-    lambda a, v: enumerate_faces(a).halfspace_mask(v),
+    halfspace_mask,
     base_region_of,
 ], ids=["very_generic_failure", "halfspace_failure", "cochar_via_halfspace",
         "primitive_eulerian_descents", "region_in_halfspace", "halfspace_mask",
         "base_region_of"])
+
+
+@V_READERS
 @pytest.mark.parametrize("v", [(1, 2), (1, 2, 4, 8)], ids=["short", "long"])
 def test_wrong_length_v_is_refused(entry, v):
     # dot products zip, so a v of the wrong length would get an answer.
     with pytest.raises(ValueError, match="vector dimension mismatch"):
         entry(type_b(3), v)
+
+
+@V_READERS
+def test_v_is_read_once(entry):
+    # The genericity check consumed an iterator, and the routes then read
+    # it again: an iterator v ended in a TypeError.
+    b3 = type_b(3)
+    assert entry(b3, iter((1, 2, 4))) == entry(b3, [1, 2, 4])
+
+
+@V_READERS
+def test_float_v_is_refused(entry):
+    # In floating point (0.1, 0.2, -0.3) is orthogonal to no rank-1 flat of
+    # B3 and passed as very generic; the exact (1/10, 2/10, -3/10) is not.
+    with pytest.raises(ValueError, match="^entry 0.1 is not an int or a Fraction$"):
+        entry(type_b(3), (0.1, 0.2, -0.3))
+
+
+def test_exact_v_is_decided_exactly():
+    v = (Fraction(1, 10), Fraction(2, 10), Fraction(-3, 10))
+    assert very_generic_failure(type_b(3), v) == \
+        "bounding hyperplane contains the rank-1 flat spanned by (1, 1, 1)"
+    with pytest.raises(ValueError, match="not very generic"):
+        cochar_via_halfspace(type_b(3), v)
 
 
 def test_nonsharp_negative_witness():

@@ -2,6 +2,9 @@ import random
 from fractions import Fraction
 from math import gcd
 
+import pytest
+
+from primeul.arrangement import Arrangement
 from primeul.linalg import dot, nullspace, primitive, primitive_signed, rref_int
 
 
@@ -43,6 +46,19 @@ def test_primitive():
     assert primitive((Fraction(1, 2), Fraction(3, 4))) == (2, 3)
     assert primitive_signed((-2, 4)) == (1, -2)
     assert primitive_signed((0, -5)) == (0, 1)
+
+
+@pytest.mark.parametrize("normal", [(0.5, 1), (1, 1.0), (Fraction(1, 2), 0.25)])
+def test_float_entries_are_refused(normal):
+    # int(c * m) truncated a float once the Fraction denominators were
+    # cleared: (0.5, 1) became the normal (0, 1).  The refusal names the
+    # first entry that is not an int or a Fraction.
+    bad = next(c for c in normal if isinstance(c, float))
+    with pytest.raises(ValueError, match=f"^entry {bad} is not an int or a Fraction$"):
+        primitive(normal)
+    with pytest.raises(ValueError, match=f"^entry {bad} is not an int or a Fraction$"):
+        Arrangement.from_normals([normal, (1, 0)])
+    assert Arrangement.from_normals([(Fraction(1, 2), 1), (1, 0)]).normals == ((1, 2), (1, 0))
 
 
 def test_nullspace():

@@ -72,6 +72,22 @@ def test_fractions_stay_at_the_input_edge():
             offenders += [f"{path.name}:{node.lineno}" for m in modules if m == "fractions"]
     assert offenders == []
 
+def test_only_arrangement_reads_keys_and_bottom():
+    # The key format and ⊥ stay behind ``arrangement``: it reads a vector
+    # v and packs v's side of each rank-1 flat (``halfspace_mask``), so no
+    # other module needs a key or ⊥'s basis.  Names are matched by ``ast``,
+    # so a dict's ``keys()`` counts too: iterate the dict instead.
+    offenders = []
+    for path in sorted(Path(primeul.__file__).parent.glob("*.py")):
+        if path.name == "arrangement.py":
+            continue
+        offenders += [f"{path.name}:{node.lineno}:{node.attr}"
+                      for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                      if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                      and node.attr in ("keys", "bottom_basis")]
+    assert offenders == []
+
+
 def _imported_from(path):
     """(module, name) for each ``from primeul.module import name`` and
     ``from .module import name`` in the file."""

@@ -171,7 +171,7 @@ def test_descent_set_fixed_point_characterization():
     v = find_very_generic(b3)
     fan = enumerate_faces(b3)
     b = base_region_of(b3, v)
-    delta = faces_in_halfspace(fan, v)
+    delta = faces_in_halfspace(b3, v)
     assert descent_set(fan, delta, b) == delta
     # puncture: drop one full-dimensional member but keep its boundary
     region = next(f for f in delta if packed_grade(fan, f) == fan.rank)
