@@ -123,7 +123,7 @@ def cmd_inspect(args) -> int:
         ("rank", lattice.rank),
         ("flats_by_grade", ",".join(str(len(g)) for g in lattice.flats_by_grade())),
         ("flats", len(lattice)),
-        ("regions", len(fan.packed_regions)),
+        ("regions", fan.f_vector()[-1]),
         ("faces_by_grade", ",".join(str(c) for c in fan.f_vector())),
         ("faces", len(fan)),
         ("simplicial", str(is_simplicial(a)).lower()),
@@ -168,6 +168,8 @@ def cmd_table(args) -> int:
         for n in range(lo, hi + 1):
             print(f"{n}\t{form(n).format()}")
         return 0
+    if args.range:
+        raise ParseError(f"table exceptional takes no range, got {args.range!r}")
     print("W\tpolynomial\tprovenance")
     for name in ("H3", "H4", "F4", "E6", "E7", "E8"):
         golden = EXCEPTIONAL[name]
@@ -208,7 +210,7 @@ def _verify_paths(args):
                 check = f"paths/{family}/{method} ({exc})", False
             yield check
         yield (f"paths/{family}/zaslavsky",
-               count_regions_zaslavsky(a) == len(enumerate_faces(a).packed_regions))
+               count_regions_zaslavsky(a) == enumerate_faces(a).f_vector()[-1])
     if args.long:
         b5 = parse_family("B 5")
         yield "paths/B 5/mobius (long)", primitive_eulerian_mobius(b5) == TYPE_B[5]

@@ -17,7 +17,7 @@ z^r h(1/z) of the complex of faces in the halfspace.
 The module also gives the cocharacteristic polynomial, and the descent
 polynomial over all regions (the Eulerian polynomial of the arrangement).
 Routes 3 and 4 read v once; ``arrangement`` draws, checks and masks it.
-Regions stay packed; only the witness of an ``UpperSetError`` is decoded.
+Regions stay packed; only the message of an ``UpperSetError`` decodes them.
 """
 
 from __future__ import annotations
@@ -113,13 +113,14 @@ def cochar_via_halfspace(a: Arrangement, v=None) -> IntPoly:
 
 
 class UpperSetError(ValueError):
-    """The regions inside the halfspace fail to be an upper set."""
+    """The regions inside the halfspace fail to be an upper set: the packed
+    cover pair witness = (c, d) has c inside and d not, shown by unpack."""
 
-    def __init__(self, witness):
+    def __init__(self, witness, unpack):
         self.witness = witness
-        super().__init__(
-            f"regions in the halfspace are not an upper set: region {witness[0]} "
-            f"is inside but its cover {witness[1]} is not")
+        c, d = map(unpack, witness)
+        super().__init__(f"regions in the halfspace are not an upper set: region {c} "
+                         f"is inside but its cover {d} is not")
 
 
 def primitive_eulerian_descents(a: Arrangement, v=None) -> IntPoly:
@@ -137,7 +138,7 @@ def primitive_eulerian_descents(a: Arrangement, v=None) -> IntPoly:
     contained = [c for c in fan.packed_regions if not fan.ray_mask(c) & up]
     witness = order.packed_failure(contained)
     if witness is not None:
-        raise UpperSetError(tuple(map(fan.unpack, witness)))
+        raise UpperSetError(witness, fan.unpack)
     return IntPoly.from_counts(map(order.packed_descents, contained))
 
 

@@ -23,10 +23,9 @@ are one dict from region to mask.  The rays are the cocircuits in the order
 of ``halfspace_mask``; a ray c lies in the closure of f iff c & ~f == 0, so
 ray masks are read from tables over 8-bit chunks of f, built on first use
 with the walls: the halfspace route needs neither.  No linear program is
-solved.  The fan order sorts sign vectors by entry with 0 < + < -.  Sign
-tuples remain only at the edge that perfbench reads: ``enumerate_regions``,
-``region_in_halfspace``, ``WeakOrder.covers_above`` and ``FanIndex.pack``,
-``unpack`` and ``key``, which finds a face in its own flat's group.
+solved.  The fan order sorts sign vectors by entry with 0 < + < -.  Every
+region taken or returned is packed; ``FanIndex.unpack`` decodes one only for
+the message of an ``UpperSetError``.
 """
 
 from __future__ import annotations
@@ -36,8 +35,6 @@ from operator import sub
 
 from .arrangement import Arrangement, _pack, build_flats, halfspace_mask, read_vector, set_bits
 from .linalg import dot
-
-SignVector = tuple  # entries in {-1, 0, +1}, one per hyperplane
 
 
 class FanIndex:
@@ -103,11 +100,7 @@ class FanIndex:
     def __len__(self) -> int:
         return sum(map(len, self._faces))
 
-    def pack(self, f) -> int:
-        """plus | minus << m for the sign vector f."""
-        return _pack(f, self.m)
-
-    def unpack(self, f: int) -> SignVector:
+    def unpack(self, f: int) -> tuple[int, ...]:
         """Entry h is bit h of the + half minus bit h of the - half, as
         ASCII digits of their binary forms, lowest bit first; bit m is set
         in both so that each form is m + 1 digits wide."""
@@ -134,20 +127,6 @@ class FanIndex:
                 walls[f | z] |= z
                 walls[f | z << self.m] |= z
         return walls
-
-    # key and _regions serve only the sign-tuple edge that perfbench reads.
-    def key(self, f: SignVector) -> int:
-        """The packed form of the face f, found in its flat's group;
-        KeyError if f is not a face."""
-        p = self.pack(f)
-        i = self._at.get(self._full & ~(p | p >> self.m))
-        if i is None or p not in self._faces[i] or self.unpack(p) != f:
-            raise KeyError(f)
-        return p
-
-    @cached_property
-    def _regions(self) -> tuple[SignVector, ...]:
-        return tuple(map(self.unpack, self.packed_regions))
 
     @cached_property
     def _chunks(self) -> list[tuple[int, list[int]]]:
@@ -198,10 +177,9 @@ def enumerate_faces(a: Arrangement) -> FanIndex:
     return FanIndex(a)
 
 
-# perfbench reads the regions as sign tuples; no route does.
-def enumerate_regions(a: Arrangement) -> tuple[SignVector, ...]:
-    """All full-dimensional sign vectors, sorted."""
-    return enumerate_faces(a)._regions
+def enumerate_regions(a: Arrangement) -> tuple[int, ...]:
+    """All regions, packed, in fan order."""
+    return enumerate_faces(a).packed_regions
 
 
 def is_simplicial(a: Arrangement) -> bool:
@@ -277,14 +255,9 @@ class WeakOrder:
         base region."""
         return (self._walls[c] & (c ^ self._b) >> self._fan.m).bit_count()
 
-    # perfbench checks a declined route's witness with it; no route calls it.
-    def covers_above(self, c: SignVector) -> list[SignVector]:
-        """Regions covering c: wall flips that grow the separation set."""
-        return list(map(self._fan.unpack, self._flips_up(self._fan.key(c))))
-
-    def _flips_up(self, c: int) -> list[int]:
-        """The packed region c flipped across each wall that does not
-        separate it from the base region."""
+    def covers_above(self, c: int) -> list[int]:
+        """The regions covering the packed region c: c flipped across each
+        wall that does not separate it from the base region."""
         m = self._fan.m
         return [c ^ (1 << h | 1 << h + m)
                 for h in set_bits(self._walls[c] & ~((c ^ self._b) >> m))]
@@ -295,14 +268,16 @@ class WeakOrder:
         in the order of inside."""
         members = set(inside)
         for c in inside:
-            for d in self._flips_up(c):
+            for d in self.covers_above(c):
                 if d not in members:
                     return c, d
         return None
 
 
-# perfbench checks a declined route's witness with it; no route calls it.
-def region_in_halfspace(a: Arrangement, c: SignVector, v) -> bool:
-    """True iff the closed region lies in {x : <v, x> <= 0}."""
+def region_in_halfspace(a: Arrangement, c: int, v) -> bool:
+    """True iff the closed packed region c lies in {x : <v, x> <= 0};
+    KeyError if c is not a region."""
     fan, up = enumerate_faces(a), halfspace_mask(a, v)
-    return up is not None and not fan.ray_mask(fan.key(c)) & up
+    if c not in fan.walls:
+        raise KeyError(c)
+    return up is not None and not fan.ray_mask(c) & up

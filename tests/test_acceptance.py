@@ -226,8 +226,7 @@ def test_2_upper_sets_on_sharp_builtins():
             v = _random_very_generic(a, rng)
             order = WeakOrder(a, base_region_of(a, v))
             fan = enumerate_faces(a)
-            inside = [c for c in fan.packed_regions
-                      if region_in_halfspace(a, fan.unpack(c), v)]
+            inside = [c for c in fan.packed_regions if region_in_halfspace(a, c, v)]
             assert order.packed_failure(inside) is None, (a, v)
 
 
@@ -242,7 +241,7 @@ def test_2_nonsharp_negative_witness():
         primitive_eulerian_descents(skew, v)
     order = WeakOrder(skew, base_region_of(skew, v))
     fan = enumerate_faces(skew)
-    inside = [c for c in fan.packed_regions if region_in_halfspace(skew, fan.unpack(c), v)]
+    inside = [c for c in fan.packed_regions if region_in_halfspace(skew, c, v)]
     assert sorted(map(order.packed_descents, inside)) == [1]
     assert primitive_eulerian_mobius(skew) == Z ** 2
 

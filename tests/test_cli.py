@@ -212,6 +212,15 @@ def test_table_range_validation(capsys):
         assert out == ""
 
 
+def test_table_exceptional_refuses_a_range(capsys):
+    # The table has no range: one given was ignored, and the whole table
+    # printed with exit 0.
+    for text in ("nonsense", "0..3"):
+        code, out, err = run(capsys, "table", "exceptional", text)
+        assert (code, out) == (2, "")
+        assert err == f"error: table exceptional takes no range, got {text!r}\n"
+
+
 def test_table_exceptional(capsys):
     code, out, _ = run(capsys, "table", "exceptional")
     assert code == 0
@@ -351,7 +360,7 @@ def test_verify_paths_reports_upper_set_failure(capsys, monkeypatch):
     from primeul.eulerpoly import UpperSetError
 
     def refuse(a, v):
-        raise UpperSetError((0, 1))
+        raise UpperSetError((0, 1), str)
 
     monkeypatch.setitem(cli._ROUTES["peul"], "descents", refuse)
     code, out, err = run(capsys, "verify", "paths", "--max-rank", "2")

@@ -63,7 +63,7 @@ def test_packed_routes_agree(a):
     fan, atoms = enumerate_faces(a), build_flats(a).atom_directions
     rays = atoms + tuple(tuple(-x for x in d) for d in atoms)
     assert is_simplicial(a) == all(
-        sum(all(s * dot(n, d) >= 0 for s, n in zip(c, a.normals))
+        sum(all(s * dot(n, d) >= 0 for s, n in zip(fan.unpack(c), a.normals))
             for d in rays) == fan.rank
         for c in enumerate_regions(a))
     if not is_simplicial(a):
@@ -81,15 +81,17 @@ def test_packed_routes_agree(a):
 def _first_cover_leaving(a, v):
     """The first region c in fan order inside the halfspace of v, with the
     first hyperplane h where c agrees with the base region and c flipped at
-    h is a region outside it: the first failing cover pair, on sign tuples."""
-    base = enumerate_faces(a).unpack(base_region_of(a, v))
-    regions = enumerate_regions(a)
-    for c in regions:
-        if region_in_halfspace(a, c, v):
+    h is a region outside it: the first failing cover pair, found on sign
+    tuples and given packed."""
+    fan = enumerate_faces(a)
+    base = fan.unpack(base_region_of(a, v))
+    regions = {fan.unpack(c): c for c in enumerate_regions(a)}  # in fan order
+    for c, packed in regions.items():
+        if region_in_halfspace(a, packed, v):
             for h, s in enumerate(c):
                 d = c[:h] + (-s,) + c[h + 1:]
-                if s == base[h] and d in regions and not region_in_halfspace(a, d, v):
-                    return c, d
+                if s == base[h] and d in regions and not region_in_halfspace(a, regions[d], v):
+                    return packed, regions[d]
     return None
 
 

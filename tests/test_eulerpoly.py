@@ -21,7 +21,7 @@ from primeul.intpoly import IntPoly, Z, ZM1
 from primeul.linalg import primitive_signed, rref_int
 from primeul.roots import interlaces, is_real_rooted
 from test_arrangement import deletion_summands, essentialize
-from test_faces import _random_very_generic
+from test_faces import _random_very_generic, pack
 
 FOUR_CYCLE = graphic(4, [(1, 2), (2, 3), (3, 4), (4, 1)])
 
@@ -211,7 +211,7 @@ def test_nonsharp_negative_witness():
     # descent sum over the contained regions misses P
     order = WeakOrder(skew, base_region_of(skew, v))
     fan = enumerate_faces(skew)
-    contained = [c for c in fan.packed_regions if region_in_halfspace(skew, fan.unpack(c), v)]
+    contained = [c for c in fan.packed_regions if region_in_halfspace(skew, c, v)]
     assert sorted(map(order.packed_descents, contained)) == [1]
     assert primitive_eulerian_mobius(skew) == Z ** 2
 
@@ -228,14 +228,15 @@ def test_upper_set_witness_is_pinned(normals, v, witness):
     a = Arrangement.from_normals(normals)
     with pytest.raises(UpperSetError) as exc:
         primitive_eulerian_descents(a, v)
-    assert exc.value.witness == witness
+    assert exc.value.witness == tuple(map(pack, witness))
+    assert str(exc.value).endswith(f"region {witness[0]} is inside but its cover "
+                                   f"{witness[1]} is not")
 
 
 def test_routes_leave_the_sign_vector_views_unbuilt():
-    # The geometric routes read the packed fan; the sign tuples of the
-    # regions are built only when enumerate_regions asks for them.  The
-    # halfspace route reads the faces by flat alone: no ray tables, walls
-    # or set of all faces.
+    # The halfspace route reads the packed faces by flat alone: none of the
+    # views indexed by sign bits (the ray tables and the walls), and no set
+    # of all faces.
     enumerate_faces.cache_clear()
     a = type_b(4)
     psi = cochar_via_halfspace(a)
@@ -243,7 +244,6 @@ def test_routes_leave_the_sign_vector_views_unbuilt():
     assert not {"_chunks", "walls"} & set(vars(fan))
     assert peul_from_cochar(psi, 4) == primitive_eulerian_descents(a)
     assert eulerian_poly(a)(1) == 384
-    assert "_regions" not in vars(fan)
     assert len(fan) == 1697 and len(enumerate_regions(a)) == 384
 
 
@@ -307,8 +307,9 @@ def test_eulerian_poly_base_independent():
 
 def test_routes_never_convert_a_region(monkeypatch):
     # The base region, the weak order and both descent sums hold packed
-    # regions: with the sign-tuple conversions refused, the routes still
-    # answer.  The witness of a declined route is decoded at the edge.
+    # regions: with the decoder to sign tuples refused, the routes still
+    # answer.  Only the message of a declined route's error decodes its
+    # witness.
     expected = {"B 4": (IntPoly((0, 8, 60, 36, 1)), IntPoly((1, 76, 230, 76, 1))),
                 "D 4": (IntPoly((0, 4, 20, 20, 1)), IntPoly((1, 44, 102, 44, 1))),
                 "F4": (IntPoly((0, 48, 220, 116, 1)), IntPoly((1, 236, 678, 236, 1)))}
@@ -316,7 +317,6 @@ def test_routes_never_convert_a_region(monkeypatch):
     def refuse(*args):
         raise AssertionError("a region was converted")
 
-    monkeypatch.setattr(FanIndex, "pack", refuse)
     monkeypatch.setattr(FanIndex, "unpack", refuse)
     for family, (peul, eul) in expected.items():
         a = parse_family(family)
@@ -325,7 +325,29 @@ def test_routes_never_convert_a_region(monkeypatch):
     monkeypatch.undo()
     with pytest.raises(UpperSetError) as exc:
         primitive_eulerian_descents(Arrangement.from_normals([(1, 0), (1, 1)]), (1, 3))
-    assert exc.value.witness == ((1, -1), (-1, -1))
+    assert exc.value.witness == (pack((1, -1)), pack((-1, -1)))
+
+
+def test_declined_witness_checks_out(capsys):
+    # The benchmark checks a declined descents route this way, on the same
+    # non-sharp input: the packed witness goes back into covers_above and
+    # region_in_halfspace as it is, and only len() of the regions is read.
+    from primeul.arrangement import count_regions_zaslavsky
+    from primeul.cli import main
+
+    family = "graphic 3 1-3,2-3"
+    a = parse_family(family)
+    v = find_very_generic(a)
+    with pytest.raises(UpperSetError) as exc:
+        primitive_eulerian_descents(a, v)
+    c, d = exc.value.witness
+    assert d in WeakOrder(a, base_region_of(a, v)).covers_above(c)
+    assert region_in_halfspace(a, c, v) and not region_in_halfspace(a, d, v)
+    assert len(enumerate_regions(a)) == count_regions_zaslavsky(a)
+    assert main(["poly", "--family", family, "--method", "descents"]) == 3
+    assert capsys.readouterr().err == (
+        "error: regions in the halfspace are not an upper set: region (1, -1) "
+        "is inside but its cover (-1, -1) is not\n")
 
 
 def test_base_region_of_is_packed():

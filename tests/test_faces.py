@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, find, given, settings
 from hypothesis import strategies as st
 
-from primeul.arrangement import (Arrangement, build_flats, count_regions_zaslavsky,
+from primeul.arrangement import (Arrangement, _pack, build_flats, count_regions_zaslavsky,
                                  halfspace_mask, is_very_generic_vector, set_bits)
 from primeul.cli import _PATH_BUILTINS
 from primeul.eulerpoly import find_very_generic
@@ -23,6 +23,11 @@ SKEW2 = Arrangement.from_normals([(1, 0), (1, 1)], 2)
 
 # References on the fan's packed sign vectors plus | minus << m.  A face f
 # lies in the closure of g iff f & ~g == 0: every sign of f is one of g.
+
+
+def pack(signs):
+    """plus | minus << m for a sign tuple of length m."""
+    return _pack(signs, len(signs))
 
 
 def sign_key(signs):
@@ -92,8 +97,9 @@ def test_regions_match_zaslavsky():
 
 
 def test_regions_sorted_deterministically():
-    regions = enumerate_regions(type_b(2))
-    assert list(regions) == sorted(regions, key=sign_key)
+    fan = enumerate_faces(type_b(2))
+    regions = list(map(fan.unpack, enumerate_regions(type_b(2))))
+    assert regions == sorted(regions, key=sign_key)
     assert all(0 not in r for r in regions)
 
 
@@ -146,7 +152,7 @@ def test_tits_rank2_example():
     fan = enumerate_faces(COORD2)
 
     def tits(f, g):
-        return fan.unpack(tits_product(fan, fan.pack(f), fan.pack(g)))
+        return fan.unpack(tits_product(fan, pack(f), pack(g)))
 
     # first nonzero wins entrywise: (+,0) * (0,-) lands in the region (+,-)
     assert tits((1, 0), (0, -1)) == (1, -1)
@@ -163,7 +169,7 @@ def test_opposite():
         assert opposite(fan, f) in faces
         assert fan.unpack(opposite(fan, f)) == tuple(-x for x in fan.unpack(f))
         assert opposite(fan, opposite(fan, f)) == f
-    assert opposite(fan, fan.pack((1,) * 4)) == fan.pack((-1,) * 4)
+    assert opposite(fan, pack((1,) * 4)) == pack((-1,) * 4)
 
 
 def test_separation():
@@ -185,18 +191,17 @@ def test_separation():
 
 def test_adjacent_regions_share_facet():
     fan = enumerate_faces(type_b(2))
-    regions = enumerate_regions(type_b(2))
+    regions, faces = enumerate_regions(type_b(2)), packed_faces(fan)
     for c in regions:
         for h in range(4):
-            d = c[:h] + (-c[h],) + c[h + 1:]
-            if d in regions:
-                wall = fan.key(c[:h] + (0,) + c[h + 1:])
-                assert packed_grade(fan, wall) == fan.rank - 1
+            flip = 1 << h | 1 << h + 4
+            if c ^ flip in regions:
+                wall = c & ~flip  # c with 0 at h
+                assert wall in faces and packed_grade(fan, wall) == fan.rank - 1
 
 
 def test_rays_first_quadrant():
-    fan = enumerate_faces(COORD2)
-    assert sorted(rays_of(COORD2, fan.pack((1, 1)))) == [(0, 1), (1, 0)]
+    assert sorted(rays_of(COORD2, pack((1, 1)))) == [(0, 1), (1, 0)]
 
 
 def test_rays_counts():
@@ -275,13 +280,18 @@ def test_region_in_halfspace():
     v = (1, 2, 4)
     regions = enumerate_regions(b3)
     base = tuple(1 if dot(n, v) > 0 else -1 for n in b3.normals)
-    assert not region_in_halfspace(b3, base, v)  # contains v itself
-    assert region_in_halfspace(b3, tuple(-x for x in base), v)
+    assert not region_in_halfspace(b3, pack(base), v)  # contains v itself
+    assert region_in_halfspace(b3, pack(tuple(-x for x in base)), v)
     contained = [c for c in regions if region_in_halfspace(b3, c, v)]
     assert len(contained) == 15  # Greene-Zaslavsky: |mu(bot, top)|
     # a ray on the bounding hyperplane keeps the closed quadrant inside
-    assert region_in_halfspace(COORD2, (1, 1), (0, -1))
-    assert not region_in_halfspace(COORD2, (1, 1), (1, -1))
+    assert region_in_halfspace(COORD2, pack((1, 1)), (0, -1))
+    assert not region_in_halfspace(COORD2, pack((1, 1)), (1, -1))
+    # a lower face, a vector with both signs at a hyperplane and a sign
+    # tuple are refused
+    for c in (pack((1, 0)), pack((1, 1)) | 1 << 2, (1, 1)):
+        with pytest.raises(KeyError):
+            region_in_halfspace(COORD2, c, (0, -1))
 
 
 def test_faces_in_halfspace_rank1():
@@ -357,9 +367,10 @@ def test_regions_against_brute_force():
         brute.sort(key=sign_key)
         fan = enumerate_faces(a)
         assert sorted_faces(fan) == brute
-        assert [packed_grade(fan, fan.pack(f)) + build_flats(a).bottom_dim for f in brute] == [
+        assert [packed_grade(fan, pack(f)) + build_flats(a).bottom_dim for f in brute] == [
             a.dim - len(rref_int(_zero_normals(a, f), a.dim)) for f in brute]
-        assert enumerate_regions(a) == tuple(f for f in brute if 0 not in f)
+        assert tuple(map(fan.unpack, enumerate_regions(a))) == tuple(
+            f for f in brute if 0 not in f)
 
     # the vector the routes pick by default, and two random ones
     rng = random.Random(3)
@@ -370,47 +381,17 @@ def test_regions_against_brute_force():
         for v in (find_very_generic(a), _random_very_generic(a, rng),
                   _random_very_generic(a, rng)):
             certified = {
-                fan.pack(f) for f in sorted_faces(fan)
+                pack(f) for f in sorted_faces(fan)
                 if not strict_feasible(_signed(a, f) + [v], _zero_normals(a, f), a.dim)}
             assert faces_in_halfspace(a, v) == certified, (family, v)
 
     # v not orthogonal to the minimum flat: no closed region fits in the
     # halfspace, since each contains the whole minimum flat
     a = braid(3)
-    for c in enumerate_regions(a):
-        assert strict_feasible(_signed(a, c) + [(1, 1, 1)], (), a.dim)
-        assert not region_in_halfspace(a, c, (1, 1, 1))
-
-
-def _key_against_faces(a, rng):
-    """key packs every face, of every grade, and refuses what is not one:
-    sign vectors drawn at random, a vector one entry too long, and one
-    with an entry 2 that packs like a face."""
     fan = enumerate_faces(a)
-    faces = packed_faces(fan)
-    for f in faces:
-        assert fan.key(fan.unpack(f)) == f
-    drawn = [tuple(rng.choice((1, 0, -1)) for _ in range(fan.m)) for _ in range(100)]
-    for signs in drawn + [(0,) * (fan.m + 1), (2,) * fan.m]:
-        if fan.pack(signs) in faces and fan.unpack(fan.pack(signs)) == signs:
-            assert fan.key(signs) == fan.pack(signs)
-        else:
-            with pytest.raises(KeyError):
-                fan.key(signs)
-
-
-def test_key_on_path_builtins():
-    rng = random.Random(5)
-    for family in _PATH_BUILTINS:
-        _key_against_faces(parse_family(family), rng)
-
-
-@settings(derandomize=True, deadline=None, max_examples=60)
-@given(arrangements(), st.randoms(use_true_random=False))
-@example(Arrangement(0, ()), random.Random(0))
-@example(Arrangement(3, ()), random.Random(0))
-def test_key_generated(a, rng):
-    _key_against_faces(a, rng)
+    for c in enumerate_regions(a):
+        assert strict_feasible(_signed(a, fan.unpack(c)) + [(1, 1, 1)], (), a.dim)
+        assert not region_in_halfspace(a, c, (1, 1, 1))
 
 
 _FIRST_LOOKUP_PEAK = """\
@@ -423,7 +404,7 @@ def peak_kb():
 a = parse_family("D 6")
 fan = enumerate_faces(a)
 v = find_very_generic(a)
-c = fan.unpack(fan.packed_regions[0])
+c = fan.packed_regions[0]
 before = peak_kb()
 region_in_halfspace(a, c, v)
 print(peak_kb() - before)
@@ -431,9 +412,9 @@ print(peak_kb() - before)
 
 
 def test_first_region_lookup_within_2mb():
-    # key finds a region in the top flat's group: the first
-    # region_in_halfspace on D6 (216,113 faces) builds no set of all faces,
-    # which raised the peak resident size by 14 MB.
+    # region_in_halfspace refuses a non-region by one lookup in the walls:
+    # the first call on D6 (216,113 faces) builds no set of all faces, which
+    # raised the peak resident size by 14 MB.
     done = python("-c", _FIRST_LOOKUP_PEAK)
     assert done.returncode == 0, done.stderr
     assert int(done.stdout) < 2 * 1024, done.stdout
@@ -443,7 +424,7 @@ def test_empty_arrangement_fan():
     fan = enumerate_faces(Arrangement(3, ()))
     assert sorted_faces(fan) == [()]
     assert fan.f_vector() == (1,)
-    assert enumerate_regions(Arrangement(3, ())) == ((),)
+    assert enumerate_regions(Arrangement(3, ())) == (0,)
 
 
 def _compositions(cocircuits, m: int) -> set[int]:

@@ -1,6 +1,7 @@
 """Rules on the package source itself."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import primeul
@@ -107,6 +108,23 @@ def test_every_public_name_is_used():
     # by ``ast``, so ``lattice.rank`` is no use of a function ``rank``.
     perfbench = sorted((Path(__file__).parents[1] / "perfbench").glob("*.py"))
     assert _unused((ast.FunctionDef, ast.ClassDef), private=False, also=perfbench) == []
+
+
+def test_perfbench_imports_resolve():
+    # Every name the benchmark child imports from the package must still
+    # be there, so that dropping or moving one fails here and not in a
+    # benchmark run.  test_every_public_name_is_used counts these imports
+    # as uses but does not resolve them.
+    child = Path(__file__).parents[1] / "perfbench" / "child.py"
+    names = [(node.module, alias.name)
+             for node in ast.walk(ast.parse(child.read_text(encoding="utf-8")))
+             if isinstance(node, ast.ImportFrom) and node.module
+             and node.module.partition(".")[0] == "primeul"
+             for alias in node.names]
+    assert names
+    missing = [f"{module}.{name}" for module, name in names
+               if not hasattr(importlib.import_module(module), name)]
+    assert missing == []
 
 
 def test_every_private_function_is_read():

@@ -6,7 +6,7 @@ from primeul.arrangement import Arrangement, set_bits
 from primeul.faces import (WeakOrder, base_region_of, enumerate_faces,
                            enumerate_regions, region_in_halfspace)
 from primeul.families import braid, type_b
-from test_faces import (faces_in_halfspace, opposite, packed_faces, packed_grade,
+from test_faces import (faces_in_halfspace, opposite, pack, packed_faces, packed_grade,
                         tits_product)
 
 
@@ -14,14 +14,15 @@ def hexagon():
     return braid(3)
 
 
-def sep(c, d):
-    """The hyperplanes separating the regions c and d, given as sign tuples."""
-    return {h for h, (x, y) in enumerate(zip(c, d)) if x != y}
+def sep(fan, c, d):
+    """The hyperplanes separating the packed regions c and d, read off
+    their sign tuples."""
+    return {h for h, (x, y) in enumerate(zip(fan.unpack(c), fan.unpack(d))) if x != y}
 
 
 def ranks(w, base):
     """Each region's rank in the graded weak order: its distance from the
-    base region, a sign tuple, along covers_above."""
+    base region along covers_above."""
     rank, level, r = {}, {base}, 0
     while level:
         rank.update(dict.fromkeys(level, r))
@@ -51,19 +52,21 @@ def test_min_max():
     # maximum: every region lies above the base along covers, and only the
     # opposite has no cover above it.
     a = hexagon()
+    fan = enumerate_faces(a)
     regions = enumerate_regions(a)
-    w = WeakOrder(a, enumerate_faces(a).packed_regions[0])
+    w = WeakOrder(a, regions[0])
     assert set(ranks(w, regions[0])) == set(regions)
-    assert [c for c in regions if not w.covers_above(c)] == [tuple(-x for x in regions[0])]
+    assert [c for c in regions if not w.covers_above(c)] == [opposite(fan, regions[0])]
 
 
 def test_hexagon_rank_profile():
     a = hexagon()
+    fan = enumerate_faces(a)
     base = enumerate_regions(a)[0]
-    w = WeakOrder(a, enumerate_faces(a).pack(base))
+    w = WeakOrder(a, base)
     rank = ranks(w, base)
     assert sorted(rank.values()) == [0, 1, 1, 2, 2, 3]
-    assert all(r == len(sep(base, c)) for c, r in rank.items())
+    assert all(r == len(sep(fan, base, c)) for c, r in rank.items())
 
 
 def test_base_must_be_region():
@@ -72,7 +75,7 @@ def test_base_must_be_region():
     a = hexagon()
     fan = enumerate_faces(a)
     c, m = fan.packed_regions[0], fan.m
-    for base in (0, fan.pack((0, 1, 1)), c | (c & (1 << m) - 1) << m, enumerate_regions(a)[0]):
+    for base in (0, pack((0, 1, 1)), c | (c & (1 << m) - 1) << m, fan.unpack(c)):
         with pytest.raises(ValueError, match="base is not a region"):
             WeakOrder(a, base)
 
@@ -87,7 +90,7 @@ def test_descents():
     assert w.packed_descents(opposite(fan, b)) == 2  # hexagon top covers two regions
     # a descent count is the number of regions covered
     for c in regions:
-        assert w.packed_descents(fan.pack(c)) == sum(c in w.covers_above(d) for d in regions)
+        assert w.packed_descents(c) == sum(c in w.covers_above(d) for d in regions)
     # total distribution is the Eulerian polynomial of the symmetric group
     dist = Counter(map(w.packed_descents, fan.packed_regions))
     assert dist == {0: 1, 1: 4, 2: 1}
@@ -101,25 +104,25 @@ def test_descents_empty_arrangement():
 
 def test_covers_grow_by_one_wall():
     a = type_b(2)
+    fan = enumerate_faces(a)
     base = enumerate_regions(a)[0]
-    w = WeakOrder(a, enumerate_faces(a).pack(base))
+    w = WeakOrder(a, base)
     for c in enumerate_regions(a):
         for d in w.covers_above(c):
-            assert sep(base, c) < sep(base, d)
-            assert len(sep(base, d) - sep(base, c)) == 1
+            assert sep(fan, base, c) < sep(fan, base, d)
+            assert len(sep(fan, base, d) - sep(fan, base, c)) == 1
 
 
 def test_upper_sets():
     a = hexagon()
     fan = enumerate_faces(a)
-    base = enumerate_regions(a)[0]
-    b = fan.pack(base)
+    b = enumerate_regions(a)[0]
     w = WeakOrder(a, b)
     assert w.packed_failure([opposite(fan, b)]) is None
     assert w.packed_failure(list(fan.packed_regions)) is None
     assert w.packed_failure([]) is None
     c, d = w.packed_failure([b])
-    assert c == b and fan.unpack(d) in w.covers_above(base)
+    assert c == b and d in w.covers_above(b)
 
 
 def test_upper_set_halfspace_b3():
@@ -127,7 +130,7 @@ def test_upper_set_halfspace_b3():
     v = (1, 2, 4)
     w = WeakOrder(b3, base_region_of(b3, v))
     fan = enumerate_faces(b3)
-    contained = [c for c in fan.packed_regions if region_in_halfspace(b3, fan.unpack(c), v)]
+    contained = [c for c in fan.packed_regions if region_in_halfspace(b3, c, v)]
     assert len(contained) == 15
     assert w.packed_failure(contained) is None
 
@@ -189,9 +192,9 @@ def test_walls_against_flip_rule():
     arrangements = [parse_family(f) for f in _PATH_BUILTINS + ("B 4", "F4")]
     for a in arrangements + [braid(3), Arrangement(2, ())]:
         fan = enumerate_faces(a)
-        regions = enumerate_regions(a)
+        regions = tuple(map(fan.unpack, enumerate_regions(a)))
         inside = set(regions)
         assert len(fan.walls) == len(regions)
         for c in regions:
-            assert set_bits(fan.walls[fan.pack(c)]) == [
+            assert set_bits(fan.walls[pack(c)]) == [
                 h for h in range(len(c)) if c[:h] + (-c[h],) + c[h + 1:] in inside]
