@@ -64,10 +64,10 @@ class Arrangement(Frozen):
 class FlatLattice:
     """All intersections of hyperplane subsets, with Mobius values from ⊥.
 
-    Flat i is ``masks[i]`` and ``dims[i]``.  Positions, the handles used
-    everywhere else, are sorted by (grade, mask), where grade is the lattice
-    height above ⊥.  ``keys[i]``, the canonical RREF of the normal space of
-    flat i, is computed on first access.
+    Flat i is ``masks[i]`` and ``dims[i]``; ``covers_below[i]`` are the flats it covers.
+    Positions, the handles used everywhere else, are sorted by (grade, mask), where grade
+    is the lattice height above ⊥.  ``keys[i]``, the canonical RREF of the normal space
+    of flat i, ``covers_above`` and ``mobius_bottom`` are computed on first access.
     """
 
     def __init__(self, arrangement: Arrangement):
@@ -122,16 +122,8 @@ class FlatLattice:
         self.dims = tuple(n - k for k in reversed(range(len(grades))) for _ in grades[k])
         self.bottom_dim = self.dims[0]
         self.rank = n - self.bottom_dim
-        # Positions of the flats that flat i covers / that cover flat i.
         at = {m: i for i, m in enumerate(self.masks)}
-        below_all, above = [], [[] for _ in self.masks]
-        for i, m in enumerate(self.masks):
-            below_i = sorted(map(at.__getitem__, down[m]))
-            for j in below_i:
-                above[j].append(i)
-            below_all.append(tuple(below_i))
-        self.covers_below = tuple(below_all)
-        self.covers_above = tuple(map(tuple, above))
+        self.covers_below = tuple(tuple(sorted(map(at.__getitem__, down[m]))) for m in self.masks)
 
     def _image(self, r: int, d: int) -> int:
         """The line of vector r with the pivot column c of line d
@@ -188,6 +180,15 @@ class FlatLattice:
         return out
 
     @cached_property
+    def covers_above(self) -> tuple[tuple[int, ...], ...]:
+        """Positions of the flats covering flat i, from ``covers_below`` on first read."""
+        above = [[] for _ in self.masks]
+        for i, below in enumerate(self.covers_below):
+            for j in below:
+                above[j].append(i)
+        return tuple(map(tuple, above))
+
+    @cached_property
     def mobius_bottom(self) -> tuple[int, ...]:
         """mu(bottom, X) for every flat X, computed on first use."""
         return _mobius_bottom(self.covers_below, self.dims)
@@ -236,16 +237,17 @@ def set_bits(mask: int) -> list[int]:
 
 
 def _mobius_bottom(covers_below, dims) -> tuple[int, ...]:
-    """mu(bottom, X) = -(sum of mu(bottom, Y) over Y below X).  The flats
-    below X form its down-set, a bitmask over positions joining those of its
-    covers, which lie one grade down: only that grade's down-sets are kept.
-    Positions of one Mobius value share a bitmask: a sum is a popcount each."""
+    """mu(bottom, X) = -(sum of mu(bottom, Y) over Y below X): -1 on grade 1 and (atoms
+    below X) - 1 on grade 2.  Above, the flats below X form its down-set, a bitmask over
+    positions joining those of its covers one grade down, whose down-sets alone are kept;
+    positions of one Mobius value share a bitmask, so a sum is a popcount each."""
     mu, by_value, prev, cur = [], {}, {}, {}
     for i, (below, dim) in enumerate(zip(covers_below, dims)):
         if i and dim != dims[i - 1]:
             prev, cur = cur, {}
         ds = reduce(or_, [prev[c] for c in below], 0)
-        mu.append(-sum(v * (ds & s).bit_count() for v, s in by_value.items()) if i else 1)
+        mu.append((1, -1, len(below) - 1)[g] if (g := dim - dims[0]) < 3 else
+                  -sum(v * (ds & s).bit_count() for v, s in by_value.items()))
         cur[i] = ds | 1 << i
         by_value[mu[i]] = by_value.get(mu[i], 0) | 1 << i
     return tuple(mu)
@@ -295,17 +297,26 @@ def is_very_generic_vector(a: Arrangement, v) -> bool:
 
 def very_generic_failure(a: Arrangement, v):
     """None if v is very generic, else a human-readable reason."""
+    return _very_generic_mask(a, v)[1]
+
+
+def _very_generic_mask(a: Arrangement, v):
+    """(halfspace_mask(a, v), very_generic_failure(a, v)); no mask if v is on a hyperplane."""
     v = read_vector(a, v)
     for normal in a.normals:
         if dot(normal, v) == 0:
-            return f"v lies on the hyperplane with normal {normal}"
-    return halfspace_failure(a, v)
+            return None, f"v lies on the hyperplane with normal {normal}"
+    return (up := halfspace_mask(a, v)), _halfspace_failure(a, up)
 
 
 def halfspace_failure(a: Arrangement, v):
     """None if the halfspace {<v,x> <= 0} is generic (its boundary contains ⊥
     and no other flat), else a human-readable reason; v on a hyperplane is not checked."""
-    up = halfspace_mask(a, v)
+    return _halfspace_failure(a, halfspace_mask(a, v))
+
+
+def _halfspace_failure(a: Arrangement, up):
+    """``halfspace_failure`` read off v's halfspace mask."""
     if up is None:
         return "v is not orthogonal to the minimum flat"
     # A rank-1 flat on the boundary has both its bits clear: name the least key.

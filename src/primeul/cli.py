@@ -68,8 +68,8 @@ def _parse_v(args, arrangement):
 
 # The routes to each polynomial, as fn(arrangement, v); "auto", last, names
 # the route it takes.  The peul keys are the --method choices; a method not
-# listed for a polynomial is refused.  ``verify paths`` runs each peul route
-# against the mobius sum.
+# listed for a polynomial is refused, and so is --v on a route not in
+# ``_READS_V``.  ``verify paths`` runs each peul route against the mobius sum.
 _ROUTES = {
     "peul": {
         "mobius": lambda a, v: primitive_eulerian_mobius(a),
@@ -87,6 +87,7 @@ _ROUTES = {
     "char": {"mobius": lambda a, v: characteristic_polynomial(a), "auto": "mobius"},
     "eulerian": {"descents": lambda a, v: eulerian_poly(a), "auto": "descents"},
 }
+_READS_V = {("peul", "halfspace"), ("peul", "descents"), ("cochar", "halfspace")}
 
 
 def cmd_poly(args) -> int:
@@ -97,6 +98,8 @@ def cmd_poly(args) -> int:
     if args.method not in routes:
         raise ValueError(f"method {args.method!r} does not apply to {which}")
     method = routes["auto"] if args.method == "auto" else args.method
+    if v is not None and (which, method) not in _READS_V:
+        raise ParseError(f"{which} by {method} takes no --v")
     poly = routes[method](a, v)
     elapsed_ms = int((time.perf_counter() - t0) * 1000)
     if args.json:

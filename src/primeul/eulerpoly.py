@@ -22,8 +22,8 @@ Regions stay packed; only the message of an ``UpperSetError`` decodes them.
 
 from __future__ import annotations
 
-from .arrangement import (Arrangement, build_flats, find_very_generic, halfspace_mask,
-                          read_vector, very_generic_failure)
+from .arrangement import (Arrangement, _very_generic_mask, build_flats, find_very_generic,
+                          read_vector)
 from .faces import WeakOrder, base_region_of, enumerate_faces, is_simplicial
 from .intpoly import IntPoly, ZM1
 
@@ -54,21 +54,21 @@ def peul_from_cochar(psi: IntPoly, r: int) -> IntPoly:
 
 
 def primitive_eulerian_recursive(a: Arrangement) -> IntPoly:
-    """Recursion P = (z-1) P_{restriction} + sum over rank-1 flats off the
-    pivot of P_{localization}, on intervals [lo, hi] of the lattice of flats:
-    the pivot is the coatom C of [lo, hi] with the largest mask, its
-    restriction is [lo, C], and the localization at an atom X not below C is
-    [X, hi].  An interval with as many coatoms as its rank is Boolean, with
-    P = z^rank.  Each interval's P is memoized as a coefficient tuple, low
-    degree first; flat x lies below flat y iff the mask of y is a subset of
-    the mask of x."""
+    """Recursion P = (z-1) P_{restriction} + sum over rank-1 flats off the pivot of
+    P_{localization}, on intervals [lo, hi] of the lattice of flats: the pivot is the
+    coatom C of [lo, hi] with the largest mask, its restriction is [lo, C], and the
+    localization at an atom X not below C is [X, hi].  Closed forms end it: a Boolean
+    interval (as many coatoms as its rank) has P = z^rank, and one of rank 2 with k
+    coatoms (z-1) z + (k-1) z = z^2 + (k-2) z.  Each interval's P is memoized as a
+    coefficient tuple, low degree first; flat x lies below flat y iff the mask of y is
+    a subset of the mask of x."""
     lattice = build_flats(a)
     return IntPoly(_interval_peuls(lattice)[lattice.bottom_index, lattice.top_index])
 
 
 def _interval_peuls(lattice) -> dict[tuple[int, int], tuple[int, ...]]:
-    """The memo of ``primitive_eulerian_recursive``: P of [⊥, top] and of
-    every interval its recursion meets, by (lo, hi)."""
+    """The memo of ``primitive_eulerian_recursive``: P of [⊥, top] and of every interval
+    its recursion meets, by (lo, hi).  Rank 2 is closed, so rank 1 is met only as [⊥, top]."""
     masks, below, above, dims = (lattice.masks, lattice.covers_below,
                                  lattice.covers_above, lattice.dims)
     memo: dict[tuple[int, int], tuple[int, ...]] = {}
@@ -77,7 +77,9 @@ def _interval_peuls(lattice) -> dict[tuple[int, int], tuple[int, ...]]:
         if (lo, hi) not in memo:
             coatoms = [c for c in below[hi] if masks[c] & masks[lo] == masks[c]]
             r = dims[hi] - dims[lo]
-            if len(coatoms) == r:
+            if r == 2:  # k atoms: (z-1) z + (k-1) z
+                memo[lo, hi] = (0, len(coatoms) - 2, 1)
+            elif len(coatoms) == r:
                 memo[lo, hi] = (0,) * r + (1,)
             else:
                 pivot = coatoms[-1]  # positions in a grade follow masks
@@ -96,20 +98,18 @@ def _interval_peuls(lattice) -> dict[tuple[int, int], tuple[int, ...]]:
 
 
 def _very_generic(a: Arrangement, v):
-    """v read once and checked to be very generic, or a found one if None."""
-    if v is None:
-        return find_very_generic(a)
-    v = read_vector(a, v)
-    if (failure := very_generic_failure(a, v)) is not None:
+    """v read once (or found if None) and checked to be very generic, and its halfspace mask."""
+    v = find_very_generic(a) if v is None else read_vector(a, v)
+    up, failure = _very_generic_mask(a, v)
+    if failure is not None:
         raise ValueError(f"v not very generic: {failure}")
-    return v
+    return v, up
 
 
 def cochar_via_halfspace(a: Arrangement, v=None) -> IntPoly:
     """Graded count of the faces inside the halfspace {<v, x> <= 0}: each
     grade's faces less those with a ray outside it (``FanIndex.f_vector_inside``)."""
-    v = _very_generic(a, v)
-    return IntPoly(enumerate_faces(a).f_vector_inside(halfspace_mask(a, v)))
+    return IntPoly(enumerate_faces(a).f_vector_inside(_very_generic(a, v)[1]))
 
 
 class UpperSetError(ValueError):
@@ -132,9 +132,9 @@ def primitive_eulerian_descents(a: Arrangement, v=None) -> IntPoly:
     """
     if not is_simplicial(a):
         raise ValueError("descent path requires a simplicial arrangement")
-    v = _very_generic(a, v)
+    v, up = _very_generic(a, v)
     order = WeakOrder(a, base_region_of(a, v))
-    fan, up = enumerate_faces(a), halfspace_mask(a, v)
+    fan = enumerate_faces(a)
     contained = [c for c in fan.packed_regions if not fan.ray_mask(c) & up]
     witness = order.packed_failure(contained)
     if witness is not None:

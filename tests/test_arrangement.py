@@ -461,6 +461,20 @@ def test_recursive_route_leaves_mobius_unbuilt():
     assert build_flats(a).mobius_bottom[build_flats(a).top_index] == 105
 
 
+def test_mobius_route_leaves_covers_above_unbuilt():
+    # The flats covering each flat are inverted from covers_below on first
+    # read, so the mobius route, which never reads them, does not pay for
+    # them; they equal the inversion of covers_below.
+    build_flats.cache_clear()
+    a = type_b(4)
+    primitive_eulerian_mobius(a)
+    lattice = build_flats(a)
+    assert "covers_above" not in vars(lattice)
+    assert lattice.covers_above == tuple(
+        tuple(i for i, below in enumerate(lattice.covers_below) if j in below)
+        for j in range(len(lattice)))
+
+
 def test_lattice_keys_equal_row_reduction(monkeypatch):
     # A key is computed on first access, from the key of the flat its flat
     # was first found below and one reduced line; it must be the canonical
@@ -508,14 +522,17 @@ def test_lattice_reduces_each_pair_once(reductions):
     assert len(reductions) == len(set(reductions)) == 14432
 
 
-# The lattice workload's inputs: flats, cover relations, reductions in the
-# build (B5: 3,182 when each flat reduced its own) and the recursive
-# route's memo entries.  The memo holds 2,968 entries in all; pivoting on
-# the first coatom in the order of flats by key gave 2,812, and on the
-# first by mask 3,356.
-WORK = {"A 6": (203, 856, 60, 252), "B 5": (648, 3396, 200, 1110),
-        "D 5": (403, 1931, 182, 599), "Dnk 5 3": (550, 2810, 200, 964),
-        "Gn 8": (503, 2259, 501, 43)}
+# The lattice workload's inputs, then the reflection workload's: flats,
+# cover relations, reductions in the build (B5: 3,182 when each flat
+# reduced its own) and the recursive route's memo entries.  With rank-2
+# intervals closed, the lattice workload's memo holds 2,067 entries in all
+# (2,968 when the recursion went down to rank 1; pivoting then on the first
+# coatom in the order of flats by key gave 2,812, and on the first by mask
+# 3,356).
+WORK = {"A 6": (203, 856, 60, 163), "B 5": (648, 3396, 200, 784),
+        "D 5": (403, 1931, 182, 420), "Dnk 5 3": (550, 2810, 200, 660),
+        "Gn 8": (503, 2259, 501, 40),
+        "A 5": (52, 160, 30, 32), "B 4": (116, 432, 96, 101), "D 4": (72, 240, 82, 48)}
 
 
 @pytest.mark.parametrize("family", WORK)
@@ -527,11 +544,36 @@ def test_lattice_work_counters(reductions, family):
             len(memo)) == WORK[family]
 
 
+def test_rank2_intervals_are_closed():
+    # The recursion settles a rank-2 interval with k atoms as z^2 + (k-2) z
+    # and never visits a rank-1 interval below the top one.  Each rank-2
+    # entry must equal sum over X in [lo, hi] of |mu(lo, X)| (z-1)^(2 - grade),
+    # with mu taken from masks by its definition.
+    for family in ("A 6", "B 5", "D 5", "Dnk 5 3", "Gn 8", "B 4"):
+        lattice = FlatLattice(parse_family(family))
+        masks, dims = lattice.masks, lattice.dims
+        memo = _interval_peuls(lattice)
+        rank2_entries = [(lo, hi) for lo, hi in memo if dims[hi] - dims[lo] == 2]
+        assert rank2_entries and all(dims[hi] - dims[lo] >= 2 for lo, hi in memo), family
+        for lo, hi in rank2_entries:
+            between = [x for x in range(len(masks)) if masks[x] & masks[lo] == masks[x]
+                       and masks[x] & masks[hi] == masks[hi]]
+            mu = {}
+            for x in sorted(between, key=dims.__getitem__):
+                mu[x] = 1 if x == lo else -sum(
+                    mu[y] for y in mu if masks[y] & masks[x] == masks[x] and y != x)
+            oracle = IntPoly()
+            for x in between:
+                oracle = oracle + abs(mu[x]) * ZM1 ** (2 - (dims[x] - dims[lo]))
+            assert IntPoly(memo[lo, hi]) == oracle, (family, lo, hi)
+
+
 def test_routes_leave_the_flat_views_unbuilt(capsys):
     # Inside the lattice a flat is its mask and dimension, and nothing else
     # is built on it: after every route, the fan and inspect, the lattice
-    # holds its fields and the values computed on first use only.  Keys are
-    # computed for ⊥ and the rank-1 flats, and the flats they are built
+    # holds its fields and the values computed on first use only
+    # (``covers_above``, which the mobius route never reads, is one).  Keys
+    # are computed for ⊥ and the rank-1 flats, and the flats they are built
     # from, alone: on B4, 66 of 116.
     build_flats.cache_clear()
     enumerate_faces.cache_clear()

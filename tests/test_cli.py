@@ -89,6 +89,24 @@ def test_parse_failure_exit_2(capsys, tmp_path):
         assert err.startswith("error: ")
 
 
+def test_poly_refuses_v_on_a_route_that_ignores_it(capsys):
+    # Only the halfspace and descents routes to P and the halfspace route to
+    # the cocharacteristic polynomial read v; every other route dropped it
+    # and printed its polynomial with exit 0.
+    for which, method, argv in [("peul", "mobius", ()), ("peul", "mobius", ("--method", "mobius")),
+                                ("peul", "recursive", ("--method", "recursive")),
+                                ("char", "mobius", ("--which", "char")),
+                                ("cochar", "mobius", ("--which", "cochar", "--method", "mobius")),
+                                ("eulerian", "descents", ("--which", "eulerian"))]:
+        code, out, err = run(capsys, "poly", "--family", "B 3", *argv, "--v", "1,2,4")
+        assert (code, out) == (2, ""), argv
+        assert err == f"error: {which} by {method} takes no --v\n"
+    for argv in (("--method", "halfspace"), ("--method", "descents"),
+                 ("--which", "cochar", "--method", "halfspace")):
+        code, out, _ = run(capsys, "poly", "--family", "B 3", *argv, "--v", "1,2,4")
+        assert code == 0 and out, argv
+
+
 def test_missing_file_exit_2(capsys):
     code, _, _ = run(capsys, "poly", "--file", "/nonexistent.arr")
     assert code == 2

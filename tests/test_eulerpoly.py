@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from primeul import arrangement, eulerpoly, faces
 from primeul.arrangement import (Arrangement, build_flats, halfspace_failure,
                                  halfspace_mask, product, very_generic_failure)
 from primeul.eulerpoly import (UpperSetError, base_region_of,
@@ -175,6 +176,24 @@ def test_v_is_read_once(entry):
     # it again: an iterator v ended in a TypeError.
     b3 = type_b(3)
     assert entry(b3, iter((1, 2, 4))) == entry(b3, [1, 2, 4])
+
+
+@pytest.mark.parametrize("route", [cochar_via_halfspace, primitive_eulerian_descents])
+def test_v_is_masked_once(monkeypatch, route):
+    # The genericity gate computed v's halfspace mask and dropped it, and
+    # the route then computed it again: two calls per route call.
+    d5 = type_d(5)
+    v, calls, mask = find_very_generic(d5), [], halfspace_mask
+
+    def count(a, v):
+        calls.append(v)
+        return mask(a, v)
+
+    for module in (arrangement, eulerpoly, faces):
+        if hasattr(module, "halfspace_mask"):
+            monkeypatch.setattr(module, "halfspace_mask", count)
+    route(d5, v)
+    assert len(calls) == 1
 
 
 @V_READERS
