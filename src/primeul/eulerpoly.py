@@ -1,9 +1,8 @@
 """The primitive Eulerian polynomial of an arrangement by four routes:
 
 1. mobius:    sum of |mu(bot, X)| (z-1)^corank over the lattice of flats;
-2. recursive: deletion-style recursion over a pivot hyperplane, run on
-              intervals of the one lattice of flats, with each interval's
-              polynomial kept as a tuple of integer coefficients;
+2. recursive: deletion-style recursion over a pivot coatom, on intervals
+              of the one lattice of flats, with one table per upper end;
 3. halfspace: graded face count of a very generic halfspace, reparametrized:
               the fan's faces by flat minus the closure of the rays
               outside the halfspace;
@@ -22,10 +21,12 @@ Regions stay packed; only the message of an ``UpperSetError`` decodes them.
 
 from __future__ import annotations
 
+from math import comb
+
 from .arrangement import (Arrangement, _very_generic_mask, build_flats, find_very_generic,
                           read_vector)
 from .faces import WeakOrder, base_region_of, enumerate_faces, is_simplicial
-from .intpoly import IntPoly, ZM1
+from .intpoly import IntPoly
 
 def primitive_eulerian_mobius(a: Arrangement) -> IntPoly:
     """sum_X |mu(bot, X)| (z-1)^{corank of X}; monic of degree rank(a)."""
@@ -42,56 +43,60 @@ def cocharacteristic(a: Arrangement) -> IntPoly:
 
 
 def peul_from_cochar(psi: IntPoly, r: int) -> IntPoly:
-    """Exact expansion of (z-1)^r psi(1/(z-1)).  With psi_k = f_{k-1}, the
-    faces of grade k of a rank-r simplicial complex, this is z^r h(1/z) for
-    its h-polynomial h(y) = sum_k f_{k-1} y^k (1-y)^{r-k}."""
+    """(z-1)^r psi(1/(z-1)) = sum_k psi_k (z-1)^(r-k), expanded on ints by binomials; on the
+    face counts psi_k = f_{k-1} of a simplicial complex, z^r h(1/z) for its h-polynomial."""
     if psi.degree() > r:
         raise ValueError("cocharacteristic degree exceeds the rank")
-    out = IntPoly()
+    out = [0] * (r + 1)
     for k, c in enumerate(psi.coeffs):
-        out = out + c * ZM1 ** (r - k)
-    return out
+        for j in range(r - k + 1):
+            out[j] += (-1) ** (r - k - j) * comb(r - k, j) * c
+    return IntPoly(tuple(out))
 
 
 def primitive_eulerian_recursive(a: Arrangement) -> IntPoly:
-    """Recursion P = (z-1) P_{restriction} + sum over rank-1 flats off the pivot of
-    P_{localization}, on intervals [lo, hi] of the lattice of flats: the pivot is the
-    coatom C of [lo, hi] with the largest mask, its restriction is [lo, C], and the
-    localization at an atom X not below C is [X, hi].  Closed forms end it: a Boolean
-    interval (as many coatoms as its rank) has P = z^rank, and one of rank 2 with k
-    coatoms (z-1) z + (k-1) z = z^2 + (k-2) z.  Each interval's P is memoized as a
-    coefficient tuple, low degree first; flat x lies below flat y iff the mask of y is
-    a subset of the mask of x."""
+    """P = (z-1) P_{restriction} + sum of P_{localization} at the atoms off the pivot, on
+    intervals [lo, hi] of the lattice of flats: the pivot, the coatom C of largest mask, gives
+    [lo, C], and an atom X not below C gives [X, hi].  Boolean intervals close as z^rank, rank
+    2 with k coatoms as z^2 + (k-2) z.  The cover groups of hi (the hyperplanes cutting hi in
+    one cover) each lie wholly in or off masks[lo], so one bit of each tests a coatom."""
     lattice = build_flats(a)
     return IntPoly(_interval_peuls(lattice)[lattice.bottom_index, lattice.top_index])
 
 
 def _interval_peuls(lattice) -> dict[tuple[int, int], tuple[int, ...]]:
-    """The memo of ``primitive_eulerian_recursive``: P of [⊥, top] and of every interval
-    its recursion meets, by (lo, hi).  Rank 2 is closed, so rank 1 is met only as [⊥, top]."""
+    """The recursion's memo by (lo, hi), low degree first; rank 1 is met only as [⊥, top].
+    reps[hi], built on the first visit of hi, ORs the lowest bit of each cover group of hi.
+    Groups are disjoint, so the coatom of largest mask, the pivot, is the one whose group has
+    the highest bit b of masks[lo] off hi, and an atom of [lo, hi] is below it iff it has b."""
     masks, below, above, dims = (lattice.masks, lattice.covers_below,
                                  lattice.covers_above, lattice.dims)
+    reps: dict[int, int] = {}
     memo: dict[tuple[int, int], tuple[int, ...]] = {}
 
     def peul(lo: int, hi: int) -> tuple[int, ...]:
-        if (lo, hi) not in memo:
-            coatoms = [c for c in below[hi] if masks[c] & masks[lo] == masks[c]]
-            r = dims[hi] - dims[lo]
-            if r == 2:  # k atoms: (z-1) z + (k-1) z
-                memo[lo, hi] = (0, len(coatoms) - 2, 1)
-            elif len(coatoms) == r:
-                memo[lo, hi] = (0,) * r + (1,)
-            else:
-                pivot = coatoms[-1]  # positions in a grade follow masks
-                q = peul(lo, pivot)
-                out = [-q[0]] + [x - y for x, y in zip(q, q[1:])] + [q[-1]]  # (z-1) q
-                m_hi, m_pivot = masks[hi], masks[pivot]
-                for x in above[lo]:
-                    if masks[x] & m_hi == m_hi and masks[x] & m_pivot != m_pivot:
-                        for k, c in enumerate(peul(x, hi)):
-                            out[k] += c
-                memo[lo, hi] = tuple(out)
-        return memo[lo, hi]
+        m_lo, m_hi, r = masks[lo], masks[hi], dims[hi] - dims[lo]
+        if (rep := reps.get(hi)) is None:
+            rep = reps[hi] = sum((m := masks[c] & ~m_hi) & -m for c in below[hi])
+        k = (m_lo & rep).bit_count()  # the coatoms of [lo, hi]
+        if r == 2:
+            p = (0, k - 2, 1)
+        elif k == r:
+            p = (0,) * r + (1,)
+        else:
+            b = 1 << (m_lo & ~m_hi).bit_length() - 1
+            for pivot in reversed(below[hi]):
+                if masks[pivot] & b:
+                    break
+            q = memo.get((lo, pivot)) or peul(lo, pivot)
+            out = [-q[0]] + [x - y for x, y in zip(q, q[1:])] + [q[-1]]  # (z-1) q
+            for x in above[lo]:
+                if (m := masks[x]) & m_hi == m_hi and not m & b:
+                    for j, c in enumerate(memo.get((x, hi)) or peul(x, hi)):
+                        out[j] += c
+            p = tuple(out)
+        memo[lo, hi] = p
+        return p
 
     peul(lattice.bottom_index, lattice.top_index)
     return memo

@@ -1,5 +1,7 @@
 from fractions import Fraction
+from functools import reduce
 from math import gcd
+from operator import or_
 
 import pytest
 from hypothesis import example, given, settings
@@ -566,6 +568,89 @@ def test_rank2_intervals_are_closed():
             for x in between:
                 oracle = oracle + abs(mu[x]) * ZM1 ** (2 - (dims[x] - dims[lo]))
             assert IntPoly(memo[lo, hi]) == oracle, (family, lo, hi)
+
+
+# The lattice workload's inputs and the reflection workload's, a product, and
+# A 4 alone, whose ⊥ is a line.
+ONE_BIT_INPUTS = {f: parse_family(f) for f in [*WORK, "A 4"]}
+ONE_BIT_INPUTS["B 3 x A 2"] = product(parse_family("B 3"), parse_family("A 2"))
+
+
+def _check_cover_groups(lattice):
+    """For lo <= hi, each cover group of hi (the hyperplanes cutting hi in one cover) lies
+    wholly in or off masks[lo].  So one bit per group counts the coatoms of [lo, hi] that the
+    scan of covers_below[hi] by mask finds; the highest bit b of masks[lo] off hi lies in the
+    group of the coatom of largest position alone; and an atom of [lo, hi] lies below that
+    coatom iff its mask has b."""
+    masks, below, above = lattice.masks, lattice.covers_below, lattice.covers_above
+    everything = (1 << len(lattice.arrangement.normals)) - 1
+    for hi, m_hi in enumerate(masks):
+        groups = [masks[c] & ~m_hi for c in below[hi]]
+        assert sum(groups) == reduce(or_, groups, 0) == everything & ~m_hi
+        reps = sum(g & -g for g in groups)
+        for lo in range(hi + 1):
+            m_lo = masks[lo]
+            if m_lo & m_hi != m_hi:
+                continue
+            assert all(g & m_lo in (0, g) for g in groups), (lo, hi)
+            coatoms = [c for c in below[hi] if masks[c] & m_lo == masks[c]]
+            assert (m_lo & reps).bit_count() == len(coatoms), (lo, hi)
+            if not coatoms:
+                continue
+            b = 1 << (m_lo & ~m_hi).bit_length() - 1
+            pivot = max(coatoms)
+            assert [c for c in below[hi] if masks[c] & b] == [pivot], (lo, hi)
+            for x in above[lo]:
+                if masks[x] & m_hi == m_hi:
+                    assert bool(masks[x] & b) == (masks[x] & masks[pivot] == masks[pivot])
+
+
+def _scan_recursion(lattice):
+    """The recursion of ``primitive_eulerian_recursive`` with each interval's coatoms found
+    by scanning covers_below[hi] by mask, and P built in ``IntPoly``."""
+    masks, dims = lattice.masks, lattice.dims
+    memo = {}
+
+    def below(x, y):
+        return masks[x] & masks[y] == masks[y]
+
+    def peul(lo, hi):
+        if (lo, hi) not in memo:
+            coatoms = [c for c in lattice.covers_below[hi] if below(lo, c)]
+            r = dims[hi] - dims[lo]
+            if r == 2:
+                memo[lo, hi] = (0, len(coatoms) - 2, 1)
+            elif len(coatoms) == r:
+                memo[lo, hi] = (0,) * r + (1,)
+            else:
+                pivot = max(coatoms)
+                p = ZM1 * IntPoly(peul(lo, pivot))
+                for x in lattice.covers_above[lo]:
+                    if below(x, hi) and not below(x, pivot):
+                        p = p + IntPoly(peul(x, hi))
+                memo[lo, hi] = p.coeffs
+        return memo[lo, hi]
+
+    peul(lattice.bottom_index, lattice.top_index)
+    return memo
+
+
+@pytest.mark.parametrize("name", ONE_BIT_INPUTS)
+def test_one_bit_per_cover_group(name):
+    a = ONE_BIT_INPUTS[name]
+    lattice = build_flats(a)
+    _check_cover_groups(lattice)
+    memo = _interval_peuls(lattice)
+    assert memo == _scan_recursion(lattice)
+    assert primitive_eulerian_recursive(a).coeffs == memo[lattice.bottom_index, lattice.top_index]
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(arrangements())
+def test_one_bit_per_cover_group_on_draws(a):
+    lattice = FlatLattice(a)
+    _check_cover_groups(lattice)
+    assert _interval_peuls(lattice) == _scan_recursion(lattice)
 
 
 def test_routes_leave_the_flat_views_unbuilt(capsys):

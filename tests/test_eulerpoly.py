@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -71,6 +72,21 @@ def test_peul_from_cochar():
     assert peul_from_cochar(IntPoly((1, 7, 12, 6)), 3) == IntPoly((0, 1, 4, 1))
     with pytest.raises(ValueError):
         peul_from_cochar(IntPoly((1, 1, 1)), 1)
+
+
+def test_peul_from_cochar_equals_the_intpoly_expansion():
+    # The binomial expansion against sum_k psi_k (z-1)^(r-k) built in IntPoly, over every
+    # psi of degree <= r with coefficients in [-3, 3] for r <= 3 and in [-1, 1] for r <= 6:
+    # psi = 0, deg psi = r and, as both sides are linear in psi, every z^k settle it.
+    for r in range(7):
+        powers = [ZM1 ** j for j in range(r + 1)]
+        bound = 3 if r <= 3 else 1
+        for coeffs in itertools.product(range(-bound, bound + 1), repeat=r + 1):
+            psi = IntPoly(coeffs)
+            expected = sum((c * powers[r - k] for k, c in enumerate(psi.coeffs)), IntPoly())
+            assert peul_from_cochar(psi, r) == expected, (coeffs, r)
+        with pytest.raises(ValueError, match="^cocharacteristic degree exceeds the rank$"):
+            peul_from_cochar(IntPoly((0,) * (r + 1) + (1,)), r)
 
 
 def test_recursive_examples():
